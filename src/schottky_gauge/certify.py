@@ -7,9 +7,11 @@ by adaptive bisection with outward-rounded interval arithmetic; the
 unbounded genus tail beyond ``g_max`` is closed by a per-family closed-form
 slack floor whose derivation is recorded in the family's ``tail`` note.
 
-A family is Certified only when every leaf cell has a strictly positive
-slack lower bound and the tail is handled; the engine never weakens a
-claim to force a pass.
+Each task has exactly one slack definition, its interval form.  A family is
+Certified only when every leaf cell has a strictly positive slack lower
+bound and the tail is handled; it is Violated only when that same form,
+evaluated on the point cell at a cell's midpoint, has a strictly negative
+upper bound.  The engine never weakens a claim to force a verdict.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ def _dcap(w: Interval) -> Interval:
     return IPI - (1.0 / w.cosh()).asin() * 2.0
 
 
-def _dcap_point(w: float) -> float:
-    return math.pi - 2.0 * math.asin(1.0 / math.cosh(w))
-
-
 # ----------------------------------------------------------------------
 # Engine data model
 # ----------------------------------------------------------------------
@@ -50,29 +48,31 @@ def _dcap_point(w: float) -> float:
 class Dim:
     """One continuous axis of a task domain.
 
-    ``hi`` may be a callable of g_max for domains whose ceiling grows with
-    the genus cutoff.  ``log_scale`` selects geometric bisection, suited to
-    axes spanning several orders of magnitude.
+    ``hi`` is a fixed ceiling or a ceiling coupled to the genus: a callable
+    mapping a genus value to an outward-rounded Interval.  The engine takes
+    its ``.hi`` at ``g_max`` for the initial box and, on a task with a genus
+    axis ``g``, at each cell's largest genus, clipping the axis there or
+    counting the cell vacuous when it lies wholly above.  ``log_scale``
+    selects geometric bisection, suited to axes spanning several orders of
+    magnitude.
     """
 
     name: str
     lo: float
-    hi: float | Callable[[float], float]
+    hi: float | Callable[[float], Interval]
     log_scale: bool = False
 
-    def hi_at(self, g_max: float) -> float:
-        return self.hi(g_max) if callable(self.hi) else self.hi
+    def hi_at(self, g: float) -> float:
+        return self.hi(g).hi if callable(self.hi) else self.hi
 
 
 @dataclass(frozen=True)
 class Task:
-    """One rectangular (possibly clipped) sub-domain with its slack form."""
+    """One rectangular sub-domain with its slack form."""
 
     name: str
     dims: tuple[Dim, ...]
     slack_iv: Callable[[dict], Interval]
-    slack_point: Callable[[dict], float | None]
-    clip: Callable[[dict, float], dict | None] | None = None
     # When the slack form's arccosh argument drops below 1 the geometric
     # configuration does not exist and the constraint is vacuous.  Only
     # tasks whose formulas have that reading may opt in; everywhere else a
@@ -160,13 +160,41 @@ class _TaskRun:
                 self.spans.append(math.log(hi / d.lo) if hi > d.lo else 0.0)
             else:
                 self.spans.append(hi - d.lo)
+        # Axes whose ceiling follows the genus axis "g"; only tasks that
+        # have some pay for the per-cell clip.
+        names = [d.name for d in task.dims]
+        self.coupled = [
+            i for i, d in enumerate(task.dims) if callable(d.hi) and d.name != "g"
+        ] if "g" in names else []
+        self.genus = names.index("g") if self.coupled else -1
 
     def _record(self, slack: Interval, cell: tuple[Interval, ...]):
         if self.min_slack is None or slack.lo < self.min_slack.lo:
             self.min_slack = slack
-            self.witness = {
-                d.name: c.mid for d, c in zip(self.task.dims, cell)
-            }
+            self.witness = self._mid(cell)
+
+    def _clip(self, cell: tuple[Interval, ...]) -> tuple[Interval, ...] | None:
+        """Cap each coupled axis at its ceiling for the cell's largest
+        genus; None when the cell lies wholly above a ceiling."""
+        g_top = cell[self.genus].hi
+        cell = list(cell)
+        for i in self.coupled:
+            cap = self.task.dims[i].hi(g_top).hi
+            c = cell[i]
+            if c.lo > cap:
+                return None
+            if c.hi > cap:
+                cell[i] = Interval(c.lo, cap)
+        return tuple(cell)
+
+    def _violation(self, pt: dict) -> Interval | None:
+        """The slack enclosure on the point cell ``pt`` if it proves a
+        violation (``hi < 0``), else None."""
+        try:
+            slack = self.task.slack_iv({k: Interval.point(v) for k, v in pt.items()})
+        except (DomainError, IndeterminateCell):
+            return None
+        return slack if slack.hi < 0.0 else None
 
     def run(self, budget: int) -> tuple[str, dict | None, Interval | None]:
         """Returns (outcome, stuck_witness, stuck_slack); outcome in
@@ -185,16 +213,14 @@ class _TaskRun:
             self.max_depth = max(self.max_depth, depth)
             if self.cells > budget:
                 return "budget", self._mid(cell), None
-            named = {d.name: c for d, c in zip(task.dims, cell)}
-            if task.clip is not None:
-                named = task.clip(named, self.g_max)
-                if named is None:
+            if self.coupled:
+                cell = self._clip(cell)
+                if cell is None:
                     self.vacuous += 1
                     continue
-                cell = tuple(named[d.name] for d in task.dims)
             slack = None
             try:
-                slack = task.slack_iv(named)
+                slack = task.slack_iv({d.name: c for d, c in zip(task.dims, cell)})
             except DomainError:
                 if task.domain_error_vacuous:
                     self.vacuous += 1
@@ -206,9 +232,9 @@ class _TaskRun:
                 continue
             if slack is not None and slack.hi < 0.0:
                 pt = self._mid(cell)
-                ps = task.slack_point(pt)
-                if ps is not None and ps < 0.0:
-                    return "violated", pt, Interval.point(ps)
+                proof = self._violation(pt)
+                if proof is not None:
+                    return "violated", pt, proof
             if not cell:
                 return "undecided", None, slack  # zero-dimensional, unresolved
             widths = [
@@ -231,11 +257,9 @@ class _TaskRun:
     def _bisect(cell: Interval, dim: Dim) -> tuple[Interval, Interval]:
         if dim.log_scale and cell.lo > 0:
             m = math.sqrt(cell.lo * cell.hi)
-            if not cell.lo < m < cell.hi:
-                m = cell.mid
-        else:
-            m = cell.mid
-        return Interval(cell.lo, m), Interval(m, cell.hi)
+            if cell.lo < m < cell.hi:
+                return Interval(cell.lo, m), Interval(m, cell.hi)
+        return cell.split()
 
     def _mid(self, cell: tuple[Interval, ...]) -> dict:
         return {d.name: c.mid for d, c in zip(self.task.dims, cell)}
@@ -250,13 +274,16 @@ def certify(
     """Certify one family over its full domain up to ``g_max``.
 
     Subdivides until every cell's slack interval is strictly positive
-    (Certified), a violating point is confirmed (Violated), or the cell
-    width floor ``tol`` / the cell ``budget`` is reached (Undecided).
+    (Certified), a cell's midpoint has a strictly negative point enclosure
+    (Violated), or the cell width floor ``tol`` / the cell ``budget`` is
+    reached (Undecided).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError("tol must be positive and finite")
     if budget <= 0:
         raise DomainError("budget must be positive")
+    if not (g_max >= 2 and math.isfinite(g_max)):
+        raise DomainError("g_max must be a finite genus cutoff >= 2")
     if family.budget_override is not None:
         budget = min(budget, family.budget_override)
     total_cells = 0
@@ -280,7 +307,7 @@ def certify(
                 family=family.id, status="Violated", min_slack=stuck_slack,
                 witness=stuck, cells_processed=total_cells, max_depth=max_depth,
                 tail_status="N/A", vacuous_cells=total_vacuous, g_max=g_max,
-                note=f"violation confirmed by point evaluation in task {task.name}",
+                note=f"violation proven by point enclosure in task {task.name}",
             )
         if outcome in ("undecided", "budget"):
             reason = "cell budget exhausted" if outcome == "budget" \
@@ -326,8 +353,8 @@ def certify(
 # g_max.
 
 
-def _gdim(name: str = "g") -> Dim:
-    return Dim(name, 2.0, lambda g_max: g_max, log_scale=True)
+def _gdim() -> Dim:
+    return Dim("g", 2.0, Interval.point, log_scale=True)
 
 
 # -- CF-A --------------------------------------------------------------
@@ -342,17 +369,6 @@ def _cfa_slack_iv(c: dict) -> Interval:
     s = (y * 0.5).sinhc()
     arg = IPI.sq() * (g - 1.0).sq() * s.sq() * 2.0 - 1.0
     return (g * 8.0 - 7.0).log() * 4.0 - arg.acosh() * 2.0
-
-
-def _cfa_slack_point(p: dict) -> float | None:
-    g, y = p["g"], p["gamma"]
-    if y <= 0:
-        return None
-    w = math.asinh(2.0 * math.pi * (g - 1.0) / y)
-    try:
-        return 4.0 * math.log(8.0 * g - 7.0) - collar.y1_nu(y, w)
-    except DomainError:
-        return None
 
 
 def _cfa_tail(_g_from: float) -> TailProof:
@@ -371,17 +387,6 @@ def _cfb_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma"]
     arg = IPI * 0.5 * (g - 1.0) * (y * 0.25).sinhc()
     return (g * 8.0 - 7.0).log() * 3.0 - arg.acosh() * 2.0
-
-
-def _cfb_slack_point(p: dict) -> float | None:
-    g, y = p["g"], p["gamma"]
-    if y <= 0:
-        return None
-    w = math.asinh(2.0 * math.pi * (g - 1.0) / y)
-    try:
-        return 3.0 * math.log(8.0 * g - 7.0) - collar.y2_nu1_exact(y, w)
-    except DomainError:
-        return None
 
 
 def _cfb_tail(_g_from: float) -> TailProof:
@@ -410,10 +415,6 @@ def _cfc_slack_iv(c: dict) -> Interval:
     return _dcap(_qwtwo_iv(c["alpha1"])) - Interval.ratio(3.0, 3.1)
 
 
-def _cfc_slack_point(p: dict) -> float | None:
-    return _dcap_point(collar.qwtwo(p["alpha1"])) - 3.0 / 3.1
-
-
 def _crossing_tail_floor(quarter: float) -> Interval:
     """Interval floor arcsinh((4/3) sinh(quarter)) for qwtwo-type widths."""
     return (Interval.ratio(4.0, 3.0) * Interval.point(quarter).sinh()).asinh()
@@ -435,12 +436,6 @@ def _cfd_slack_iv(c: dict) -> Interval:
     return (g * 8.0 - 7.0).log() * _R31 - lhs
 
 
-def _cfd_slack_point(p: dict) -> float | None:
-    g = p["g"]
-    d = _dcap_point(collar.W_PRIME)
-    return 3.1 * math.log(8.0 * g - 7.0) - (2.0 * math.log(24.0 * g - 23.0) + 2.2) / d
-
-
 def _cfd_tail(g_from: float) -> TailProof:
     # 24g-23 <= 3(8g-7), so slack >= (3.1 - 2/D) log(8g-7) - (2 log 3 + 2.2)/D,
     # increasing in g once the leading coefficient is positive.
@@ -459,19 +454,8 @@ def _cfd_tail(g_from: float) -> TailProof:
 #   <= 3.1 log(8g-7)  for gamma2 in [2.1, 3 log(8g-7)], with
 # w = min{0.66, arccosh(cosh(gamma2/2)/(cosh(gamma2/4) cosh W'))}.
 
-def _gamma2_cap(g_hi: float) -> Interval:
-    return (Interval.point(g_hi) * 8.0 - 7.0).log() * 3.0
-
-
-def _cfe_clip(named: dict, _g_max: float) -> dict | None:
-    cap = _gamma2_cap(named["g"].hi).hi
-    y = named["gamma2"]
-    if y.lo > cap:
-        return None
-    if y.hi > cap:
-        named = dict(named)
-        named["gamma2"] = Interval(y.lo, max(cap, y.lo))
-    return named
+def _gamma2_cap(g: float) -> Interval:
+    return (Interval.point(g) * 8.0 - 7.0).log() * 3.0
 
 
 def _cfe_numerator_iv(y: Interval) -> Interval:
@@ -488,16 +472,6 @@ def _cfe_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma2"]
     lhs = _cfe_numerator_iv(y) / _dcap(_cfe_width_iv(y))
     return (g * 8.0 - 7.0).log() * _R31 - lhs
-
-
-def _cfe_slack_point(p: dict) -> float | None:
-    g, y = p["g"], p["gamma2"]
-    try:
-        w = collar.case2c2_width_bound(y)
-    except DomainError:
-        return None
-    num = 4.0 * math.acosh(math.cosh(y / 4.0) * math.cosh(collar.W_PRIME))
-    return 3.1 * math.log(8.0 * g - 7.0) - num / _dcap_point(w)
 
 
 def _cfe_tail(g_from: float) -> TailProof:
@@ -523,11 +497,13 @@ def _cfe_tail(g_from: float) -> TailProof:
                      "two-regime split at gamma2 = 10, increasing in g")
 
 
-# -- CF-F --------------------------------------------------------------
-# capacity(gamma, w(gamma)) <= log(4g-2) on gamma in (0, 2 log(4g-2)],
-# with w(gamma) the configuration-1 width floor below K and W above.
-# Split at K: below, log(4g-2) >= log 6 removes the genus; above, the
-# width is the constant W and the domain ceiling couples gamma to g.
+# -- CF-F and CF-F' -----------------------------------------------------
+# capacity(gamma, w(gamma)) <= weight(log(4g-2)) on gamma in
+# (0, 2 log(4g-2)], with w(gamma) the configuration-1 width floor below K
+# and W above.  Split at K: below, log(4g-2) >= log 6 removes the genus
+# (weight is increasing); above, the width is the constant W and the
+# domain ceiling couples gamma to g.  CF-F uses weight = identity; CF-F'
+# uses the sharper (3/pi) log(4g-2).
 
 def _cff_w_iv(y: Interval) -> Interval:
     """Configuration-1 width floor max{b1, b2} as an interval over y."""
@@ -537,45 +513,34 @@ def _cff_w_iv(y: Interval) -> Interval:
     return b1.max_with(b2)
 
 
-def _cff_short_slack_iv(c: dict) -> Interval:
-    y = c["gamma"]
-    if y.lo <= 0.0:
-        # b1 = arcsinh(1/sinh(gamma/2)) decreases, so its value at the
-        # right endpoint floors the width on the whole cell; the capacity
-        # ceiling that yields is enough for cells touching gamma = 0.
-        b1_hi = (1.0 / (Interval.point(y.hi) * 0.5).sinh()).asinh()
-        cap_hi = (Interval.point(y.hi) / _dcap(Interval.point(b1_hi.lo))).hi
-        return Interval(_LOG6.lo - cap_hi, _LOG6.hi)
-    return _LOG6 - y / _dcap(_cff_w_iv(y))
+def _cff_long_cap(g: float) -> Interval:
+    return (Interval.point(g) * 4.0 - 2.0).log() * 2.0
 
 
-def _cff_short_slack_point(p: dict) -> float | None:
-    y = p["gamma"]
-    if y <= 0:
-        return None
-    w = collar.collar_width_lower_bound(y, collar.CollarConfig.CONFIG1, True)
-    return math.log(6.0) - collar.capacity(y, w)
+def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
+    """Short-core and long-core tasks for the ceiling weight(log(4g-2))."""
+    rhs6 = weight(_LOG6)
 
+    def short(c: dict) -> Interval:
+        y = c["gamma"]
+        if y.lo <= 0.0:
+            # b1 = arcsinh(1/sinh(gamma/2)) decreases, so its value at the
+            # right endpoint floors the width on the whole cell; the
+            # capacity ceiling that yields is enough for cells touching
+            # gamma = 0.
+            b1_hi = (1.0 / (Interval.point(y.hi) * 0.5).sinh()).asinh()
+            cap_hi = (Interval.point(y.hi) / _dcap(Interval.point(b1_hi.lo))).hi
+            return Interval(rhs6.lo - cap_hi, rhs6.hi)
+        return rhs6 - y / _dcap(_cff_w_iv(y))
 
-def _cff_long_clip(named: dict, _g_max: float) -> dict | None:
-    cap = ((Interval.point(named["g"].hi) * 4.0 - 2.0).log() * 2.0).hi
-    y = named["gamma"]
-    if y.lo > cap:
-        return None
-    if y.hi > cap:
-        named = dict(named)
-        named["gamma"] = Interval(y.lo, max(cap, y.lo))
-    return named
+    def long(c: dict) -> Interval:
+        g, y = c["g"], c["gamma"]
+        return weight((g * 4.0 - 2.0).log()) - y / _dcap(IW)
 
-
-def _cff_long_slack_iv(c: dict) -> Interval:
-    g, y = c["g"], c["gamma"]
-    return (g * 4.0 - 2.0).log() - y / _dcap(IW)
-
-
-def _cff_long_slack_point(p: dict) -> float | None:
-    g, y = p["g"], p["gamma"]
-    return math.log(4.0 * g - 2.0) - collar.capacity(y, collar.W)
+    return (
+        Task("short-core", (Dim("gamma", 0.0, collar.K),), short),
+        Task("long-core", (_gdim(), Dim("gamma", collar.K, _cff_long_cap)), long),
+    )
 
 
 def _cff_tail(_g_from: float) -> TailProof:
@@ -586,49 +551,11 @@ def _cff_tail(_g_from: float) -> TailProof:
     return TailProof(floor, "capacity ceiling 3 gamma/(2 pi) above K, g-free")
 
 
-# -- CF-F' -------------------------------------------------------------
-# Same configuration against the sharper ceiling (3/pi) log(4g-2).  At
-# gamma = 2 log(4g-2) with w = W the two sides agree exactly, so no
-# strictly-positive certificate exists; the family is expected Undecided
-# and is exempt from suite failure.
-
-def _cffp_short_slack_iv(c: dict) -> Interval:
-    y = c["gamma"]
-    rhs = _LOG6 * 3.0 / IPI
-    if y.lo <= 0.0:
-        b1_hi = (1.0 / (Interval.point(y.hi) * 0.5).sinh()).asinh()
-        cap_hi = (Interval.point(y.hi) / _dcap(Interval.point(b1_hi.lo))).hi
-        return Interval(rhs.lo - cap_hi, rhs.hi)
-    return rhs - y / _dcap(_cff_w_iv(y))
-
-
-def _cffp_short_slack_point(p: dict) -> float | None:
-    y = p["gamma"]
-    if y <= 0:
-        return None
-    w = collar.collar_width_lower_bound(y, collar.CollarConfig.CONFIG1, True)
-    return 3.0 / math.pi * math.log(6.0) - collar.capacity(y, w)
-
-
-def _cffp_long_slack_iv(c: dict) -> Interval:
-    g, y = c["g"], c["gamma"]
-    return (g * 4.0 - 2.0).log() * 3.0 / IPI - y / _dcap(IW)
-
-
-def _cffp_long_slack_point(p: dict) -> float | None:
-    g, y = p["g"], p["gamma"]
-    return 3.0 / math.pi * math.log(4.0 * g - 2.0) - collar.capacity(y, collar.W)
-
-
 # -- CF-G --------------------------------------------------------------
 
 def _cfg_slack_iv(_c: dict) -> Interval:
     sep = (1.0 / Interval.point(1.05).sinh()).asinh()
     return sep.min_with(IWP) - _C73
-
-
-def _cfg_slack_point(_p: dict) -> float | None:
-    return min(collar.collar_separation(2.1), collar.W_PRIME) - 0.73
 
 
 # -- CF-H --------------------------------------------------------------
@@ -637,10 +564,6 @@ def _cfh_slack_iv(c: dict) -> Interval:
     y = c["gamma2"]
     den = ((y * 0.25).cosh().sq() * IWP.cosh().sq() - 1.0).sqrt()
     return ((y * 0.5).cosh() / den).asinh() - _C96
-
-
-def _cfh_slack_point(p: dict) -> float | None:
-    return collar.case2c2b_width_bound(p["gamma2"]) - 0.96
 
 
 def _cfh_tail(_g_from: float) -> TailProof:
@@ -665,13 +588,6 @@ def _cfi_slack_iv(c: dict) -> Interval:
     return _BAVARD_LIMIT_IV - (1.0 / (theta.sin() * 2.0)).acosh() * 4.0
 
 
-def _cfi_slack_point(p: dict) -> float | None:
-    g = p["g"]
-    theta = math.pi * (g + 1.0) / (12.0 * g)
-    return (_BAVARD_LIMIT_IV.mid
-            - 4.0 * math.acosh(1.0 / (2.0 * math.sin(theta))))
-
-
 def _cfi_tail(_g_from: float) -> TailProof:
     # Structural: theta(g) = (pi/12)(1 + 1/g) exceeds pi/12 for every
     # finite g and stays within (0, pi/2], where sin is increasing, so the
@@ -693,11 +609,6 @@ def _cfj_slack_iv(c: dict) -> Interval:
     return (num / den).asinh() - _C66
 
 
-def _cfj_slack_point(p: dict) -> float | None:
-    a = p["alpha1"]
-    return collar.crossing_width_bound(a, collar.W_PRIME, a / 4.0) - 0.66
-
-
 def _cfj_tail(_g_from: float) -> TailProof:
     w_lb = _crossing_tail_floor(_CFJ_CAP / 4.0)
     return TailProof((w_lb - _C66).lo,
@@ -714,88 +625,71 @@ FAMILIES: tuple[CertFamily, ...] = (
     CertFamily(
         id="CF-A", title="config-1 boundary length vs 4 log(8g-7)",
         tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
-                    _cfa_slack_iv, _cfa_slack_point,
+                    _cfa_slack_iv,
                     domain_error_vacuous=True),),
         tail=_cfa_tail,
     ),
     CertFamily(
         id="CF-B", title="config-2 boundary length vs 3 log(8g-7)",
         tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
-                    _cfb_slack_iv, _cfb_slack_point,
+                    _cfb_slack_iv,
                     domain_error_vacuous=True),),
         tail=_cfb_tail,
     ),
     CertFamily(
         id="CF-C", title="crossing-width denominator vs 3/3.1",
         tasks=(Task("main", (Dim("alpha1", 1.1, _CFC_CAP),),
-                    _cfc_slack_iv, _cfc_slack_point),),
+                    _cfc_slack_iv),),
         tail=_cfc_tail,
     ),
     CertFamily(
         id="CF-D", title="two-collar capacity sum vs 3.1 log(8g-7)",
-        tasks=(Task("main", (_gdim(),), _cfd_slack_iv, _cfd_slack_point),),
+        tasks=(Task("main", (_gdim(),), _cfd_slack_iv),),
         tail=_cfd_tail,
     ),
     CertFamily(
         id="CF-E", title="second-collar capacity vs 3.1 log(8g-7)",
         tasks=(Task(
             "main",
-            (_gdim(), Dim("gamma2", 2.1,
-                          lambda g_max: 3.0 * math.log(8.0 * g_max - 7.0))),
-            _cfe_slack_iv, _cfe_slack_point, clip=_cfe_clip,
-            domain_error_vacuous=True),),
+            (_gdim(), Dim("gamma2", 2.1, _gamma2_cap)),
+            _cfe_slack_iv, domain_error_vacuous=True),),
         tail=_cfe_tail,
     ),
     CertFamily(
         id="CF-F", title="collar capacity vs log(4g-2)",
-        tasks=(
-            Task("short-core", (Dim("gamma", 0.0, collar.K),),
-                 _cff_short_slack_iv, _cff_short_slack_point),
-            Task("long-core",
-                 (_gdim(), Dim("gamma", collar.K,
-                               lambda g_max: 2.0 * math.log(4.0 * g_max - 2.0))),
-                 _cff_long_slack_iv, _cff_long_slack_point,
-                 clip=_cff_long_clip),
-        ),
+        tasks=_cff_tasks(lambda log: log),
         tail=_cff_tail,
     ),
     CertFamily(
         id="CF-G", title="separation floor 0.73",
-        tasks=(Task("point", (), _cfg_slack_iv, _cfg_slack_point),),
+        tasks=(Task("point", (), _cfg_slack_iv),),
     ),
     CertFamily(
         id="CF-H", title="config-2 second-collar width floor 0.96",
         tasks=(Task("main", (Dim("gamma2", 2.1, 60.0),),
-                    _cfh_slack_iv, _cfh_slack_point),),
+                    _cfh_slack_iv),),
         tail=_cfh_tail,
     ),
     CertFamily(
         id="CF-I", title="hyperelliptic systole limit",
-        tasks=(Task("main", (_gdim(),), _cfi_slack_iv, _cfi_slack_point),),
+        tasks=(Task("main", (_gdim(),), _cfi_slack_iv),),
         tail=_cfi_tail,
     ),
     CertFamily(
         id="CF-J", title="crossing width floor 0.66",
         tasks=(Task("main", (Dim("alpha1", 1.5, _CFJ_CAP),),
-                    _cfj_slack_iv, _cfj_slack_point),),
+                    _cfj_slack_iv),),
         tail=_cfj_tail,
     ),
 )
 
-# Sharpened m1 variant: exact equality at the domain corner, so it cannot
-# certify strictly; opt-in only, never part of the default registry.
+# Sharpened m1 variant: at gamma = 2 log(4g-2) with w = W the two sides
+# agree exactly, so no strictly-positive certificate exists and the family
+# is expected Undecided; opt-in only, never part of the default registry.
 CF_F_PRIME = CertFamily(
     id="CF-F-prime", title="collar capacity vs (3/pi) log(4g-2)",
     aliases=("CF-F'",),
-    tasks=(
-        Task("short-core", (Dim("gamma", 0.0, collar.K),),
-             _cffp_short_slack_iv, _cffp_short_slack_point),
-        Task("long-core",
-             (_gdim(), Dim("gamma", collar.K,
-                           lambda g_max: 2.0 * math.log(4.0 * g_max - 2.0))),
-             _cffp_long_slack_iv, _cffp_long_slack_point,
-             clip=_cff_long_clip),
-    ),
+    tasks=_cff_tasks(lambda log: log * 3.0 / IPI),
     exempt=True,
     budget_override=20000,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -133,8 +134,11 @@ def cmd_certify(args, parser) -> int:
             parser.error(str(exc))
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("SCHOTTKY_GAUGE_BUDGET",
-                                    certify.DEFAULT_BUDGET))
+        raw = os.environ.get("SCHOTTKY_GAUGE_BUDGET")
+        try:
+            budget = certify.DEFAULT_BUDGET if raw is None else _positive_int(raw)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"SCHOTTKY_GAUGE_BUDGET: {exc}")
     reports = certify.run_all(tol=args.tol, budget=budget,
                               g_max=args.gmax, families=fams)
     render([r.as_dict() for r in reports], args.format)
@@ -234,6 +238,26 @@ def cmd_corollary(args, parser) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
+def _checked(convert, ok, expected: str):
+    """An argparse type that converts text and rejects values failing ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf,
+                           "a positive finite number")
+_genus_cutoff = _checked(float, lambda v: 2 <= v < math.inf,
+                         "a finite genus cutoff >= 2")
+
+
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
@@ -262,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the inequality certification suite")
     p.add_argument("--families", nargs="+", default=["all"])
-    p.add_argument("--gmax", type=float, default=certify.DEFAULT_G_MAX)
-    p.add_argument("--tol", type=float, default=certify.DEFAULT_TOL)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--gmax", type=_genus_cutoff, default=certify.DEFAULT_G_MAX)
+    p.add_argument("--tol", type=_positive_float, default=certify.DEFAULT_TOL)
+    p.add_argument("--budget", type=_positive_int, default=None)
     _add_format(p)
 
     p = sub.add_parser("ypiece", help="Y-piece boundary lengths")
@@ -320,10 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID_INPUT
     parser.error(f"unknown command {args.command!r}")
-
-
-def entrypoint() -> None:  # console-script shim
-    sys.exit(main())
 
 
 if __name__ == "__main__":

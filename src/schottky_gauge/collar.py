@@ -28,18 +28,6 @@ class CollarConfig(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CollarData:
-    geodesic_length: float
-    width: float
-
-    def __post_init__(self):
-        if self.geodesic_length <= 0:
-            raise DomainError("geodesic length must be positive")
-        if self.width <= 0:
-            raise DomainError("collar width must be positive")
-
-
-@dataclass(frozen=True)
 class YPiece:
     """Boundary data of the Y-piece produced by a self-intersecting collar.
 
@@ -67,13 +55,6 @@ class YPiece:
 W = math.acosh(2.0)
 W_PRIME = math.atanh(2.0 / 3.0)
 K = 3.326
-
-
-@dataclass(frozen=True)
-class Constants:
-    W: float = W
-    Wp: float = W_PRIME
-    K: float = K
 
 
 def _positive(name, value):

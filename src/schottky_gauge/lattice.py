@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +91,6 @@ class SuccessiveMinima:
     k: int
     values: tuple[float, ...]
     witnesses: tuple[ShortVector, ...]
-    independent: bool = True
 
 
 def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:

@@ -3,20 +3,23 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from schottky_gauge import certify
+from schottky_gauge import collar
 from schottky_gauge.certify import (
     CF_F_PRIME,
     FAMILIES,
     CertFamily,
     Dim,
+    DEFAULT_G_MAX,
     Task,
     certify as run_one,
     lookup,
     run_all,
 )
 from schottky_gauge.errors import DomainError
-from schottky_gauge.interval import Interval
+from schottky_gauge.interval import IndeterminateCell, Interval
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +73,7 @@ class TestEngine:
             tasks=(Task(
                 name="empty",
                 dims=(Dim("x", 2.0, 1.0),),
-                slack_iv=lambda c: Interval(-1.0),
-                slack_point=lambda c: -1.0),),
+                slack_iv=lambda c: Interval(-1.0)),),
         )
         rep = run_one(fam)
         assert rep.status == "Certified"
@@ -83,13 +85,54 @@ class TestEngine:
             tasks=(Task(
                 name="neg",
                 dims=(Dim("x", 0.0, 1.0),),
-                slack_iv=lambda c: c["x"] - 2.0,
-                slack_point=lambda c: c["x"] - 2.0),),
+                slack_iv=lambda c: c["x"] - 2.0),),
         )
         rep = run_one(fam)
         assert rep.status == "Violated"
+        assert rep.min_slack.hi < 0.0
         assert rep.witness is not None
+        assert 0.0 <= rep.witness["x"] <= 1.0
         assert rep.witness["x"] - 2.0 < 0.0
+
+    @pytest.mark.parametrize("at_point", [
+        Interval(-1e-3, 1e-3),
+        DomainError("no configuration at this point"),
+        IndeterminateCell("no finite enclosure at this point"),
+    ], ids=["straddles-zero", "domain-error", "indeterminate"])
+    def test_violation_needs_negative_point_enclosure(self, at_point):
+        # every proper cell looks violated, but the point enclosure proves
+        # nothing: the engine must keep subdividing, never report Violated
+        def slack(c):
+            if c["x"].width > 0.0:
+                return Interval(-2.0, -1.0)
+            if isinstance(at_point, Exception):
+                raise at_point
+            return at_point
+
+        fam = CertFamily(
+            id="T-STRADDLE", title="negative cells, inconclusive points",
+            tasks=(Task(name="straddle", dims=(Dim("x", 0.0, 1.0),),
+                        slack_iv=slack),),
+        )
+        rep = run_one(fam, tol=0.01)
+        assert rep.status == "Undecided"
+        assert "width floor" in rep.note
+
+    def test_coupled_axis_clipped_per_cell(self):
+        # y <= g couples the axes and the slack is negative above
+        # y = g + 1/2, so certifying needs every cell clipped at its own
+        # largest genus; cells wholly above the ceiling count as vacuous
+        fam = CertFamily(
+            id="T-COUPLED", title="g - y + 1/2 on y <= g",
+            tasks=(Task(
+                name="coupled",
+                dims=(Dim("g", 2.0, Interval.point, log_scale=True),
+                      Dim("y", 0.0, Interval.point)),
+                slack_iv=lambda c: c["g"] - c["y"] + 0.5),),
+        )
+        rep = run_one(fam, g_max=100.0)
+        assert rep.status == "Certified"
+        assert rep.vacuous_cells > 0
 
     def test_coarse_tolerance_leaves_undecided(self):
         # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
@@ -99,8 +142,7 @@ class TestEngine:
             tasks=(Task(
                 name="pinch",
                 dims=(Dim("x", 0.0, 2.0),),
-                slack_iv=lambda c: c["x"].sq() - c["x"] * 2.0 + (1.0 + 1e-9),
-                slack_point=lambda c: (c["x"] - 1.0) ** 2 + 1e-9),),
+                slack_iv=lambda c: c["x"].sq() - c["x"] * 2.0 + (1.0 + 1e-9)),),
         )
         rep = run_one(fam, tol=0.5)
         assert rep.status == "Undecided"
@@ -115,6 +157,13 @@ class TestEngine:
             run_one(lookup("CF-G"), tol=0.0)
         with pytest.raises(DomainError):
             run_one(lookup("CF-G"), budget=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                run_one(lookup("CF-G"), tol=bad)
+            with pytest.raises(DomainError):
+                run_one(lookup("CF-G"), g_max=bad)
+        with pytest.raises(DomainError):
+            run_one(lookup("CF-G"), g_max=1.0)
 
     def test_determinism(self):
         a = run_one(lookup("CF-C"))
@@ -122,25 +171,98 @@ class TestEngine:
         assert a.as_dict() == b.as_dict()
 
 
-class TestSoundness:
-    """Reported minimum slack must bound the true slack at sampled points."""
+def _dcap(w):
+    return math.pi - 2.0 * math.asin(1.0 / math.cosh(w))
 
-    @pytest.mark.parametrize("fam_id,samples", [
-        ("CF-B", [(2.0, 0.5), (3.0, 1.0), (50.0, 2.0)]),
-        ("CF-D", [(2.5,), (10.0,), (50.0,)]),
-        ("CF-H", [(2.1,), (5.0,), (59.0,)]),
-    ])
-    def test_point_slack_above_certified_floor(self, reports, fam_id, samples):
-        fam = lookup(fam_id)
-        floor = reports[fam_id].min_slack.lo
-        task = fam.tasks[0]
-        for pt in samples:
-            cell = {d.name: Interval.point(v)
-                    for d, v in zip(task.dims, pt)}
-            val = task.slack_point({k: v.mid for k, v in cell.items()})
-            if val is None:
-                continue
-            assert val >= floor - 1e-9
+
+def _area_width(p):
+    return math.asinh(2.0 * math.pi * (p["g"] - 1.0) / p["gamma"])
+
+
+def _config1_capacity(y):
+    w = collar.collar_width_lower_bound(y, collar.CollarConfig.CONFIG1, True)
+    return collar.capacity(y, w)
+
+
+def _bavard_term(theta):
+    return 4.0 * math.acosh(1.0 / (2.0 * math.sin(theta)))
+
+
+# Source-form float slack of every task, written with the collar formulas
+# the interval forms were derived from.
+_REFERENCE = {
+    "CF-A/main": lambda p: 4.0 * math.log(8.0 * p["g"] - 7.0)
+    - collar.y1_nu(p["gamma"], _area_width(p)),
+    "CF-B/main": lambda p: 3.0 * math.log(8.0 * p["g"] - 7.0)
+    - collar.y2_nu1_exact(p["gamma"], _area_width(p)),
+    "CF-C/main": lambda p: _dcap(collar.qwtwo(p["alpha1"])) - 3.0 / 3.1,
+    "CF-D/main": lambda p: 3.1 * math.log(8.0 * p["g"] - 7.0)
+    - (2.0 * math.log(24.0 * p["g"] - 23.0) + 2.2) / _dcap(collar.W_PRIME),
+    "CF-E/main": lambda p: 3.1 * math.log(8.0 * p["g"] - 7.0)
+    - 4.0 * math.acosh(math.cosh(p["gamma2"] / 4.0) * math.cosh(collar.W_PRIME))
+    / _dcap(collar.case2c2_width_bound(p["gamma2"])),
+    "CF-F/short-core": lambda p: math.log(6.0) - _config1_capacity(p["gamma"]),
+    "CF-F/long-core": lambda p: math.log(4.0 * p["g"] - 2.0)
+    - collar.capacity(p["gamma"], collar.W),
+    "CF-F-prime/short-core": lambda p: 3.0 / math.pi * math.log(6.0)
+    - _config1_capacity(p["gamma"]),
+    "CF-F-prime/long-core": lambda p: 3.0 / math.pi * math.log(4.0 * p["g"] - 2.0)
+    - collar.capacity(p["gamma"], collar.W),
+    "CF-G/point": lambda p: min(collar.collar_separation(2.1), collar.W_PRIME) - 0.73,
+    "CF-H/main": lambda p: collar.case2c2b_width_bound(p["gamma2"]) - 0.96,
+    "CF-I/main": lambda p: _bavard_term(math.pi / 12.0)
+    - _bavard_term(math.pi * (p["g"] + 1.0) / (12.0 * p["g"])),
+    "CF-J/main": lambda p: collar.crossing_width_bound(
+        p["alpha1"], collar.W_PRIME, p["alpha1"] / 4.0) - 0.66,
+}
+
+_TASKS = [(f, t) for f in FAMILIES + (CF_F_PRIME,) for t in f.tasks]
+
+
+def _sample(task, fractions):
+    """A point of the task domain at g_max = DEFAULT_G_MAX; each fraction
+    places one axis, and coupled axes stop at their ceiling for the
+    sampled genus."""
+    pt = {}
+    for d, u in zip(task.dims, fractions):
+        hi = d.hi(pt["g"]).lo if callable(d.hi) and "g" in pt \
+            else d.hi_at(DEFAULT_G_MAX)
+        if d.log_scale:
+            v = d.lo * (hi / d.lo) ** u
+        else:
+            v = d.lo + u * (hi - d.lo)
+        pt[d.name] = min(max(v, d.lo), hi)
+    return pt
+
+
+class TestSoundness:
+    """The interval slack of each task must enclose its source formula,
+    and the reported minimum slack must bound it from below."""
+
+    @pytest.mark.parametrize("fam,task", _TASKS,
+                             ids=[f"{f.id}/{t.name}" for f, t in _TASKS])
+    @settings(max_examples=150, deadline=None)
+    @given(fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_point_enclosure_contains_source_formula(
+            self, reports, fam, task, fractions):
+        pt = _sample(task, fractions)
+        try:
+            ref = _REFERENCE[f"{fam.id}/{task.name}"](pt)
+        except (DomainError, ZeroDivisionError, OverflowError):
+            assume(False)  # outside the source formula's float domain
+        assume(math.isfinite(ref))
+        try:
+            enc = task.slack_iv({k: Interval.point(v) for k, v in pt.items()})
+        except IndeterminateCell:
+            assume(False)
+        except ValueError:
+            # interval overflow (e.g. 1/sinh at a subnormal gamma) is still
+            # reported as ValueError: no enclosure, so nothing to check
+            assume(False)
+        pad = 1e-12 * abs(ref)  # the reference's own rounding
+        assert enc.lo - pad <= ref <= enc.hi + pad, (pt, ref, enc)
+        if fam.id in reports:
+            assert ref >= reports[fam.id].min_slack.lo - 1e-9
 
     def test_cfi_limit_is_zero(self):
         # the slack tends to 0 as g -> inf; the certified floor must be

@@ -132,6 +132,23 @@ class TestCertify:
         assert code == 5
         assert rows[0]["status"] == "Undecided"
 
+    @pytest.mark.parametrize("setting", [
+        ("--budget", "0"), ("--budget", "-5"), ("--tol", "0"),
+        ("--tol", "nan"), ("--gmax", "nan"), ("--gmax", "inf"),
+        ("--gmax", "1"),
+    ], ids=" ".join)
+    def test_bad_setting_is_usage_error(self, capsys, setting):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--families", "CF-G", *setting])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SCHOTTKY_GAUGE_BUDGET", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--families", "CF-G"])
+        assert exc.value.code == 2
+
 
 class TestYPiece:
     def test_config1(self, capsys):
