@@ -1,10 +1,9 @@
 """Hyperbolic trigonometry primitives.
 
-Point evaluation works on binary64 floats; each relation also has an
-interval form built on :mod:`schottky_gauge.interval` for the rigorous
-certification engine.  Domain failures raise :class:`DomainError` instead
-of clamping: an arccosh argument below 1 means the polygon in question
-does not exist.
+Point evaluation on binary64 floats; the certification engine builds its
+interval enclosures directly from :mod:`schottky_gauge.interval`.  Domain
+failures raise :class:`DomainError` instead of clamping: an arccosh
+argument below 1 means the polygon in question does not exist.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .interval import Interval
 
 # Above this threshold cosh/sinh are computed as exp(x)/2 in a single libm
 # call; the dropped exp(-x)/2 term is below 2^-86 relative for x > 30, far
@@ -97,21 +95,3 @@ def hexagon_opposite(a: float, connector: float, b: float) -> float:
     if rhs < 1.0:
         raise DomainError(f"hexagon degenerates: rhs = {rhs} < 1")
     return math.acosh(rhs)
-
-
-# ----------------------------------------------------------------------
-# Interval forms.  Same relations, enclosure semantics.
-# ----------------------------------------------------------------------
-
-def right_triangle_hyp_iv(a: Interval, b: Interval) -> Interval:
-    return (a.cosh() * b.cosh()).acosh()
-
-def right_triangle_angle_iv(opposite_w: Interval, hyp: Interval) -> Interval:
-    return (opposite_w.sinh() / hyp.sinh()).min_with(1.0).asin()
-
-def pentagon_opposite_iv(a: Interval, b: Interval) -> Interval:
-    return (a.sinh() * b.sinh()).acosh()
-
-def hexagon_opposite_iv(a: Interval, connector: Interval, b: Interval) -> Interval:
-    rhs = a.sinh() * b.sinh() * connector.cosh() - a.cosh() * b.cosh()
-    return rhs.acosh()

@@ -1,9 +1,11 @@
 """Successive minima of positive-definite quadratic forms.
 
 Validation of Gram matrices, LLL reduction with an exact unimodular
-transform, bounded short-vector enumeration on the triangular
-factorization, greedy extraction of independent minima witnesses, and a
-Minkowski second-theorem compliance check.
+transform (run on the columns of the upper-triangular Cholesky factor,
+which a Givens rotation keeps triangular after each swap), bounded
+short-vector enumeration on the triangular factorization, greedy
+extraction of independent minima witnesses, and a Minkowski
+second-theorem compliance check.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,23 +33,11 @@ from .errors import (
 DEFAULT_NODE_BUDGET = 10**9
 
 
-def node_budget() -> int:
-    """Enumeration node budget, overridable via SCHOTTKY_GAUGE_BUDGET."""
-    raw = os.environ.get("SCHOTTKY_GAUGE_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_NODE_BUDGET
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Every floating-point tolerance of the module, in one place."""
 
     symmetry: float = 1e-12       # relative asymmetry allowed before rejection
-    norm: float = 1e-9            # relative error allowed in norm recomputation
     radius_slack: float = 1e-9    # multiplicative slack on the enumeration radius
     det_one: float = 1e-6         # |det - 1| allowed in PPAV mode
 
@@ -119,58 +108,45 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     return GramMatrix(dim=d, entries=g, mode=mode)
 
 
-def _lll(basis: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6):
-    """LLL reduction of the row basis; returns (reduced rows, integer T).
+def _lll(r: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6) -> np.ndarray:
+    """LLL reduction of the columns of the upper-triangular factor R of G
+    (G = R^T R); returns the integer unimodular T with reduced Gram T G T^T.
 
-    Row i of the reduced basis equals row i of T applied to the input rows,
-    so the reduced Gram is T G T^T with T unimodular.
+    Column j of R is basis vector j in its Gram-Schmidt frame, so
+    mu[k, j] = R[j, k] / R[j, j] and the squared Gram-Schmidt norms are
+    R[j, j]^2. A swap exchanges two columns and one Givens rotation on the
+    same two rows makes R triangular again.
     """
-    b = basis.copy()
-    n = b.shape[0]
+    r = r.copy()
+    n = r.shape[0]
     t = np.eye(n, dtype=np.int64)
     swaps = 0
-
-    def gso(rows):
-        ortho = np.zeros_like(rows)
-        mu = np.zeros((n, n))
-        for i in range(n):
-            v = rows[i].copy()
-            for j in range(i):
-                denom = ortho[j] @ ortho[j]
-                mu[i, j] = (rows[i] @ ortho[j]) / denom
-                v -= mu[i, j] * ortho[j]
-            ortho[i] = v
-        return ortho, mu
-
-    ortho, mu = gso(b)
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(r[j, k] / r[j, j])
             if q != 0:
-                b[k] -= q * b[j]
+                r[:, k] -= q * r[:, j]
                 t[k] -= q * t[j]
-                ortho, mu = gso(b)
-        nk = ortho[k] @ ortho[k]
-        nk1 = ortho[k - 1] @ ortho[k - 1]
-        if nk >= (delta - mu[k, k - 1] ** 2) * nk1:
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= delta * r[k - 1, k - 1] ** 2:
             k += 1
-        else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            t[[k - 1, k]] = t[[k, k - 1]]
-            ortho, mu = gso(b)
-            k = max(k - 1, 1)
-            swaps += 1
-            if swaps > max_swaps:
-                raise NumericalBreakdown("LLL swap budget exhausted")
-    return b, t
+            continue
+        r[:, [k - 1, k]] = r[:, [k, k - 1]]
+        t[[k - 1, k]] = t[[k, k - 1]]
+        h = math.hypot(r[k - 1, k - 1], r[k, k - 1])
+        c, s = r[k - 1, k - 1] / h, r[k, k - 1] / h
+        r[[k - 1, k]] = np.array([[c, s], [-s, c]]) @ r[[k - 1, k]]
+        k = max(k - 1, 1)
+        swaps += 1
+        if swaps > max_swaps:
+            raise NumericalBreakdown("LLL swap budget exhausted")
+    return t
 
 
 def reduce(gram: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
     """LLL-reduce (delta = 0.99); returns the reduced Gram and the integer
     unimodular T with reduced = T G T^T."""
-    chol = np.linalg.cholesky(gram.entries)  # rows are a basis realizing G
-    _, t = _lll(chol)
+    t = _lll(np.linalg.cholesky(gram.entries).T)
     reduced = t @ gram.entries @ t.T
     reduced = 0.5 * (reduced + reduced.T)
     return GramMatrix(dim=gram.dim, entries=reduced, mode=gram.mode), t
@@ -183,8 +159,8 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs
 
 
-def enumerate_below(gram: GramMatrix, radius_sq: float, budget: int | None = None
-                    ) -> list[ShortVector]:
+def enumerate_below(gram: GramMatrix, radius_sq: float,
+                    budget: int = DEFAULT_NODE_BUDGET) -> list[ShortVector]:
     """All nonzero integer vectors with form value <= radius_sq (one
     representative per +/- pair), in ascending (norm, coefficient) order.
 
@@ -194,8 +170,6 @@ def enumerate_below(gram: GramMatrix, radius_sq: float, budget: int | None = Non
     """
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
-    if budget is None:
-        budget = node_budget()
     reduced, t = reduce(gram)
     d = gram.dim
     r = np.linalg.cholesky(reduced.entries).T  # upper triangular, G' = R^T R
@@ -370,7 +344,6 @@ __all__ = [
     "enumerate_below",
     "load_gram",
     "minkowski_radius",
-    "node_budget",
     "parse_gram_text",
     "reduce",
     "successive_minima",

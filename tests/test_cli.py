@@ -74,6 +74,14 @@ class TestMinima:
         assert code == 0
         assert len(rows) == 2
 
+    def test_certify_budget_env_ignored(self, capsys, tmp_path, monkeypatch):
+        # SCHOTTKY_GAUGE_BUDGET is the certify cell budget only
+        monkeypatch.setenv("SCHOTTKY_GAUGE_BUDGET", "3")
+        path = write_gram(tmp_path, np.eye(2))
+        code, rows, _ = run_json(capsys, "minima", path)
+        assert code == 0
+        assert [r["norm_sq"] for r in rows] == [1.0, 1.0]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "minima", "/nonexistent/gram.json")
         assert code == 3

@@ -1,4 +1,4 @@
-"""Point and interval forms of the hyperbolic polygon relations.
+"""Point forms of the hyperbolic polygon relations.
 
 Expected values were frozen from a 40-digit mpmath evaluation of the
 defining identities.
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from schottky_gauge import collar, hyptrig
 from schottky_gauge.errors import DomainError
-from schottky_gauge.interval import Interval
 
 REL = 1e-12
 
@@ -83,24 +82,6 @@ def test_hexagon_y1_consistency(gamma, w):
         return
     hexv = 2.0 * hyptrig.hexagon_opposite(gamma / 2.0, 2.0 * w, gamma / 2.0)
     assert nu == pytest.approx(hexv, rel=1e-12)
-
-
-@given(st.floats(0.1, 5.0), st.floats(0.1, 5.0))
-def test_interval_forms_contain_point_forms(a, b):
-    ia, ib = Interval.point(a), Interval.point(b)
-    hyp = hyptrig.right_triangle_hyp_iv(ia, ib)
-    assert hyp.lo - 1e-12 <= hyptrig.right_triangle_hyp(a, b) <= hyp.hi + 1e-12
-    try:
-        pent = hyptrig.pentagon_opposite(a, b)
-    except DomainError:
-        return
-    piv = hyptrig.pentagon_opposite_iv(ia, ib)
-    assert piv.lo - 1e-12 <= pent <= piv.hi + 1e-12
-
-
-def test_angle_interval_form():
-    th = hyptrig.right_triangle_angle_iv(Interval.point(0.5), Interval.point(1.0))
-    assert th.lo <= 0.4593989360890137 <= th.hi
 
 
 def test_triangle_pythagoras_asymptotics():

@@ -121,6 +121,24 @@ class TestReduce:
                 np.linalg.det(g.entries), rel=1e-9)
             assert abs(round(np.linalg.det(t))) == 1
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_lll_conditions_on_skewed_forms(self, d):
+        """Size reduction and the Lovasz condition (delta = 0.99), read off
+        the Cholesky factor L of the reduced form: mu[i, j] = L[i, j] / L[j, j]
+        and the squared Gram-Schmidt norms are L[j, j]^2."""
+        rng = np.random.default_rng(100 + d)
+        for _ in range(30):
+            b = rng.normal(size=(d, d))
+            t = _random_unimodular(rng, d)
+            raw = t.T @ (b @ b.T + 0.3 * np.eye(d)) @ t
+            red, _ = lattice.reduce(lattice.validate(raw, lattice.Mode.PLAIN))
+            l = np.linalg.cholesky(red.entries)
+            diag = np.diag(l)
+            for i in range(1, d):
+                assert np.all(np.abs(l[i, :i] / diag[:i]) <= 0.5 + 1e-9)
+                assert (diag[i] ** 2 + l[i, i - 1] ** 2
+                        >= 0.99 * diag[i - 1] ** 2 * (1 - 1e-9))
+
 
 class TestEnumerate:
     def test_identity_radius_one(self):
