@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -263,7 +264,10 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    default="table")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no per-call
+    state, and ``SCHOTTKY_GAUGE_BUDGET`` is read per ``certify`` call."""
     parser = argparse.ArgumentParser(
         prog="schottky-gauge",
         description="Bounds, successive minima, and certified inequalities "

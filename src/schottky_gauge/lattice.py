@@ -1,11 +1,11 @@
 """Successive minima of positive-definite quadratic forms.
 
 Validation of Gram matrices, LLL reduction with an exact unimodular
-transform (run on the columns of the upper-triangular Cholesky factor,
-which a Givens rotation keeps triangular after each swap), bounded
-short-vector enumeration on the triangular factorization, greedy
-extraction of independent minima witnesses, and a Minkowski
-second-theorem compliance check.
+transform (on Python lists, over the columns of the upper-triangular
+Cholesky factor, which a Givens rotation keeps triangular after a swap),
+Fincke-Pohst enumeration of the form as given (it does not reduce), minima
+from one LLL per call at a radius capped by the k-th reduced diagonal entry
+with exact-rank witness extraction, and a Minkowski second-theorem check.
 """
 
 from __future__ import annotations
@@ -85,16 +85,20 @@ class SuccessiveMinima:
 def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     """Check symmetry, positive definiteness and (PPAV mode) unit determinant.
 
-    Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance.
+    Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance;
+    a non-finite entry, or overflow there, is NotPositiveDefinite.
     """
     a = np.array(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     d = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > TOL.symmetry * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    g = 0.5 * (a + a.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = 0.5 * (a + a.T)
+        if not np.isfinite(g).all():
+            raise NotPositiveDefinite("symmetrized matrix is not finite")
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if float(np.max(np.abs(a - a.T))) > TOL.symmetry * scale:
+            raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
     try:
@@ -117,30 +121,33 @@ def _lll(r: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6) -> np.ndarr
     R[j, j]^2. A swap exchanges two columns and one Givens rotation on the
     same two rows makes R triangular again.
     """
-    r = r.copy()
-    n = r.shape[0]
-    t = np.eye(n, dtype=np.int64)
+    r = r.tolist()
+    n = len(r)
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
     swaps = 0
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(r[j, k] / r[j, j])
+            q = round(r[j][k] / r[j][j])
             if q != 0:
-                r[:, k] -= q * r[:, j]
-                t[k] -= q * t[j]
-        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= delta * r[k - 1, k - 1] ** 2:
+                for row in r:
+                    row[k] -= q * row[j]
+                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
+        if r[k][k] ** 2 + r[k - 1][k] ** 2 >= delta * r[k - 1][k - 1] ** 2:
             k += 1
             continue
-        r[:, [k - 1, k]] = r[:, [k, k - 1]]
-        t[[k - 1, k]] = t[[k, k - 1]]
-        h = math.hypot(r[k - 1, k - 1], r[k, k - 1])
-        c, s = r[k - 1, k - 1] / h, r[k, k - 1] / h
-        r[[k - 1, k]] = np.array([[c, s], [-s, c]]) @ r[[k - 1, k]]
+        for row in r:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        t[k - 1], t[k] = t[k], t[k - 1]
+        h = math.hypot(r[k - 1][k - 1], r[k][k - 1])
+        c, s = r[k - 1][k - 1] / h, r[k][k - 1] / h
+        r[k - 1], r[k] = ([c * a + s * b for a, b in zip(r[k - 1], r[k])],
+                          [c * b - s * a for a, b in zip(r[k - 1], r[k])])
         k = max(k - 1, 1)
         swaps += 1
         if swaps > max_swaps:
             raise NumericalBreakdown("LLL swap budget exhausted")
-    return t
+    return np.array(t, dtype=np.int64)
 
 
 def reduce(gram: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
@@ -164,15 +171,15 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     """All nonzero integer vectors with form value <= radius_sq (one
     representative per +/- pair), in ascending (norm, coefficient) order.
 
-    Fincke-Pohst tree search on the triangular factorization of the
-    LLL-reduced form; a multiplicative slack keeps boundary vectors whose
-    float norm lands within tolerance of the radius.
+    Fincke-Pohst tree search on the triangular factorization of the form
+    as given: it does not reduce, so callers pass an LLL-reduced form (see
+    ``reduce``) for speed. A multiplicative slack keeps boundary vectors
+    whose float norm lands within tolerance of the radius.
     """
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
-    reduced, t = reduce(gram)
     d = gram.dim
-    r = np.linalg.cholesky(reduced.entries).T  # upper triangular, G' = R^T R
+    r = np.linalg.cholesky(gram.entries).T  # upper triangular, G = R^T R
     limit = radius_sq * (1.0 + TOL.radius_slack)
     found: dict[tuple[int, ...], float] = {}
     nodes = 0
@@ -182,9 +189,8 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     def descend(i: int, partial: float):
         nonlocal nodes
         if i < 0:
-            coeffs = tuple(int(v) for v in (t.T @ np.array(x, dtype=np.int64)))
-            if any(coeffs):
-                coeffs = _canonical_sign(coeffs)
+            if any(x):
+                coeffs = _canonical_sign(tuple(x))
                 norm = gram.norm_sq(coeffs)
                 if norm <= limit:
                     found.setdefault(coeffs, norm)
@@ -244,29 +250,33 @@ def minkowski_radius(gram: GramMatrix) -> float:
 def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     """First k successive minima with independent witness vectors.
 
-    Scans enumeration output in ascending norm order, admitting a vector
-    iff it raises the exact rational rank of the witness set; the radius
-    starts at the Minkowski bound and doubles until k witnesses exist.
+    One LLL reduction; the reduced form is enumerated at a radius from
+    min(Minkowski bound, b_k^2) doubling up to b_k^2 >= lambda_k, the k-th
+    smallest reduced diagonal entry. Candidates are mapped back, valued on
+    this form and scanned by norm; each one raising the exact rank is kept.
     """
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
-    radius = minkowski_radius(gram)
+    reduced, t = reduce(gram)
+    cap = float(np.sort(np.diag(reduced.entries))[k - 1])
+    radius = min(minkowski_radius(gram), cap)
     while True:
-        vecs = enumerate_below(gram, radius)
+        back = [_canonical_sign(tuple(int(v) for v in np.array(sv.coeffs) @ t))
+                for sv in enumerate_below(reduced, radius)]
+        vecs = sorted((ShortVector(c, gram.norm_sq(c)) for c in back),
+                      key=lambda sv: (sv.norm_sq, sv.coeffs))
         rank = _ExactRank()
         witnesses = []
         for sv in vecs:
             if rank.admits(sv.coeffs):
                 witnesses.append(sv)
                 if len(witnesses) == k:
-                    # a candidate below radius could still be missed only if
-                    # it were longer than these; the scan order forbids that
-                    return SuccessiveMinima(
-                        k=k,
-                        values=tuple(w.norm_sq for w in witnesses),
-                        witnesses=tuple(witnesses),
-                    )
-        radius *= 2.0
+                    # the scan is in norm order, so nothing shorter was missed
+                    return SuccessiveMinima(k, tuple(w.norm_sq for w in witnesses),
+                                            tuple(witnesses))
+        if radius >= cap:
+            raise NumericalBreakdown(f"no {k} independent vectors below {cap}")
+        radius = min(2.0 * radius, cap)
 
 
 def check_minkowski(gram: GramMatrix, minima: SuccessiveMinima) -> dict:

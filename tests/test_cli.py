@@ -2,6 +2,7 @@
 
 import importlib.metadata as md
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,12 @@ class TestMinima:
         assert code == 0
         assert [r["norm_sq"] for r in rows] == [1.0, 1.0]
 
+    def test_tiny_entries_accepted(self, capsys, tmp_path):
+        path = write_gram(tmp_path, 1e-300 * np.eye(2), mode="plain")
+        code, rows, _ = run_json(capsys, "minima", path)
+        assert code == 0
+        assert [r["norm_sq"] for r in rows] == [1e-300, 1e-300]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "minima", "/nonexistent/gram.json")
         assert code == 3
@@ -116,6 +123,28 @@ class TestExclude:
         code, _, err = run(capsys, "exclude", path)
         assert code == 3
         assert "OddDimension" in err
+
+    @pytest.mark.parametrize("command", ["minima", "exclude"])
+    @pytest.mark.parametrize("entries", [
+        [1, math.nan, math.nan, 1], [math.nan, 0, 0, 1],
+        [math.inf, 0, 0, 1], [1e308, 0, 0, 1e308],
+    ], ids=str)
+    def test_non_finite_is_invalid_input(self, capsys, tmp_path, command, entries):
+        # json writes NaN and Infinity literals, which the loader accepts
+        path = write_gram(tmp_path, np.reshape(entries, (2, 2)))
+        code, out, err = run(capsys, command, path)
+        assert code == 3
+        assert err.strip() == "NotPositiveDefinite"
+        assert out == ""
+
+    def test_parser_built_once(self, capsys, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["exclude"])
+        assert exc.value.code == 2
+        code, rows, _ = run_json(capsys, "exclude", write_gram(tmp_path, np.eye(4)))
+        assert code == 0
+        assert rows[0]["verdict"] == "Inconclusive"
 
 
 class TestCertify:

@@ -8,6 +8,7 @@ and double-checks every operation that admits exhaustive search.
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from schottky_gauge.errors import (
 
 HEX = (2.0 / math.sqrt(3.0)) * np.array([[1.0, 0.5], [0.5, 1.0]])
 HEX_MIN = 1.1547005383792515  # 2/sqrt(3)
+NON_FINITE = [[1, math.nan, math.nan, 1], [math.nan, 0, 0, 1],
+              [math.inf, 0, 0, 1], [1e308, 0, 0, 1e308]]
 
 
 def brute_force_below(entries, radius_sq):
@@ -94,6 +97,18 @@ class TestValidate:
         with pytest.raises(DeterminantNotOne):
             lattice.validate(2.0 * np.eye(2), lattice.Mode.PPAV)
         lattice.validate(np.diag([2.0, 0.5]), lattice.Mode.PPAV)
+
+    @pytest.mark.parametrize("entries", NON_FINITE, ids=str)
+    def test_non_finite_rejected(self, entries):
+        # 1e308 + 1e308 overflows in the symmetrization: no warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite):
+                lattice.validate(np.reshape(entries, (2, 2)), lattice.Mode.PLAIN)
+
+    def test_tiny_entries_accepted(self):
+        g = lattice.validate([[1e-300, 0.0], [0.0, 1e-300]], lattice.Mode.PLAIN)
+        assert lattice.successive_minima(g, 2).values == (1e-300, 1e-300)
 
 
 class TestReduce:
@@ -182,6 +197,41 @@ class TestEnumerate:
             for c in got:
                 assert got[c] == pytest.approx(want[c], rel=1e-9)
 
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_unreduced_input_matches_brute_force(self, d):
+        """enumerate_below searches the form it is given, without reducing;
+        the radius is the shortest basis vector of the unskewed form."""
+        rng = np.random.default_rng(300 + d)
+        for _ in range(5):
+            b = rng.normal(size=(d, d))
+            base = b @ b.T + 0.3 * np.eye(d)
+            t = _random_unimodular(rng, d)
+            g = lattice.validate(t.T @ base @ t, lattice.Mode.PLAIN)
+            radius = float(np.min(np.diag(base)))
+            got = {v.coeffs: v.norm_sq for v in lattice.enumerate_below(g, radius)}
+            want = brute_force_below(g.entries, radius)
+            assert set(got) == set(want)
+            for c in got:
+                assert got[c] == pytest.approx(want[c], rel=1e-9)
+
+
+def _spy_enumerate(monkeypatch):
+    """Records (radius, candidate count) of every enumerate_below call."""
+    calls = []
+    real = lattice.enumerate_below
+
+    def spy(gram, radius_sq, *args, **kwargs):
+        vecs = real(gram, radius_sq, *args, **kwargs)
+        calls.append((radius_sq, len(vecs)))
+        return vecs
+
+    monkeypatch.setattr(lattice, "enumerate_below", spy)
+    return calls
+
+
+def _kth_reduced_diagonal(g, k):
+    return float(np.sort(np.diag(lattice.reduce(g)[0].entries))[k - 1])
+
 
 class TestSuccessiveMinima:
     def test_identity_all_one(self):
@@ -216,6 +266,38 @@ class TestSuccessiveMinima:
         g = lattice.validate(np.eye(2), lattice.Mode.PLAIN)
         with pytest.raises(DomainError):
             lattice.successive_minima(g, 3)
+
+    def test_one_round_at_reduced_basis_radius(self, monkeypatch):
+        """det-1 B B^T + 0.3 I forms (the exclusion workload's generator) at
+        d = 10..20: one enumeration, at most b_k^2, with few candidates."""
+        calls = _spy_enumerate(monkeypatch)
+        rng = np.random.default_rng(29)
+        for i in range(20):
+            d = 10 + i % 11
+            g = lattice.validate(_random_det_one(rng, d), lattice.Mode.PLAIN)
+            calls.clear()
+            lattice.successive_minima(g, 2)
+            assert len(calls) == 1
+            radius, count = calls[0]
+            assert radius <= _kth_reduced_diagonal(g, 2)
+            assert count <= 50
+
+    def test_doubling_capped_at_reduced_basis_radius(self, monkeypatch):
+        """lambda_4 lies above the Minkowski radius, so the radius doubles;
+        the oracle runs on the unskewed form (minima are invariant)."""
+        rng = np.random.default_rng(31)
+        base = np.diag([0.1, 0.1, 10.0, 10.0])
+        base[0, 1] = base[1, 0] = 0.03
+        t = _random_unimodular(rng, 4)
+        g = lattice.validate(t.T @ base @ t, lattice.Mode.PLAIN)
+        want = brute_force_minima(base, 4)
+        assert lattice.minkowski_radius(g) < want[3]
+        calls = _spy_enumerate(monkeypatch)
+        got = lattice.successive_minima(g, 4).values
+        assert len(calls) > 1
+        assert all(r <= _kth_reduced_diagonal(g, 4) for r, _ in calls)
+        for a, w in zip(got, want):
+            assert a == pytest.approx(w, rel=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
