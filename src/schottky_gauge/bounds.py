@@ -9,6 +9,7 @@ Gram matrices.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ class Signature:
     n: int
 
     def __post_init__(self):
+        if not (isinstance(self.g, int) and isinstance(self.n, int)):
+            raise DomainError(f"signature ({self.g!r},{self.n!r}) is not integral")
         if self.g < 0 or self.n < 0:
             raise DomainError("signature components must be nonnegative")
         if 2 * self.g - 2 + self.n <= 0:
@@ -53,14 +56,29 @@ class Decomposition:
     n_cut: int
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("cut length bound t must be positive")
+        if not 0 < self.t < math.inf:
+            raise DomainError(f"cut length bound t must be positive and finite, "
+                              f"got {self.t!r}")
         if not self.pieces:
             raise DomainError("decomposition needs at least one piece")
         if any(p.g <= 0 for p in self.pieces):
             raise DomainError("every piece must have positive genus")
-        if self.n_cut < 1:
-            raise DomainError("decomposition needs at least one cutting geodesic")
+        if not isinstance(self.n_cut, int) or self.n_cut < 1:
+            raise DomainError(f"n_cut must be a positive integer, got {self.n_cut!r}")
+
+
+def load_decomposition(path: str) -> Decomposition:
+    """Read a JSON decomposition ``{"t": ..., "pieces": [[g, n], ...],
+    "n_cut": ...}`` (``n_cut`` defaults to 1). A file that is not JSON or
+    whose fields are missing or malformed raises :class:`DomainError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+            pieces = tuple(Signature(g, n) for g, n in spec["pieces"])
+            return Decomposition(t=float(spec["t"]), pieces=pieces,
+                                 n_cut=spec.get("n_cut", 1))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"cannot parse decomposition file: {exc}") from exc
 
 
 class Verdict(enum.Enum):
@@ -102,15 +120,13 @@ def systole_bounds(g: int) -> tuple[float, float]:
 def nsscg_bound_closed(h: int) -> float:
     """2 log(8h - 2): non-separating geodesic ceiling inside a signature
     (h,1) piece with short boundary."""
-    if not isinstance(h, int) or h < 1:
-        raise DomainError("h must be an integer >= 1")
+    _check_genus(h, 1)
     return 2.0 * math.log(8 * h - 2)
 
 
 def nsscg_bound_boundary(h: int, eta: float) -> float:
     """max{eta/2 + log(8h-2), 2 log(8h-2)} for arbitrary boundary length eta."""
-    if not isinstance(h, int) or h < 1:
-        raise DomainError("h must be an integer >= 1")
+    _check_genus(h, 1)
     if eta <= 0:
         raise DomainError("boundary length must be positive")
     l = math.log(8 * h - 2)
@@ -151,10 +167,8 @@ def corollary_report(d: Decomposition) -> dict:
     denom = math.pi - 2.0 * math.asin(m_mix)
     pieces = []
     for sig in d.pieces:
-        arg = 4 * sig.g + 2 * sig.n - 3
-        if arg <= 1:
-            raise DomainError(f"log argument {arg} <= 1 for piece ({sig.g},{sig.n})")
-        literal = (sig.n + 1) * max(4.0 * math.log(arg), d.t) / denom
+        # log argument >= 3: each piece is hyperbolic with positive genus
+        literal = (sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n - 3), d.t) / denom
         variant = (sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n + 3), d.t) / denom
         pieces.append(
             {
@@ -170,8 +184,7 @@ def corollary_report(d: Decomposition) -> dict:
 
 def fay_bound(g_i: int) -> float:
     """log(8 g_i - 2): degeneration bound for a piece of genus g_i."""
-    if not isinstance(g_i, int) or g_i < 1:
-        raise DomainError("piece genus must be an integer >= 1")
+    _check_genus(g_i, 1)
     return math.log(8 * g_i - 2)
 
 
@@ -200,8 +213,7 @@ def naive_disk_bound() -> float:
 def minkowski_product_log_bound(g: int) -> float:
     """log((4/pi)^g (g!)^2): Minkowski second-theorem ceiling for the log of
     the product of all 2g squared minima of a PPAV."""
-    if not isinstance(g, int) or g < 1:
-        raise DomainError("g must be an integer >= 1")
+    _check_genus(g, 1)
     return g * math.log(4.0 / math.pi) + 2.0 * math.lgamma(g + 1)
 
 

@@ -286,11 +286,10 @@ def certify(
         raise DomainError("g_max must be a finite genus cutoff >= 2")
     if family.budget_override is not None:
         budget = min(budget, family.budget_override)
-    total_cells = 0
-    total_vacuous = 0
-    max_depth = 0
+    total_cells = total_vacuous = max_depth = 0
     min_slack: Interval | None = None
     witness: dict | None = None
+    status, note, tail_status, tail_note = "Certified", "", "N/A", ""
     for task in family.tasks:
         run = _TaskRun(task, g_max, tol)
         outcome, stuck, stuck_slack = run.run(budget - total_cells)
@@ -302,44 +301,28 @@ def certify(
         ):
             min_slack = run.min_slack
             witness = run.witness
-        if outcome == "violated":
-            return CertReport(
-                family=family.id, status="Violated", min_slack=stuck_slack,
-                witness=stuck, cells_processed=total_cells, max_depth=max_depth,
-                tail_status="N/A", vacuous_cells=total_vacuous, g_max=g_max,
-                note=f"violation proven by point enclosure in task {task.name}",
-            )
-        if outcome in ("undecided", "budget"):
-            reason = "cell budget exhausted" if outcome == "budget" \
-                else "cell width floor reached"
-            return CertReport(
-                family=family.id, status="Undecided", min_slack=stuck_slack,
-                witness=stuck, cells_processed=total_cells, max_depth=max_depth,
-                tail_status="N/A", vacuous_cells=total_vacuous, g_max=g_max,
-                note=f"{reason} in task {task.name}",
-            )
-    tail_status = "N/A"
-    tail_note = ""
-    if family.tail is not None:
-        proof = family.tail(g_max + 1.0)
-        if proof.infimum_lb > 0.0 or proof.strict:
-            tail_status = "Proven"
-        else:
-            tail_status = "Checked-to-bound"
-        tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
-        if tail_status == "Checked-to-bound":
-            return CertReport(
-                family=family.id, status="Undecided", min_slack=min_slack,
-                witness=witness, cells_processed=total_cells,
-                max_depth=max_depth, tail_status=tail_status,
-                tail_note=tail_note, vacuous_cells=total_vacuous,
-                g_max=g_max, note="tail floor not positive",
-            )
+        if outcome != "certified":
+            status = "Violated" if outcome == "violated" else "Undecided"
+            reason = {"violated": "violation proven by point enclosure",
+                      "budget": "cell budget exhausted",
+                      "undecided": "cell width floor reached"}[outcome]
+            note = f"{reason} in task {task.name}"
+            min_slack, witness = stuck_slack, stuck
+            break
+    else:
+        if family.tail is not None:
+            proof = family.tail(g_max + 1.0)
+            tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
+            if proof.infimum_lb > 0.0 or proof.strict:
+                tail_status = "Proven"
+            else:
+                tail_status = "Checked-to-bound"
+                status, note = "Undecided", "tail floor not positive"
     return CertReport(
-        family=family.id, status="Certified", min_slack=min_slack,
-        witness=witness, cells_processed=total_cells, max_depth=max_depth,
+        family=family.id, status=status, min_slack=min_slack, witness=witness,
+        cells_processed=total_cells, max_depth=max_depth,
         tail_status=tail_status, tail_note=tail_note,
-        vacuous_cells=total_vacuous, g_max=g_max,
+        vacuous_cells=total_vacuous, g_max=g_max, note=note,
     )
 
 

@@ -4,6 +4,9 @@ Subcommands: bounds, minima, exclude, certify, ypiece, collar, corollary.
 Every command renders through one of three formats (json, csv, table) and
 uses the stable exit-code contract: 0 success, 2 usage error, 3 input
 validation failure, 4 certification violated, 5 certification undecided.
+Each subparser names its command and states each flag's contract as an
+argparse type, so a bad flag exits 2 before any command runs. A bad value
+read from a file, or one a formula rejects or cannot evaluate, exits 3.
 """
 
 from __future__ import annotations
@@ -73,34 +76,30 @@ def render(rows: list[dict], fmt: str, out=None) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_bounds(args) -> int:
+def _named(**values) -> list[dict]:
+    """Rows ``{"name": ..., "value": ...}`` in keyword order."""
+    return [{"name": k, "value": v} for k, v in values.items()]
+
+
+def cmd_bounds(args, parser) -> int:
     g = args.g
     m1, m2 = bounds.thm_main_bounds(g)
     s1, s2 = bounds.systole_bounds(g)
     her_lo, her_hi = bounds.hermite_ppav_bounds(g)
-    rows = [
-        {"name": "thm_bs_upper", "value": bounds.thm_bs_upper(g)},
-        {"name": "thm_main_m1", "value": m1},
-        {"name": "thm_main_m2", "value": m2},
-        {"name": "systole_gamma1", "value": s1},
-        {"name": "systole_gamma2", "value": s2},
-        {"name": "hyperelliptic", "value": bounds.hyperelliptic_bound()},
-        {"name": "bavard", "value": bounds.bavard_bound(g)},
-        {"name": "hermite_lower", "value": her_lo},
-        {"name": "hermite_upper", "value": her_hi},
-        {"name": "minkowski_product_log",
-         "value": bounds.minkowski_product_log_bound(g)},
-    ]
-    render(rows, args.format)
+    render(_named(
+        thm_bs_upper=bounds.thm_bs_upper(g), thm_main_m1=m1, thm_main_m2=m2,
+        systole_gamma1=s1, systole_gamma2=s2,
+        hyperelliptic=bounds.hyperelliptic_bound(), bavard=bounds.bavard_bound(g),
+        hermite_lower=her_lo, hermite_upper=her_hi,
+        minkowski_product_log=bounds.minkowski_product_log_bound(g),
+    ), args.format)
     return EXIT_OK
 
 
-def cmd_minima(args) -> int:
+def cmd_minima(args, parser) -> int:
     gram = lattice.load_gram(args.file)
-    k = args.k if args.k is not None else gram.dim
-    if not 1 <= k <= gram.dim:
-        raise DomainError(f"k must be in [1, {gram.dim}]")
-    minima = lattice.successive_minima(gram, k)
+    minima = lattice.successive_minima(
+        gram, gram.dim if args.k is None else args.k)
     rows = [
         {"index": i + 1, "norm_sq": w.norm_sq, "coeffs": list(w.coeffs)}
         for i, w in enumerate(minima.witnesses)
@@ -109,7 +108,7 @@ def cmd_minima(args) -> int:
     return EXIT_OK
 
 
-def cmd_exclude(args) -> int:
+def cmd_exclude(args, parser) -> int:
     gram = lattice.load_gram(args.file, mode=lattice.Mode.PPAV)
     verdict = bounds.jacobian_exclusion(gram)
     rows = [{
@@ -145,31 +144,22 @@ def cmd_certify(args, parser) -> int:
     render([r.as_dict() for r in reports], args.format)
     if any(r.status == "Violated" for r in reports):
         return EXIT_VIOLATED
-    undecided = [
-        r for r in reports
-        if r.status == "Undecided" and not certify.lookup(r.family).exempt
-    ]
-    if undecided:
+    if any(r.status == "Undecided" and not certify.lookup(r.family).exempt
+           for r in reports):
         return EXIT_UNDECIDED
     return EXIT_OK
 
 
 def cmd_ypiece(args, parser) -> int:
-    if args.gamma <= 0 or args.w <= 0:
-        parser.error("gamma and w must be positive")
-    rows = []
+    gamma, w = args.gamma, args.w
     try:
         if args.config == 1:
-            rows.append({"name": "nu", "value": collar.y1_nu(args.gamma, args.w)})
-            rows.append({"name": "eta_bound",
-                         "value": collar.y1_eta_bound(args.gamma, args.w)})
-            rows.append({"name": "coarse_bound",
-                         "value": 2.0 * args.gamma + 4.0 * args.w})
+            rows = _named(nu=collar.y1_nu(gamma, w),
+                          eta_bound=collar.y1_eta_bound(gamma, w),
+                          coarse_bound=2.0 * gamma + 4.0 * w)
         else:
-            rows.append({"name": "nu1_bound",
-                         "value": collar.y2_nu1_exact(args.gamma, args.w)})
-            rows.append({"name": "coarse_bound",
-                         "value": args.gamma / 2.0 + 2.0 * args.w})
+            rows = _named(nu1_bound=collar.y2_nu1_exact(gamma, w),
+                          coarse_bound=gamma / 2.0 + 2.0 * w)
     except DomainError:
         print("degenerate")
         return EXIT_OK
@@ -178,60 +168,29 @@ def cmd_ypiece(args, parser) -> int:
 
 
 def cmd_collar(args, parser) -> int:
-    if args.gamma <= 0:
-        parser.error("gamma must be positive")
-    w1 = collar.collar_width_lower_bound(
-        args.gamma, collar.CollarConfig.CONFIG1, True)
-    rows = [
-        {"name": "separation", "value": collar.collar_separation(args.gamma)},
-        {"name": "width_lower_config1", "value": w1},
-        {"name": "width_lower_config2", "value": collar.W},
-        {"name": "capacity_at_config1_width",
-         "value": collar.capacity(args.gamma, w1)},
-    ]
+    gamma = args.gamma
+    w1 = collar.collar_width_lower_bound(gamma, collar.CollarConfig.CONFIG1, True)
+    rows = _named(separation=collar.collar_separation(gamma),
+                  width_lower_config1=w1, width_lower_config2=collar.W,
+                  capacity_at_config1_width=collar.capacity(gamma, w1))
     if args.g is not None:
-        rows.append({"name": "width_area_upper",
-                     "value": collar.collar_width_area_upper(args.gamma, args.g)})
+        rows += _named(
+            width_area_upper=collar.collar_width_area_upper(gamma, args.g))
     render(rows, args.format)
     return EXIT_OK
 
 
 def cmd_corollary(args, parser) -> int:
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        t = float(spec["t"])
-        pieces = [tuple(p) for p in spec["pieces"]]
-        n_cut = int(spec.get("n_cut", 1))
+        decomp = bounds.load_decomposition(args.file)
+    elif args.t is None or not args.piece:
+        parser.error("corollary needs --t and at least one --piece, or --file")
     else:
-        t = args.t
-        pieces = []
-        for raw in args.piece or []:
-            parts = raw.split(",")
-            if len(parts) != 2:
-                parser.error(f"--piece expects 'g,n', got {raw!r}")
-            pieces.append((int(parts[0]), int(parts[1])))
-        n_cut = args.n_cut
-    if t is None or t <= 0:
-        parser.error("t must be positive")
-    if not pieces:
-        parser.error("at least one --piece is required")
-    decomp = bounds.Decomposition(
-        t=t, pieces=tuple(bounds.Signature(g, n) for g, n in pieces),
-        n_cut=n_cut)
+        decomp = bounds.Decomposition(
+            t=args.t, pieces=tuple(args.piece), n_cut=args.n_cut)
     report = bounds.corollary_report(decomp)
-    rows = []
-    for piece in report["pieces"]:
-        rows.append({
-            "g": piece["g"],
-            "n": piece["n"],
-            "bound": piece["bound"],
-            "bound_plus3_variant": piece["bound_plus3_variant"],
-            "log_argument_discrepancy": piece["log_argument_discrepancy"],
-            "M": report["M"],
-            "denominator": report["denominator"],
-        })
-    render(rows, args.format)
+    render([{**piece, "M": report["M"], "denominator": report["denominator"]}
+            for piece in report["pieces"]], args.format)
     return EXIT_OK
 
 
@@ -240,11 +199,12 @@ def cmd_corollary(args, parser) -> int:
 # ----------------------------------------------------------------------
 
 def _checked(convert, ok, expected: str):
-    """An argparse type that converts text and rejects values failing ``ok``."""
+    """An argparse type that converts text and rejects values failing ``ok``
+    or failing to convert (``ValueError`` or ``DomainError``)."""
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, DomainError):
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
@@ -257,6 +217,16 @@ _positive_float = _checked(float, lambda v: 0 < v < math.inf,
                            "a positive finite number")
 _genus_cutoff = _checked(float, lambda v: 2 <= v < math.inf,
                          "a finite genus cutoff >= 2")
+_genus = _checked(int, lambda v: v >= 2, "an integer genus >= 2")
+
+
+def _parse_signature(text: str) -> bounds.Signature:
+    g, n = text.split(",")
+    return bounds.Signature(int(g), int(n))
+
+
+_signature = _checked(_parse_signature, lambda sig: True,
+                      "a hyperbolic signature 'g,n'")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -276,19 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="named bound values at a given genus")
-    p.add_argument("--g", type=int, required=True)
+    p.set_defaults(run=cmd_bounds)
+    p.add_argument("--g", type=_genus, required=True)
     _add_format(p)
 
     p = sub.add_parser("minima", help="successive minima of a Gram matrix file")
+    p.set_defaults(run=cmd_minima)
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     _add_format(p)
 
     p = sub.add_parser("exclude", help="Jacobian exclusion test on a PPAV file")
+    p.set_defaults(run=cmd_exclude)
     p.add_argument("file")
     _add_format(p)
 
     p = sub.add_parser("certify", help="run the inequality certification suite")
+    p.set_defaults(run=cmd_certify)
     p.add_argument("--families", nargs="+", default=["all"])
     p.add_argument("--gmax", type=_genus_cutoff, default=certify.DEFAULT_G_MAX)
     p.add_argument("--tol", type=_positive_float, default=certify.DEFAULT_TOL)
@@ -296,23 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("ypiece", help="Y-piece boundary lengths")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--w", type=float, required=True)
+    p.set_defaults(run=cmd_ypiece)
+    p.add_argument("--gamma", type=_positive_float, required=True)
+    p.add_argument("--w", type=_positive_float, required=True)
     p.add_argument("--config", type=int, choices=(1, 2), required=True)
     _add_format(p)
 
     p = sub.add_parser("collar", help="collar widths and capacity at a length")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--g", type=int, default=None)
+    p.set_defaults(run=cmd_collar)
+    p.add_argument("--gamma", type=_positive_float, required=True)
+    p.add_argument("--g", type=_genus, default=None)
     _add_format(p)
 
     p = sub.add_parser("corollary", help="per-piece decomposition bounds")
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--piece", action="append",
+    p.set_defaults(run=cmd_corollary)
+    p.add_argument("--t", type=_positive_float, default=None)
+    p.add_argument("--piece", type=_signature, action="append",
                    help="signature as 'g,n'; repeatable")
-    p.add_argument("--n-cut", type=int, default=1)
+    p.add_argument("--n-cut", type=_positive_int, default=1)
     p.add_argument("--file", default=None,
-                   help="JSON decomposition {t, pieces, n_cut}")
+                   help='JSON decomposition {"t": ..., "pieces": [[g, n], ...], '
+                        '"n_cut": ...}; n_cut defaults to 1')
     _add_format(p)
 
     return parser
@@ -322,32 +300,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bounds":
-            if args.g < 2:
-                parser.error("--g must be at least 2")
-            return cmd_bounds(args)
-        if args.command == "minima":
-            return cmd_minima(args)
-        if args.command == "exclude":
-            return cmd_exclude(args)
-        if args.command == "certify":
-            return cmd_certify(args, parser)
-        if args.command == "ypiece":
-            return cmd_ypiece(args, parser)
-        if args.command == "collar":
-            return cmd_collar(args, parser)
-        if args.command == "corollary":
-            return cmd_corollary(args, parser)
+        return args.run(args, parser)
     except ValidationError as exc:
         print(exc.name, file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except SchottkyGaugeError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    parser.error(f"unknown command {args.command!r}")
+    except OverflowError as exc:
+        print(f"value out of floating-point range: {exc}", file=sys.stderr)
+    return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

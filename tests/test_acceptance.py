@@ -4,51 +4,15 @@ Each test covers one numbered criterion and prints a single summary line.
 Randomized criteria use fixed seeds so the suite is reproducible.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from lattice_oracle import brute_force_minima
 from schottky_gauge import bounds, certify, collar, hyptrig, lattice
 from schottky_gauge.errors import DomainError, DeterminantNotOne
-
-
-def _brute_force_below(g, radius_sq):
-    d = g.shape[0]
-    inv_diag = np.diag(np.linalg.inv(g))
-    box = [int(math.floor(math.sqrt(radius_sq * inv_diag[i] * (1 + 1e-9)))) + 1
-           for i in range(d)]
-    out = {}
-    for coeffs in itertools.product(*(range(-b, b + 1) for b in box)):
-        if not any(coeffs):
-            continue
-        if next(c for c in coeffs if c) < 0:
-            continue
-        x = np.array(coeffs, dtype=float)
-        n = float(x @ g @ x)
-        if n <= radius_sq * (1 + 1e-9):
-            out[coeffs] = n
-    return out
-
-
-def _brute_force_minima(g, k):
-    # the unit vectors span, so the largest diagonal entry already covers
-    # rank k <= d; doubling handles the (impossible) shortfall anyway
-    radius = float(np.max(np.diag(g)))
-    while True:
-        vecs = sorted(_brute_force_below(g, radius).items(),
-                      key=lambda kv: (kv[1], kv[0]))
-        basis, values = [], []
-        for coeffs, norm in vecs:
-            m = np.array(basis + [coeffs])
-            if np.linalg.matrix_rank(m) == len(basis) + 1:
-                basis.append(coeffs)
-                values.append(norm)
-                if len(values) == k:
-                    return values
-        radius *= 2.0
 
 
 def test_criterion_1_constants():
@@ -135,7 +99,7 @@ def test_criterion_6_lattice_oracle_equivalence():
         raw = b @ b.T + 0.3 * np.eye(d)
         gram = lattice.validate(raw, lattice.Mode.PLAIN)
         got = lattice.successive_minima(gram, d)
-        want = _brute_force_minima(gram.entries, d)
+        want = brute_force_minima(gram.entries, d)
         for a, w in zip(got.values, want):
             assert a == pytest.approx(w, rel=1e-9)
         witness_norms = sorted(v.norm_sq for v in got.witnesses)

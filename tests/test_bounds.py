@@ -140,6 +140,21 @@ class TestSignature:
         Signature(1, 1)
         Signature(0, 3)
 
+    def test_non_integer_rejected(self):
+        with pytest.raises(DomainError):
+            Signature(2.5, 1)
+        with pytest.raises(DomainError):
+            Signature(2, 1.5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t": math.nan}, {"t": math.inf}, {"n_cut": 1.5},
+], ids=str)
+def test_decomposition_rejects_non_finite_t_and_fractional_n_cut(kwargs):
+    with pytest.raises(DomainError):
+        Decomposition(**{"t": 1.0, "pieces": (Signature(2, 1),), "n_cut": 1,
+                         **kwargs})
+
 
 class TestExclusion:
     def test_identity_inconclusive(self):

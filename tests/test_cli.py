@@ -264,6 +264,64 @@ class TestCorollary:
         assert exc.value.code == 2
 
 
+HUGE_GENUS = "1" + "0" * 400
+
+# (argv, text of the file that "{file}" names, expected exit code)
+BAD_INPUTS = [
+    (["corollary", "--t", "1", "--piece", "a,b"], None, 2),
+    (["corollary", "--file", "{file}"], '{"t": 1}', 3),
+    (["corollary", "--file", "{file}"], "nope", 3),
+    (["corollary", "--file", "{file}"], "[1,2]", 3),
+    (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[2]]}', 3),
+    (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[2.5, 1]]}', 3),
+    (["corollary", "--file", "{file}"],
+     '{"t": 1, "pieces": [[2, 1]], "n_cut": 1.5}', 3),
+    (["bounds", "--g", HUGE_GENUS], None, 3),
+    (["collar", "--gamma", "1", "--g", HUGE_GENUS], None, 3),
+    (["ypiece", "--gamma", "1e308", "--w", "1e308", "--config", "1"], None, 3),
+    (["corollary", "--t", "1e308", "--piece", "2,1"], None, 3),
+    (["ypiece", "--gamma", "nan", "--w", "1", "--config", "1"], None, 2),
+    (["ypiece", "--gamma", "inf", "--w", "1", "--config", "1"], None, 2),
+    (["collar", "--gamma", "nan"], None, 2),
+    (["corollary", "--t", "nan", "--piece", "2,1"], None, 2),
+    (["corollary", "--t", "inf", "--piece", "2,1"], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv, file_text, code", BAD_INPUTS, ids=[
+    " ".join(argv).replace(HUGE_GENUS, "1e400") + (f" <{text}>" if text else "")
+    for argv, text, _ in BAD_INPUTS])
+def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code):
+    # a bad flag exits 2; a bad file value or an out-of-range value exits 3
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    try:
+        got = cli.main([*argv, "--format", "json"])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert "Traceback" not in err
+    assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["collar", "--gamma", "2", "--g", "1"],
+    ["minima", "{gram}", "--k", "0"],
+    ["corollary", "--t", "1", "--piece", "1,0"],
+    ["corollary", "--t", "1", "--piece", "2,1", "--n-cut", "0"],
+], ids=" ".join)
+def test_flag_range_is_usage_error(capsys, tmp_path, argv):
+    # a flag outside its range is a usage error even where the library
+    # would also reject the value
+    gram = write_gram(tmp_path, np.eye(2))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([gram if a == "{gram}" else a for a in argv])
+    assert exc.value.code == 2
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

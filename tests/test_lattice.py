@@ -1,11 +1,9 @@
 """Lattice engine: validation, reduction, enumeration, successive minima.
 
-The brute-force oracle enumerates the coefficient box given by the
-Cauchy-Schwarz bound per coordinate (diagonal of G^-1 times the radius)
-and double-checks every operation that admits exhaustive search.
+The brute-force oracle (``lattice_oracle``) double-checks every operation
+that admits exhaustive search.
 """
 
-import itertools
 import json
 import math
 import warnings
@@ -13,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lattice_oracle import brute_force_below, brute_force_minima
 from schottky_gauge import lattice
 from schottky_gauge.errors import (
     BudgetExceeded,
@@ -28,46 +27,6 @@ HEX = (2.0 / math.sqrt(3.0)) * np.array([[1.0, 0.5], [0.5, 1.0]])
 HEX_MIN = 1.1547005383792515  # 2/sqrt(3)
 NON_FINITE = [[1, math.nan, math.nan, 1], [math.nan, 0, 0, 1],
               [math.inf, 0, 0, 1], [1e308, 0, 0, 1e308]]
-
-
-def brute_force_below(entries, radius_sq):
-    """Exhaustive +/- class search over the Cauchy-Schwarz coefficient box."""
-    g = np.asarray(entries, dtype=float)
-    d = g.shape[0]
-    inv_diag = np.diag(np.linalg.inv(g))
-    box = [int(math.floor(math.sqrt(radius_sq * inv_diag[i] * (1 + 1e-9)))) + 1
-           for i in range(d)]
-    out = {}
-    for coeffs in itertools.product(*(range(-b, b + 1) for b in box)):
-        if not any(coeffs):
-            continue
-        first = next(c for c in coeffs if c)
-        if first < 0:
-            continue
-        x = np.array(coeffs, dtype=float)
-        n = float(x @ g @ x)
-        if n <= radius_sq * (1 + 1e-9):
-            out[coeffs] = n
-    return out
-
-
-def brute_force_minima(entries, k):
-    g = np.asarray(entries, dtype=float)
-    # the unit vectors span and all have norm <= the largest diagonal entry
-    radius = float(np.max(np.diag(g)))
-    while True:
-        vecs = sorted(brute_force_below(g, radius).items(),
-                      key=lambda kv: (kv[1], kv[0]))
-        basis = []
-        values = []
-        for coeffs, norm in vecs:
-            m = np.array(basis + [coeffs])
-            if np.linalg.matrix_rank(m) == len(basis) + 1:
-                basis.append(coeffs)
-                values.append(norm)
-                if len(values) == k:
-                    return values
-        radius *= 2.0
 
 
 class TestValidate:
