@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .hyptrig import sinh
 
 # Constant upper bound for m_1(J(S))^2 of a hyperelliptic surface:
 # 3 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3)) / pi.
@@ -145,7 +144,7 @@ def corollary_mixing(t: float) -> float:
     decomposition bound denominator."""
     if t <= 0:
         raise DomainError("t must be positive")
-    s = sinh(t / 2.0)
+    s = math.sinh(t / 2.0)
     return min(s / math.sqrt(s * s + 1.0), 0.5)
 
 

@@ -133,94 +133,78 @@ class CertReport:
 # Branch and bound
 # ----------------------------------------------------------------------
 
-def _norm_width(cell: Interval, dim: Dim, span: float) -> float:
-    if span <= 0:
-        return 0.0
-    if dim.log_scale:
-        return math.log(cell.hi / cell.lo) / span
-    return (cell.hi - cell.lo) / span
+def _bisect(cell: Interval, dim: Dim) -> tuple[Interval, Interval]:
+    if dim.log_scale and cell.lo > 0:
+        m = math.sqrt(cell.lo * cell.hi)
+        if cell.lo < m < cell.hi:
+            return Interval(cell.lo, m), Interval(m, cell.hi)
+    return cell.split()
 
 
-class _TaskRun:
-    """Mutable state for one task's branch-and-bound sweep."""
+_VIOLATED = "violation proven by point enclosure"
 
-    def __init__(self, task: Task, g_max: float, tol: float):
-        self.task = task
+
+class _Sweep:
+    """One family's branch-and-bound sweep over its tasks in turn: the cell
+    budget they share, the cell, vacuous-cell and depth counters, and the
+    running min-slack with its witness."""
+
+    def __init__(self, budget: int, g_max: float, tol: float):
+        self.budget = budget
         self.g_max = g_max
         self.tol = tol
-        self.cells = 0
-        self.vacuous = 0
-        self.max_depth = 0
+        self.cells = self.vacuous = self.max_depth = 0
         self.min_slack: Interval | None = None
         self.witness: dict | None = None
-        self.spans = []
-        for d in task.dims:
-            hi = d.hi_at(g_max)
-            if d.log_scale:
-                self.spans.append(math.log(hi / d.lo) if hi > d.lo else 0.0)
-            else:
-                self.spans.append(hi - d.lo)
-        # Axes whose ceiling follows the genus axis "g"; only tasks that
-        # have some pay for the per-cell clip.
-        names = [d.name for d in task.dims]
-        self.coupled = [
-            i for i, d in enumerate(task.dims) if callable(d.hi) and d.name != "g"
-        ] if "g" in names else []
-        self.genus = names.index("g") if self.coupled else -1
 
-    def _record(self, slack: Interval, cell: tuple[Interval, ...]):
-        if self.min_slack is None or slack.lo < self.min_slack.lo:
-            self.min_slack = slack
-            self.witness = self._mid(cell)
-
-    def _clip(self, cell: tuple[Interval, ...]) -> tuple[Interval, ...] | None:
-        """Cap each coupled axis at its ceiling for the cell's largest
-        genus; None when the cell lies wholly above a ceiling."""
-        g_top = cell[self.genus].hi
-        cell = list(cell)
-        for i in self.coupled:
-            cap = self.task.dims[i].hi(g_top).hi
-            c = cell[i]
-            if c.lo > cap:
-                return None
-            if c.hi > cap:
-                cell[i] = Interval(c.lo, cap)
-        return tuple(cell)
-
-    def _violation(self, pt: dict) -> Interval | None:
-        """The slack enclosure on the point cell ``pt`` if it proves a
-        violation (``hi < 0``), else None."""
-        try:
-            slack = self.task.slack_iv({k: Interval.point(v) for k, v in pt.items()})
-        except (DomainError, IndeterminateCell):
-            return None
-        return slack if slack.hi < 0.0 else None
-
-    def run(self, budget: int) -> tuple[str, dict | None, Interval | None]:
-        """Returns (outcome, stuck_witness, stuck_slack); outcome in
-        {certified, violated, undecided, budget}."""
-        task = self.task
-        init = []
-        for d in task.dims:
+    def run(self, task: Task) -> tuple[str, dict | None, Interval | None] | None:
+        """None when every cell of ``task`` certifies, else
+        ``(reason, witness, slack)`` for the cell that stopped the sweep."""
+        dims = task.dims
+        init, spans = [], []
+        for d in dims:
             hi = d.hi_at(self.g_max)
             if d.lo >= hi:
-                return "certified", None, None  # empty axis: vacuous domain
+                return None  # empty axis: vacuous domain
             init.append(Interval(d.lo, hi))
+            spans.append(math.log(hi / d.lo) if d.log_scale else hi - d.lo)
+        # Axes whose ceiling follows the genus axis "g"; only tasks that
+        # have some pay for the per-cell clip.
+        names = [d.name for d in dims]
+        coupled = [i for i, d in enumerate(dims)
+                   if callable(d.hi) and d.name != "g"] if "g" in names else []
+        genus = names.index("g") if coupled else -1
+
+        def mid(cell):
+            return {d.name: c.mid for d, c in zip(dims, cell)}
+
+        def clip(cell):
+            """Cap each coupled axis at its ceiling for the cell's largest
+            genus; None when the cell lies wholly above a ceiling."""
+            cell = list(cell)
+            for i in coupled:
+                cap = dims[i].hi(cell[genus].hi).hi
+                if cell[i].lo > cap:
+                    return None
+                if cell[i].hi > cap:
+                    cell[i] = Interval(cell[i].lo, cap)
+            return tuple(cell)
+
         stack: list[tuple[tuple[Interval, ...], int]] = [(tuple(init), 0)]
         while stack:
             cell, depth = stack.pop()
             self.cells += 1
             self.max_depth = max(self.max_depth, depth)
-            if self.cells > budget:
-                return "budget", self._mid(cell), None
-            if self.coupled:
-                cell = self._clip(cell)
+            if self.cells > self.budget:
+                return "cell budget exhausted", mid(cell), None
+            if coupled:
+                cell = clip(cell)
                 if cell is None:
                     self.vacuous += 1
                     continue
             slack = None
             try:
-                slack = task.slack_iv({d.name: c for d, c in zip(task.dims, cell)})
+                slack = task.slack_iv({d.name: c for d, c in zip(dims, cell)})
             except DomainError:
                 if task.domain_error_vacuous:
                     self.vacuous += 1
@@ -228,41 +212,29 @@ class _TaskRun:
             except IndeterminateCell:
                 pass
             if slack is not None and slack.lo > 0.0:
-                self._record(slack, cell)
+                if self.min_slack is None or slack.lo < self.min_slack.lo:
+                    self.min_slack, self.witness = slack, mid(cell)
                 continue
             if slack is not None and slack.hi < 0.0:
-                pt = self._mid(cell)
-                proof = self._violation(pt)
-                if proof is not None:
-                    return "violated", pt, proof
+                pt = mid(cell)
+                try:
+                    proof = task.slack_iv(
+                        {k: Interval.point(v) for k, v in pt.items()})
+                except (DomainError, IndeterminateCell):
+                    proof = None
+                if proof is not None and proof.hi < 0.0:
+                    return _VIOLATED, pt, proof
             if not cell:
-                return "undecided", None, slack  # zero-dimensional, unresolved
-            widths = [
-                _norm_width(c, d, s)
-                for c, d, s in zip(cell, task.dims, self.spans)
-            ]
+                return "cell width floor reached", None, slack  # zero-dimensional
+            widths = [(math.log(c.hi / c.lo) if d.log_scale else c.hi - c.lo) / s
+                      for c, d, s in zip(cell, dims, spans)]
             axis = max(range(len(widths)), key=widths.__getitem__)
             if widths[axis] < self.tol:
-                return "undecided", self._mid(cell), slack
-            lo_cell, hi_cell = self._bisect(cell[axis], task.dims[axis])
-            rest = list(cell)
-            rest[axis] = hi_cell
-            stack.append((tuple(rest), depth + 1))
-            rest = list(cell)
-            rest[axis] = lo_cell
-            stack.append((tuple(rest), depth + 1))
-        return "certified", None, None
-
-    @staticmethod
-    def _bisect(cell: Interval, dim: Dim) -> tuple[Interval, Interval]:
-        if dim.log_scale and cell.lo > 0:
-            m = math.sqrt(cell.lo * cell.hi)
-            if cell.lo < m < cell.hi:
-                return Interval(cell.lo, m), Interval(m, cell.hi)
-        return cell.split()
-
-    def _mid(self, cell: tuple[Interval, ...]) -> dict:
-        return {d.name: c.mid for d, c in zip(self.task.dims, cell)}
+                return "cell width floor reached", mid(cell), slack
+            lo_cell, hi_cell = _bisect(cell[axis], dims[axis])
+            for half in (hi_cell, lo_cell):
+                stack.append((cell[:axis] + (half,) + cell[axis + 1:], depth + 1))
+        return None
 
 
 def certify(
@@ -286,28 +258,14 @@ def certify(
         raise DomainError("g_max must be a finite genus cutoff >= 2")
     if family.budget_override is not None:
         budget = min(budget, family.budget_override)
-    total_cells = total_vacuous = max_depth = 0
-    min_slack: Interval | None = None
-    witness: dict | None = None
+    sweep = _Sweep(budget, g_max, tol)
     status, note, tail_status, tail_note = "Certified", "", "N/A", ""
     for task in family.tasks:
-        run = _TaskRun(task, g_max, tol)
-        outcome, stuck, stuck_slack = run.run(budget - total_cells)
-        total_cells += run.cells
-        total_vacuous += run.vacuous
-        max_depth = max(max_depth, run.max_depth)
-        if run.min_slack is not None and (
-            min_slack is None or run.min_slack.lo < min_slack.lo
-        ):
-            min_slack = run.min_slack
-            witness = run.witness
-        if outcome != "certified":
-            status = "Violated" if outcome == "violated" else "Undecided"
-            reason = {"violated": "violation proven by point enclosure",
-                      "budget": "cell budget exhausted",
-                      "undecided": "cell width floor reached"}[outcome]
+        stuck = sweep.run(task)
+        if stuck is not None:
+            reason, sweep.witness, sweep.min_slack = stuck
+            status = "Violated" if reason == _VIOLATED else "Undecided"
             note = f"{reason} in task {task.name}"
-            min_slack, witness = stuck_slack, stuck
             break
     else:
         if family.tail is not None:
@@ -319,10 +277,10 @@ def certify(
                 tail_status = "Checked-to-bound"
                 status, note = "Undecided", "tail floor not positive"
     return CertReport(
-        family=family.id, status=status, min_slack=min_slack, witness=witness,
-        cells_processed=total_cells, max_depth=max_depth,
-        tail_status=tail_status, tail_note=tail_note,
-        vacuous_cells=total_vacuous, g_max=g_max, note=note,
+        family=family.id, status=status, min_slack=sweep.min_slack,
+        witness=sweep.witness, cells_processed=sweep.cells,
+        max_depth=sweep.max_depth, tail_status=tail_status, tail_note=tail_note,
+        vacuous_cells=sweep.vacuous, g_max=g_max, note=note,
     )
 
 

@@ -6,7 +6,8 @@ uses the stable exit-code contract: 0 success, 2 usage error, 3 input
 validation failure, 4 certification violated, 5 certification undecided.
 Each subparser names its command and states each flag's contract as an
 argparse type, so a bad flag exits 2 before any command runs. A bad value
-read from a file, or one a formula rejects or cannot evaluate, exits 3.
+read from a file, one a formula rejects or cannot evaluate, or a result that
+is not a finite number, exits 3.
 """
 
 from __future__ import annotations
@@ -37,21 +38,27 @@ def _fmt(value, digits: int):
     return str(value)
 
 
-def _json_ready(value):
+def _plain(value):
+    """``value`` with nested floats at 17 significant digits, tuples as
+    lists; a non-finite float raises ``OverflowError`` (exit 3)."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OverflowError("non-finite value in output")
         return float(format(value, ".17g"))
     if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
+        return [_plain(v) for v in value]
     return value
 
 
 def render(rows: list[dict], fmt: str, out=None) -> None:
-    """Render a homogeneous list of records as json, csv, or a table."""
+    """Render a homogeneous list of records as json, csv, or a table;
+    nothing is written when a record holds NaN or an infinity."""
+    rows = _plain(rows)
     out = out or sys.stdout
     if fmt == "json":
-        json.dump(_json_ready(rows), out, indent=2)
+        json.dump(rows, out, indent=2)
         out.write("\n")
         return
     if not rows:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisNotSatisfied
-from .hyptrig import acosh_safe, cosh, sinh
+from .hyptrig import acosh_safe
 
 
 class CollarConfig(enum.Enum):
@@ -71,7 +71,7 @@ def capacity(l: float, w: float) -> float:
     """
     _positive("l", l)
     _positive("w", w)
-    return l / (math.pi - 2.0 * math.asin(1.0 / cosh(w)))
+    return l / (math.pi - 2.0 * math.asin(1.0 / math.cosh(w)))
 
 
 def y1_nu(gamma: float, w: float) -> float:
@@ -82,7 +82,7 @@ def y1_nu(gamma: float, w: float) -> float:
     """
     _positive("gamma", gamma)
     _positive("w", w)
-    arg = sinh(gamma / 2.0) ** 2 * (cosh(2.0 * w) - 1.0) - 1.0
+    arg = math.sinh(gamma / 2.0) ** 2 * (math.cosh(2.0 * w) - 1.0) - 1.0
     if arg < 1.0:
         raise DomainError(f"no configuration-1 Y-piece: arccosh argument {arg} < 1")
     return 2.0 * math.acosh(arg)
@@ -102,7 +102,7 @@ def y2_nu1_exact(gamma: float, w: float) -> float:
     """
     _positive("gamma", gamma)
     _positive("w", w)
-    s = sinh(gamma / 4.0) * sinh(w)
+    s = math.sinh(gamma / 4.0) * math.sinh(w)
     if s < 1.0:
         raise DomainError(f"no configuration-2 pentagon: sinh product {s} < 1")
     return 2.0 * math.acosh(s)
@@ -125,8 +125,8 @@ def collar_width_lower_bound(
         )
     if config is CollarConfig.CONFIG2:
         return W
-    b1 = math.asinh(1.0 / sinh(gamma / 2.0))
-    b2 = acosh_safe(cosh(gamma / 2.0) / cosh(gamma / 4.0))
+    b1 = math.asinh(1.0 / math.sinh(gamma / 2.0))
+    b2 = acosh_safe(math.cosh(gamma / 2.0) / math.cosh(gamma / 4.0))
     return max(b1, b2)
 
 
@@ -141,7 +141,7 @@ def collar_width_area_upper(gamma: float, g: int) -> float:
 def collar_separation(gamma: float) -> float:
     """Guaranteed distance arcsinh(1/sinh(gamma/2)) of any disjoint geodesic."""
     _positive("gamma", gamma)
-    return math.asinh(1.0 / sinh(gamma / 2.0))
+    return math.asinh(1.0 / math.sinh(gamma / 2.0))
 
 
 def crossing_width_bound(alpha1: float, w1: float, r1: float) -> float:
@@ -155,10 +155,10 @@ def crossing_width_bound(alpha1: float, w1: float, r1: float) -> float:
     _positive("w1", w1)
     if r1 < 0 or r1 > alpha1 / 4.0 + 1e-15:
         raise DomainError("crossing offset r1 must lie in [0, alpha1/4]")
-    den_sq = cosh(r1) ** 2 * cosh(w1) ** 2 - 1.0
+    den_sq = math.cosh(r1) ** 2 * math.cosh(w1) ** 2 - 1.0
     if den_sq <= 0:
         raise DomainError("degenerate crossing: cosh^2 r1 cosh^2 w1 <= 1")
-    return math.asinh(sinh(w1) * sinh(alpha1 / 2.0) / math.sqrt(den_sq))
+    return math.asinh(math.sinh(w1) * math.sinh(alpha1 / 2.0) / math.sqrt(den_sq))
 
 
 def qwtwo(alpha1: float) -> float:
@@ -167,8 +167,8 @@ def qwtwo(alpha1: float) -> float:
     arcsinh((2 sqrt 5 / 5) sinh(alpha1/2) / sqrt((9/5) cosh^2(alpha1/4) - 1)).
     """
     _positive("alpha1", alpha1)
-    num = (2.0 * math.sqrt(5.0) / 5.0) * sinh(alpha1 / 2.0)
-    den = math.sqrt(1.8 * cosh(alpha1 / 4.0) ** 2 - 1.0)
+    num = (2.0 * math.sqrt(5.0) / 5.0) * math.sinh(alpha1 / 2.0)
+    den = math.sqrt(1.8 * math.cosh(alpha1 / 4.0) ** 2 - 1.0)
     return math.asinh(num / den)
 
 
@@ -180,7 +180,7 @@ def qpiece_basis_bounds(boundary: float) -> tuple[float, float]:
     :func:`qpiece_basis_bounds_at` when the actual alpha1 is known.
     """
     _positive("boundary", boundary)
-    a1 = 2.0 * math.acosh(cosh(boundary / 6.0) + 0.5)
+    a1 = 2.0 * math.acosh(math.cosh(boundary / 6.0) + 0.5)
     return a1, qpiece_basis_bounds_at(boundary, a1)
 
 
@@ -188,8 +188,8 @@ def qpiece_basis_bounds_at(boundary: float, alpha1: float) -> float:
     """alpha2 bound from the Q-piece relation, using a known alpha1."""
     _positive("boundary", boundary)
     _positive("alpha1", alpha1)
-    ca = cosh(alpha1 / 2.0)
-    num = cosh(boundary / 4.0) ** 2 + ca * ca - 1.0
+    ca = math.cosh(alpha1 / 2.0)
+    num = math.cosh(boundary / 4.0) ** 2 + ca * ca - 1.0
     den = 2.0 * (ca - 1.0)
     if den <= 0:
         raise DomainError("alpha1 too small: cosh(alpha1/2) <= 1")
@@ -203,7 +203,7 @@ def case2c2_width_bound(gamma2: float) -> float:
     """
     if gamma2 < 2.1:
         raise DomainError("width floor established only for gamma2 >= 2.1")
-    arg = cosh(gamma2 / 2.0) / (cosh(gamma2 / 4.0) * cosh(W_PRIME))
+    arg = math.cosh(gamma2 / 2.0) / (math.cosh(gamma2 / 4.0) * math.cosh(W_PRIME))
     if arg < 1.0:
         raise DomainError(f"arccosh argument {arg} < 1 below stated domain")
     return min(0.66, math.acosh(arg))
@@ -216,5 +216,5 @@ def case2c2b_width_bound(gamma2: float) -> float:
     """
     if gamma2 < 2.1:
         raise DomainError("width floor established only for gamma2 >= 2.1")
-    den = math.sqrt(cosh(gamma2 / 4.0) ** 2 * cosh(W_PRIME) ** 2 - 1.0)
-    return math.asinh(cosh(gamma2 / 2.0) / den)
+    den = math.sqrt(math.cosh(gamma2 / 4.0) ** 2 * math.cosh(W_PRIME) ** 2 - 1.0)
+    return math.asinh(math.cosh(gamma2 / 2.0) / den)

@@ -1,6 +1,8 @@
 """Hyperbolic trigonometry primitives.
 
-Point evaluation on binary64 floats; the certification engine builds its
+Point evaluation on binary64 floats with libm's ``math.cosh`` and
+``math.sinh``; the right-triangle hypotenuse alone has a log-space branch,
+finite where ``cosh`` overflows.  The certification engine builds its
 interval enclosures directly from :mod:`schottky_gauge.interval`.  Domain
 failures raise :class:`DomainError` instead of clamping: an arccosh
 argument below 1 means the polygon in question does not exist.
@@ -12,22 +14,10 @@ import math
 
 from .errors import DomainError
 
-# Above this threshold cosh/sinh are computed as exp(x)/2 in a single libm
-# call; the dropped exp(-x)/2 term is below 2^-86 relative for x > 30, far
-# under one ulp of binary64.  Tested against an mpmath oracle.
+# Above this threshold log cosh(x) is computed as x - log 2; the dropped
+# log(1 + exp(-2x)) term is below 2^-86 relative for x > 30, far under one
+# ulp of binary64.  Tested against an mpmath oracle.
 LOG_SPACE_THRESHOLD = 30.0
-
-
-def cosh(x: float) -> float:
-    if abs(x) > LOG_SPACE_THRESHOLD:
-        return 0.5 * math.exp(abs(x))
-    return math.cosh(x)
-
-
-def sinh(x: float) -> float:
-    if abs(x) > LOG_SPACE_THRESHOLD:
-        return math.copysign(0.5 * math.exp(abs(x)), x)
-    return math.sinh(x)
 
 
 def acosh_safe(x: float) -> float:
@@ -66,7 +56,7 @@ def right_triangle_angle(opposite_w: float, hyp: float) -> float:
         raise DomainError("triangle sides must be positive")
     if opposite_w > hyp:
         raise DomainError("opposite side exceeds hypotenuse")
-    r = sinh(opposite_w) / sinh(hyp)
+    r = math.sinh(opposite_w) / math.sinh(hyp)
     if r > 1.0:
         r = 1.0
     return math.asin(r)
@@ -76,7 +66,7 @@ def pentagon_opposite(a: float, b: float) -> float:
     """Side opposite in a right-angled pentagon: cosh(c) = sinh(a) sinh(b)."""
     if a <= 0 or b <= 0:
         raise DomainError("pentagon sides must be positive")
-    s = sinh(a) * sinh(b)
+    s = math.sinh(a) * math.sinh(b)
     if s < 1.0:
         raise DomainError(f"sinh({a})*sinh({b}) = {s} < 1: no such pentagon")
     return math.acosh(s)
@@ -91,7 +81,8 @@ def hexagon_opposite(a: float, connector: float, b: float) -> float:
         raise DomainError("hexagon sides must be positive")
     if connector < 0:
         raise DomainError("connector must be nonnegative")
-    rhs = sinh(a) * sinh(b) * cosh(connector) - cosh(a) * cosh(b)
+    rhs = (math.sinh(a) * math.sinh(b) * math.cosh(connector)
+           - math.cosh(a) * math.cosh(b))
     if rhs < 1.0:
         raise DomainError(f"hexagon degenerates: rhs = {rhs} < 1")
     return math.acosh(rhs)

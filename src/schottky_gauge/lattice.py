@@ -325,11 +325,10 @@ def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
 
 def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_gram_text(text, mode)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise NotSymmetric(f"cannot parse Gram matrix file: {exc}") from exc
+        try:
+            return parse_gram_text(fh.read(), mode)
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise NotSymmetric(f"cannot parse Gram matrix file: {exc}") from exc
 
 
 def dump_gram(gram: GramMatrix) -> str:

@@ -152,6 +152,38 @@ class TestEngine:
         assert rep.status == "Undecided"
         assert "budget" in rep.note
 
+    def test_budget_shared_by_tasks(self):
+        # the first task certifies in 7 cells (widths 1, 1/2, 1/4); the
+        # second never does, so it gets only what the first left over
+        fam = CertFamily(
+            id="T-SHARED", title="budget across two tasks",
+            tasks=(
+                Task("first", (Dim("x", 0.0, 1.0),),
+                     lambda c: Interval(1.0) if c["x"].width <= 0.25
+                     else Interval(-1.0, 1.0)),
+                Task("second", (Dim("y", 0.0, 1.0),),
+                     lambda c: Interval(-1.0, 1.0)),
+            ),
+        )
+        rep = run_one(fam, budget=10)
+        assert rep.status == "Undecided"
+        assert rep.cells_processed == 11
+        assert rep.note == "cell budget exhausted in task second"
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["b-last", "b-first"])
+    def test_min_slack_over_all_tasks(self, order):
+        tasks = (
+            Task("a", (Dim("x", 0.0, 1.0),), lambda c: Interval(2.0, 3.0)),
+            Task("b", (Dim("y", 0.0, 4.0),), lambda c: Interval(1.0, 3.0)),
+        )
+        fam = CertFamily(id="T-MIN", title="smallest slack wins",
+                         tasks=tuple(tasks[i] for i in order))
+        rep = run_one(fam)
+        assert rep.status == "Certified"
+        assert rep.cells_processed == 2
+        assert (rep.min_slack.lo, rep.min_slack.hi) == (1.0, 3.0)
+        assert rep.witness == {"y": 2.0}
+
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
             run_one(lookup("CF-G"), tol=0.0)

@@ -285,6 +285,10 @@ BAD_INPUTS = [
     (["collar", "--gamma", "nan"], None, 2),
     (["corollary", "--t", "nan", "--piece", "2,1"], None, 2),
     (["corollary", "--t", "inf", "--piece", "2,1"], None, 2),
+    (["minima", "{file}"], b"\xff\xfe", 3),
+    (["exclude", "{file}"], b"\xff\xfe", 3),
+    (["corollary", "--file", "{file}"], b"\xff\xfe", 3),
+    (["collar", "--gamma", "1e-320"], None, 3),
 ]
 
 
@@ -295,7 +299,10 @@ def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code):
     # a bad flag exits 2; a bad file value or an out-of-range value exits 3
     if file_text is not None:
         path = tmp_path / "input.json"
-        path.write_text(file_text)
+        if isinstance(file_text, bytes):
+            path.write_bytes(file_text)
+        else:
+            path.write_text(file_text)
         argv = [str(path) if a == "{file}" else a for a in argv]
     try:
         got = cli.main([*argv, "--format", "json"])

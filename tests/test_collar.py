@@ -136,6 +136,12 @@ class TestWidthBounds:
         assert collar.collar_separation(1.1) == pytest.approx(
             1.3157569368549652, rel=REL)
 
+    def test_separation_finite_where_sinh_is(self):
+        # sinh(710) is finite in binary64, so the separation, about
+        # 2 exp(-710), is a positive subnormal, not an overflow
+        sep = collar.collar_separation(1420.0)
+        assert math.isfinite(sep) and sep > 0.0
+
 
 class TestCrossingBounds:
     def test_qwtwo_values(self):
