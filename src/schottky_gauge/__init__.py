@@ -8,6 +8,7 @@ from .errors import (
     DomainError,
     HypothesisNotSatisfied,
     IncompleteMinima,
+    MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
     NumericalBreakdown,
@@ -26,6 +27,7 @@ __all__ = [
     "HypothesisNotSatisfied",
     "IncompleteMinima",
     "Interval",
+    "MalformedGram",
     "NotPositiveDefinite",
     "NotSymmetric",
     "NumericalBreakdown",

@@ -3,9 +3,9 @@
 Each registered family packages one inequality together with its parameter
 domain.  Continuous parameters (including the genus, relaxed from the
 integers to a real interval, which only strengthens the claim) are covered
-by adaptive bisection with outward-rounded interval arithmetic; the
-unbounded genus tail beyond ``g_max`` is closed by a per-family closed-form
-slack floor whose derivation is recorded in the family's ``tail`` note.
+by adaptive bisection with outward-rounded interval arithmetic; the genus
+tail from ``g_max`` on is closed by a per-family closed-form slack floor
+whose derivation is recorded in the family's ``tail`` note.
 
 Each task has exactly one slack definition, its interval form.  A family is
 Certified only when every leaf cell has a strictly positive slack lower
@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import collar
 from .errors import DomainError
-from .interval import IPI, IW, IWP, IndeterminateCell, Interval
+from .interval import IPI, IW, IWP, Interval
 
 DEFAULT_G_MAX = 10**6
 DEFAULT_BUDGET = 10**7
@@ -68,16 +68,12 @@ class Dim:
 
 @dataclass(frozen=True)
 class Task:
-    """One rectangular sub-domain with its slack form."""
+    """One rectangular sub-domain with its slack form; ``slack_iv`` raises
+    ``DomainError`` on a cell where it has no enclosure."""
 
     name: str
     dims: tuple[Dim, ...]
     slack_iv: Callable[[dict], Interval]
-    # When the slack form's arccosh argument drops below 1 the geometric
-    # configuration does not exist and the constraint is vacuous.  Only
-    # tasks whose formulas have that reading may opt in; everywhere else a
-    # DomainError is treated as "subdivide", never as "satisfied".
-    domain_error_vacuous: bool = False
 
 
 @dataclass(frozen=True)
@@ -202,15 +198,10 @@ class _Sweep:
                 if cell is None:
                     self.vacuous += 1
                     continue
-            slack = None
             try:
                 slack = task.slack_iv({d.name: c for d, c in zip(dims, cell)})
             except DomainError:
-                if task.domain_error_vacuous:
-                    self.vacuous += 1
-                    continue
-            except IndeterminateCell:
-                pass
+                slack = None
             if slack is not None and slack.lo > 0.0:
                 if self.min_slack is None or slack.lo < self.min_slack.lo:
                     self.min_slack, self.witness = slack, mid(cell)
@@ -220,7 +211,7 @@ class _Sweep:
                 try:
                     proof = task.slack_iv(
                         {k: Interval.point(v) for k, v in pt.items()})
-                except (DomainError, IndeterminateCell):
+                except DomainError:
                     proof = None
                 if proof is not None and proof.hi < 0.0:
                     return _VIOLATED, pt, proof
@@ -248,7 +239,8 @@ def certify(
     Subdivides until every cell's slack interval is strictly positive
     (Certified), a cell's midpoint has a strictly negative point enclosure
     (Violated), or the cell width floor ``tol`` / the cell ``budget`` is
-    reached (Undecided).
+    reached (Undecided).  Raises ``IndeterminateCell`` when a box ceiling
+    or the tail floor has no finite enclosure at ``g_max``.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
@@ -269,7 +261,7 @@ def certify(
             break
     else:
         if family.tail is not None:
-            proof = family.tail(g_max + 1.0)
+            proof = family.tail(g_max)
             tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
             if proof.infimum_lb > 0.0 or proof.strict:
                 tail_status = "Proven"
@@ -566,15 +558,13 @@ FAMILIES: tuple[CertFamily, ...] = (
     CertFamily(
         id="CF-A", title="config-1 boundary length vs 4 log(8g-7)",
         tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
-                    _cfa_slack_iv,
-                    domain_error_vacuous=True),),
+                    _cfa_slack_iv),),
         tail=_cfa_tail,
     ),
     CertFamily(
         id="CF-B", title="config-2 boundary length vs 3 log(8g-7)",
         tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
-                    _cfb_slack_iv,
-                    domain_error_vacuous=True),),
+                    _cfb_slack_iv),),
         tail=_cfb_tail,
     ),
     CertFamily(
@@ -593,7 +583,7 @@ FAMILIES: tuple[CertFamily, ...] = (
         tasks=(Task(
             "main",
             (_gdim(), Dim("gamma2", 2.1, _gamma2_cap)),
-            _cfe_slack_iv, domain_error_vacuous=True),),
+            _cfe_slack_iv),),
         tail=_cfe_tail,
     ),
     CertFamily(

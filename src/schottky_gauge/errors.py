@@ -30,6 +30,10 @@ class ValidationError(SchottkyGaugeError):
         return f"{self.name}: {super().__str__()}"
 
 
+class MalformedGram(ValidationError):
+    name = "MalformedGram"
+
+
 class NotSymmetric(ValidationError):
     name = "NotSymmetric"
 

@@ -7,7 +7,9 @@ directed rounding, which is not portably switchable from Python, so every
 interval result encloses the exact image of its inputs.
 
 Only the function domains needed by the bound formulas are supported;
-intervals are always finite and nonempty.
+intervals are always finite and nonempty.  An operation with no finite
+enclosure on its input (an overflow, a domain endpoint, a divisor
+straddling zero) raises ``IndeterminateCell``, never a wrong enclosure.
 """
 
 from __future__ import annotations
@@ -26,12 +28,9 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-class IndeterminateCell(Exception):
-    """An interval operation cannot produce a finite enclosure on this cell.
-
-    The certification engine treats this as "subdivide further", never as a
-    verified inequality.
-    """
+class IndeterminateCell(DomainError):
+    """No finite enclosure on this cell: the certification engine
+    subdivides further, never counting the cell verified."""
 
 
 class Interval:
@@ -43,7 +42,7 @@ class Interval:
         if hi is None:
             hi = lo
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"interval endpoints must be finite: [{lo}, {hi}]")
+            raise IndeterminateCell(f"no finite enclosure: [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"inverted interval: [{lo}, {hi}]")
         self.lo = lo
@@ -67,10 +66,6 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> float:
         m = 0.5 * (self.lo + self.hi)
         if not math.isfinite(m):
@@ -83,9 +78,6 @@ class Interval:
     def split(self) -> tuple["Interval", "Interval"]:
         m = self.mid
         return Interval(self.lo, m), Interval(m, self.hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -140,9 +132,6 @@ class Interval:
     def _mono_inc(self, f) -> "Interval":
         return Interval(_down(f(self.lo)), _up(f(self.hi)))
 
-    def exp(self):
-        return self._mono_inc(math.exp)
-
     def log(self):
         if self.lo <= 0:
             raise IndeterminateCell("log of interval touching zero")
@@ -154,14 +143,20 @@ class Interval:
         return self._mono_inc(math.sqrt)
 
     def sinh(self):
-        return self._mono_inc(math.sinh)
+        try:
+            return self._mono_inc(math.sinh)
+        except OverflowError:
+            raise IndeterminateCell(f"sinh overflow on {self!r}") from None
 
     def cosh(self):
-        if self.lo >= 0:
-            return self._mono_inc(math.cosh)
-        if self.hi <= 0:
-            return Interval(_down(math.cosh(self.hi)), _up(math.cosh(self.lo)))
-        return Interval(1.0, _up(math.cosh(max(-self.lo, self.hi))))
+        try:
+            if self.lo >= 0:
+                return self._mono_inc(math.cosh)
+            if self.hi <= 0:
+                return Interval(_down(math.cosh(self.hi)), _up(math.cosh(self.lo)))
+            return Interval(1.0, _up(math.cosh(max(-self.lo, self.hi))))
+        except OverflowError:
+            raise IndeterminateCell(f"cosh overflow on {self!r}") from None
 
     def asinh(self):
         return self._mono_inc(math.asinh)
@@ -182,8 +177,7 @@ class Interval:
 
         Sound for upper bounds on the result; the lower endpoint is 0 when
         the argument interval dips below 1 (configuration degenerate there).
-        Raises DomainError if the interval lies entirely below 1 so callers
-        can treat the cell as vacuous.
+        Raises DomainError if the interval lies entirely below 1.
         """
         if self.hi < 1.0:
             raise DomainError(f"acosh argument interval entirely below 1: {self!r}")
@@ -207,11 +201,14 @@ class Interval:
         increasing in |x| (the Taylor series of sinh(x)/x has only
         positive coefficients).
         """
-        if self.lo >= 0:
-            return Interval(_down(_sinhc(self.lo)), _up(_sinhc(self.hi)))
-        if self.hi <= 0:
-            return Interval(_down(_sinhc(-self.hi)), _up(_sinhc(-self.lo)))
-        return Interval(1.0, _up(_sinhc(max(-self.lo, self.hi))))
+        try:
+            if self.lo >= 0:
+                return Interval(_down(_sinhc(self.lo)), _up(_sinhc(self.hi)))
+            if self.hi <= 0:
+                return Interval(_down(_sinhc(-self.hi)), _up(_sinhc(-self.lo)))
+            return Interval(1.0, _up(_sinhc(max(-self.lo, self.hi))))
+        except OverflowError:
+            raise IndeterminateCell(f"sinhc overflow on {self!r}") from None
 
     # -- lattice of intervals -----------------------------------------
 

@@ -23,6 +23,7 @@ from .errors import (
     DeterminantNotOne,
     DomainError,
     IncompleteMinima,
+    MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
     NumericalBreakdown,
@@ -89,8 +90,8 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     a non-finite entry, or overflow there, is NotPositiveDefinite.
     """
     a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise NotSymmetric(f"expected a nonempty square matrix, got shape {a.shape}")
     d = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         g = 0.5 * (a + a.T)
@@ -304,31 +305,33 @@ def check_minkowski(gram: GramMatrix, minima: SuccessiveMinima) -> dict:
 # ----------------------------------------------------------------------
 
 def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
-    """Parse either the JSON or the whitespace Gram-matrix format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
-        d = int(obj["dim"])
-        entries = np.array(obj["entries"], dtype=float).reshape(d, d)
-        file_mode = Mode(obj.get("mode", "plain"))
-    else:
-        tokens = text.split()
-        if not tokens:
-            raise NotSymmetric("empty Gram matrix file")
-        d = int(tokens[0])
-        if len(tokens) != 1 + d * d:
-            raise NotSymmetric(f"expected {d * d} entries, got {len(tokens) - 1}")
-        entries = np.array([float(t) for t in tokens[1:]]).reshape(d, d)
-        file_mode = Mode.PLAIN
+    """Parse either the JSON or the whitespace Gram-matrix format; text
+    that does not parse as either is MalformedGram."""
+    try:
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            d = int(obj["dim"])
+            entries = np.array(obj["entries"], dtype=float).reshape(d, d)
+            file_mode = Mode(obj.get("mode", "plain"))
+        else:
+            tokens = text.split()
+            d = int(tokens[0])
+            if len(tokens) != 1 + d * d:
+                raise MalformedGram(f"expected {d * d} entries, got {len(tokens) - 1}")
+            entries = np.array([float(t) for t in tokens[1:]]).reshape(d, d)
+            file_mode = Mode.PLAIN
+    except (ValueError, LookupError, TypeError, OverflowError) as exc:
+        raise MalformedGram(f"cannot parse Gram matrix text: {exc}") from exc
     return validate(entries, mode if mode is not None else file_mode)
 
 
 def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse_gram_text(fh.read(), mode)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise NotSymmetric(f"cannot parse Gram matrix file: {exc}") from exc
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedGram(f"Gram matrix file is not UTF-8: {exc}") from exc
+    return parse_gram_text(text, mode)
 
 
 def dump_gram(gram: GramMatrix) -> str:

@@ -13,6 +13,7 @@ from schottky_gauge.certify import (
     CertFamily,
     Dim,
     DEFAULT_G_MAX,
+    TailProof,
     Task,
     certify as run_one,
     lookup,
@@ -103,7 +104,7 @@ class TestEngine:
         # every proper cell looks violated, but the point enclosure proves
         # nothing: the engine must keep subdividing, never report Violated
         def slack(c):
-            if c["x"].width > 0.0:
+            if c["x"].hi - c["x"].lo > 0.0:
                 return Interval(-2.0, -1.0)
             if isinstance(at_point, Exception):
                 raise at_point
@@ -134,6 +135,25 @@ class TestEngine:
         assert rep.status == "Certified"
         assert rep.vacuous_cells > 0
 
+    def test_tail_starts_at_g_max(self):
+        # 4 (g - 2.9)^2 - 1/4 is negative on (2.65, 3.15), so genus 3
+        # violates; the box [2, 2.5] certifies, and the honest tail floor
+        # is negative from every g_from below 3.15
+        fam = CertFamily(
+            id="T-TAIL", title="a violation just above g_max",
+            tasks=(Task(
+                name="genus",
+                dims=(Dim("g", 2.0, Interval.point, log_scale=True),),
+                slack_iv=lambda c: (c["g"] - 2.9).sq() * 4.0 - 0.25),),
+            tail=lambda g_from: TailProof(
+                4.0 * max(g_from - 2.9, 0.0) ** 2 - 0.25,
+                "increasing beyond g = 2.9"),
+        )
+        rep = run_one(fam, g_max=2.5)
+        assert rep.status == "Undecided"
+        assert rep.tail_status == "Checked-to-bound"
+        assert rep.note == "tail floor not positive"
+
     def test_coarse_tolerance_leaves_undecided(self):
         # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
         # positive but too tight to resolve at tol=0.5
@@ -159,7 +179,7 @@ class TestEngine:
             id="T-SHARED", title="budget across two tasks",
             tasks=(
                 Task("first", (Dim("x", 0.0, 1.0),),
-                     lambda c: Interval(1.0) if c["x"].width <= 0.25
+                     lambda c: Interval(1.0) if c["x"].hi - c["x"].lo <= 0.25
                      else Interval(-1.0, 1.0)),
                 Task("second", (Dim("y", 0.0, 1.0),),
                      lambda c: Interval(-1.0, 1.0)),
@@ -286,11 +306,7 @@ class TestSoundness:
         try:
             enc = task.slack_iv({k: Interval.point(v) for k, v in pt.items()})
         except IndeterminateCell:
-            assume(False)
-        except ValueError:
-            # interval overflow (e.g. 1/sinh at a subnormal gamma) is still
-            # reported as ValueError: no enclosure, so nothing to check
-            assume(False)
+            assume(False)  # no finite enclosure, so nothing to check
         pad = 1e-12 * abs(ref)  # the reference's own rounding
         assert enc.lo - pad <= ref <= enc.hi + pad, (pt, ref, enc)
         if fam.id in reports:

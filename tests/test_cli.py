@@ -188,6 +188,15 @@ class TestCertify:
             cli.main(["certify", "--families", "CF-G"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("gmax, code", [("1e300", 5), ("1.7e308", 3)])
+    def test_huge_gmax_has_no_traceback(self, capsys, gmax, code):
+        # cells with no finite enclosure stay undecided (exit 5); a box
+        # ceiling or tail floor with none at g_max is a bad value (exit 3)
+        got, _, err = run(capsys, "certify", "--gmax", gmax,
+                          "--budget", "20000")
+        assert got == code
+        assert "Traceback" not in err
+
 
 class TestYPiece:
     def test_config1(self, capsys):
@@ -266,7 +275,8 @@ class TestCorollary:
 
 HUGE_GENUS = "1" + "0" * 400
 
-# (argv, text of the file that "{file}" names, expected exit code)
+# (argv, text of the file that "{file}" names, expected exit code[, error
+# name expected in stderr])
 BAD_INPUTS = [
     (["corollary", "--t", "1", "--piece", "a,b"], None, 2),
     (["corollary", "--file", "{file}"], '{"t": 1}', 3),
@@ -285,17 +295,26 @@ BAD_INPUTS = [
     (["collar", "--gamma", "nan"], None, 2),
     (["corollary", "--t", "nan", "--piece", "2,1"], None, 2),
     (["corollary", "--t", "inf", "--piece", "2,1"], None, 2),
-    (["minima", "{file}"], b"\xff\xfe", 3),
-    (["exclude", "{file}"], b"\xff\xfe", 3),
+    (["minima", "{file}"], b"\xff\xfe", 3, "MalformedGram"),
+    (["exclude", "{file}"], b"\xff\xfe", 3, "MalformedGram"),
+    (["minima", "{file}"], "nope", 3, "MalformedGram"),
+    (["minima", "{file}"], "", 3, "MalformedGram"),
+    (["minima", "{file}"], "2 1 0 0", 3, "MalformedGram"),
+    (["minima", "{file}"], '{"entries": [1, 0, 0, 1]}', 3, "MalformedGram"),
+    (["exclude", "{file}"], '{"dim": null, "entries": []}', 3, "MalformedGram"),
+    (["minima", "{file}"], "0", 3, "NotSymmetric"),
+    (["minima", "{file}"], "2 1 5 0 1", 3, "NotSymmetric"),
     (["corollary", "--file", "{file}"], b"\xff\xfe", 3),
     (["collar", "--gamma", "1e-320"], None, 3),
 ]
 
 
-@pytest.mark.parametrize("argv, file_text, code", BAD_INPUTS, ids=[
-    " ".join(argv).replace(HUGE_GENUS, "1e400") + (f" <{text}>" if text else "")
-    for argv, text, _ in BAD_INPUTS])
-def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code):
+@pytest.mark.parametrize("argv, file_text, code, name", [
+    (*case, None)[:4] for case in BAD_INPUTS], ids=[
+    " ".join(argv).replace(HUGE_GENUS, "1e400")
+    + (f" <{text}>" if text is not None else "")
+    for argv, text, *_ in BAD_INPUTS])
+def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code, name):
     # a bad flag exits 2; a bad file value or an out-of-range value exits 3
     if file_text is not None:
         path = tmp_path / "input.json"
@@ -312,6 +331,8 @@ def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code):
     assert got == code
     assert "Traceback" not in err
     assert "NaN" not in out and "Infinity" not in out
+    if name is not None:
+        assert err.strip() == name
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from schottky_gauge.errors import (
     DeterminantNotOne,
     DomainError,
     IncompleteMinima,
+    MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
     OddDimension,
@@ -329,7 +330,7 @@ class TestFileFormats:
     def test_malformed(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 1 0 0\n")
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(MalformedGram):
             lattice.load_gram(str(p))
 
 
