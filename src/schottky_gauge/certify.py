@@ -91,7 +91,6 @@ class CertFamily:
     tail: Callable[[float], TailProof] | None = None
     aliases: tuple[str, ...] = ()
     exempt: bool = False          # may stay Undecided without failing a suite
-    budget_override: int | None = None
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,16 @@ class CertReport:
 # Branch and bound
 # ----------------------------------------------------------------------
 
-def _bisect(cell: Interval, dim: Dim) -> tuple[Interval, Interval]:
+def _bisect(cell: Interval, dim: Dim) -> float | None:
+    """The split point of ``cell``: its geometric mean on a log-scale axis
+    when that lies strictly inside, else its midpoint; None when that
+    rounds onto an endpoint, so no split makes progress."""
     if dim.log_scale and cell.lo > 0:
         m = math.sqrt(cell.lo * cell.hi)
         if cell.lo < m < cell.hi:
-            return Interval(cell.lo, m), Interval(m, cell.hi)
-    return cell.split()
+            return m
+    m = cell.mid
+    return m if cell.lo < m < cell.hi else None
 
 
 _VIOLATED = "violation proven by point enclosure"
@@ -220,10 +223,11 @@ class _Sweep:
             widths = [(math.log(c.hi / c.lo) if d.log_scale else c.hi - c.lo) / s
                       for c, d, s in zip(cell, dims, spans)]
             axis = max(range(len(widths)), key=widths.__getitem__)
-            if widths[axis] < self.tol:
+            m = _bisect(cell[axis], dims[axis])
+            if widths[axis] < self.tol or m is None:
                 return "cell width floor reached", mid(cell), slack
-            lo_cell, hi_cell = _bisect(cell[axis], dims[axis])
-            for half in (hi_cell, lo_cell):
+            c = cell[axis]
+            for half in (Interval(m, c.hi), Interval(c.lo, m)):
                 stack.append((cell[:axis] + (half,) + cell[axis + 1:], depth + 1))
         return None
 
@@ -248,8 +252,6 @@ def certify(
         raise DomainError("budget must be positive")
     if not (g_max >= 2 and math.isfinite(g_max)):
         raise DomainError("g_max must be a finite genus cutoff >= 2")
-    if family.budget_override is not None:
-        budget = min(budget, family.budget_override)
     sweep = _Sweep(budget, g_max, tol)
     status, note, tail_status, tail_note = "Certified", "", "N/A", ""
     for task in family.tasks:
@@ -293,22 +295,22 @@ def _gdim() -> Dim:
 # -- CF-A --------------------------------------------------------------
 # 2 arccosh(sinh^2(g/2)(cosh(2 arcsinh(2 pi (g-1)/gamma)) - 1) - 1)
 #   <= 4 log(8g - 7)   on g in [2, g_max], gamma in (0, pi/2].
-# Rewritten with cosh(2 arcsinh y) - 1 = 2 y^2 and sinh(x)/x = sinhc(x):
-# the arccosh argument is 2 pi^2 (g-1)^2 sinhc(gamma/2)^2 - 1, which is
-# finite and > 1 down to gamma = 0, so no cell is ever vacuous.
+# Rewritten with cosh(2 arcsinh y) - 1 = 2 y^2 and sinh(x)/x = sinhc(x),
+# the arccosh argument is 2 a^2 - 1 with a = pi (g-1) sinhc(gamma/2) >= pi,
+# and arccosh(2 a^2 - 1) = 2 arccosh(a): the slack is
+# 4 (log(8g-7) - arccosh(a)), finite below g ~ 1e307 and never vacuous.
 
 def _cfa_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma"]
-    s = (y * 0.5).sinhc()
-    arg = IPI.sq() * (g - 1.0).sq() * s.sq() * 2.0 - 1.0
-    return (g * 8.0 - 7.0).log() * 4.0 - arg.acosh() * 2.0
+    a = IPI * (g - 1.0) * (y * 0.5).sinhc()
+    return ((g * 8.0 - 7.0).log() - a.acosh()) * 4.0
 
 
 def _cfa_tail(_g_from: float) -> TailProof:
-    # arccosh(x) <= log(2x) and 8g-7 >= 8(g-1) give the g-free floor
-    # 4 log 8 - 2 log(4 pi^2 sinhc(pi/4)^2), valid for every g >= 2.
+    # arccosh(a) <= log(2a) and 8g-7 >= 8(g-1) give the g-free floor
+    # 4 log 8 - 4 log(2 pi sinhc(pi/4)), valid for every g >= 2.
     smax = (IPI * 0.25).sinhc()
-    floor = (Interval(8.0).log() * 4.0 - (IPI.sq() * smax.sq() * 4.0).log() * 2.0).lo
+    floor = ((Interval(8.0).log() - (IPI * smax * 2.0).log()) * 4.0).lo
     return TailProof(floor, "log-majorization of arccosh, g-free floor")
 
 
@@ -622,7 +624,6 @@ CF_F_PRIME = CertFamily(
     aliases=("CF-F'",),
     tasks=_cff_tasks(lambda log: log * 3.0 / IPI),
     exempt=True,
-    budget_override=20000,
 )
 
 _ALL = {f.id: f for f in FAMILIES}

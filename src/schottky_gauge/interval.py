@@ -75,10 +75,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def split(self) -> tuple["Interval", "Interval"]:
-        m = self.mid
-        return Interval(self.lo, m), Interval(m, self.hi)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Interval":

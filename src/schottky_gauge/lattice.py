@@ -5,7 +5,8 @@ transform (on Python lists, over the columns of the upper-triangular
 Cholesky factor, which a Givens rotation keeps triangular after a swap),
 Fincke-Pohst enumeration of the form as given (it does not reduce), minima
 from one LLL per call at a radius capped by the k-th reduced diagonal entry
-with exact-rank witness extraction, and a Minkowski second-theorem check.
+with witnesses chosen by exact integer (fraction-free) elimination, and a
+Minkowski second-theorem check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,18 +32,11 @@ from .errors import (
 )
 
 DEFAULT_NODE_BUDGET = 10**9
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Every floating-point tolerance of the module, in one place."""
-
-    symmetry: float = 1e-12       # relative asymmetry allowed before rejection
-    radius_slack: float = 1e-9    # multiplicative slack on the enumeration radius
-    det_one: float = 1e-6         # |det - 1| allowed in PPAV mode
-
-
-TOL = Tolerances()
+_SYMMETRY_TOL = 1e-12      # relative asymmetry allowed before rejection
+_RADIUS_SLACK = 1e-9       # multiplicative slack on the enumeration radius
+_DET_ONE_TOL = 1e-6        # |det - 1| allowed in PPAV mode
+_LLL_DELTA = 0.99          # Lovasz condition
+_LLL_MAX_SWAPS = 10**6
 
 
 class Mode(enum.Enum):
@@ -98,7 +91,7 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         if not np.isfinite(g).all():
             raise NotPositiveDefinite("symmetrized matrix is not finite")
         scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.T))) > TOL.symmetry * scale:
+        if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
             raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
@@ -108,12 +101,12 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         raise NotPositiveDefinite("matrix is not positive definite") from None
     if mode is Mode.PPAV:
         det = float(np.prod(np.diag(chol))) ** 2
-        if abs(det - 1.0) > TOL.det_one:
+        if abs(det - 1.0) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
     return GramMatrix(dim=d, entries=g, mode=mode)
 
 
-def _lll(r: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6) -> np.ndarray:
+def _lll(r: np.ndarray) -> np.ndarray:
     """LLL reduction of the columns of the upper-triangular factor R of G
     (G = R^T R); returns the integer unimodular T with reduced Gram T G T^T.
 
@@ -134,7 +127,7 @@ def _lll(r: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6) -> np.ndarr
                 for row in r:
                     row[k] -= q * row[j]
                 t[k] = [a - q * b for a, b in zip(t[k], t[j])]
-        if r[k][k] ** 2 + r[k - 1][k] ** 2 >= delta * r[k - 1][k - 1] ** 2:
+        if r[k][k] ** 2 + r[k - 1][k] ** 2 >= _LLL_DELTA * r[k - 1][k - 1] ** 2:
             k += 1
             continue
         for row in r:
@@ -146,7 +139,7 @@ def _lll(r: np.ndarray, delta: float = 0.99, max_swaps: int = 10**6) -> np.ndarr
                           [c * b - s * a for a, b in zip(r[k - 1], r[k])])
         k = max(k - 1, 1)
         swaps += 1
-        if swaps > max_swaps:
+        if swaps > _LLL_MAX_SWAPS:
             raise NumericalBreakdown("LLL swap budget exhausted")
     return np.array(t, dtype=np.int64)
 
@@ -181,7 +174,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         raise DomainError("radius_sq must be positive")
     d = gram.dim
     r = np.linalg.cholesky(gram.entries).T  # upper triangular, G = R^T R
-    limit = radius_sq * (1.0 + TOL.radius_slack)
+    limit = radius_sq * (1.0 + _RADIUS_SLACK)
     found: dict[tuple[int, ...], float] = {}
     nodes = 0
 
@@ -221,23 +214,28 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     return vecs
 
 
-class _ExactRank:
-    """Incremental rank over the rationals via fraction row echelon."""
+class _Echelon:
+    """Incremental rank over the integers by fraction-free elimination. Each
+    stored row is zero at earlier rows' pivots and divided by its content,
+    which bounds its entries by minors (undivided, they square per row)."""
 
     def __init__(self):
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot index, row)
 
     def admits(self, vec: tuple[int, ...]) -> bool:
-        row = [Fraction(c) for c in vec]
-        for pivot_row in self.rows:
-            p = next(i for i, v in enumerate(pivot_row) if v != 0)
-            if row[p] != 0:
-                factor = row[p] / pivot_row[p]
-                row = [a - factor * b for a, b in zip(row, pivot_row)]
-        if any(v != 0 for v in row):
-            self.rows.append(row)
-            return True
-        return False
+        """Whether ``vec`` is independent of the stored rows; if so it is
+        stored, reduced."""
+        row = list(vec)
+        for p, piv in self.rows:
+            if row[p]:
+                a, b = piv[p], row[p]
+                row = [a * x - b * y for x, y in zip(row, piv)]
+        p = next((i for i, v in enumerate(row) if v), None)
+        if p is None:
+            return False
+        g = math.gcd(*row)
+        self.rows.append((p, [v // g for v in row]))
+        return True
 
 
 def minkowski_radius(gram: GramMatrix) -> float:
@@ -254,7 +252,8 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     One LLL reduction; the reduced form is enumerated at a radius from
     min(Minkowski bound, b_k^2) doubling up to b_k^2 >= lambda_k, the k-th
     smallest reduced diagonal entry. Candidates are mapped back, valued on
-    this form and scanned by norm; each one raising the exact rank is kept.
+    this form and scanned by norm; each one independent of those kept, by
+    fraction-free integer elimination (no rounding), is kept.
     """
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
@@ -266,7 +265,7 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
                 for sv in enumerate_below(reduced, radius)]
         vecs = sorted((ShortVector(c, gram.norm_sq(c)) for c in back),
                       key=lambda sv: (sv.norm_sq, sv.coeffs))
-        rank = _ExactRank()
+        rank = _Echelon()
         witnesses = []
         for sv in vecs:
             if rank.admits(sv.coeffs):
@@ -348,8 +347,6 @@ __all__ = [
     "Mode",
     "ShortVector",
     "SuccessiveMinima",
-    "Tolerances",
-    "TOL",
     "ValidationError",
     "check_minkowski",
     "dump_gram",

@@ -66,6 +66,22 @@ class TestFamilies:
         # slack lower bound must hover just below zero, never far below
         assert -0.01 < rep.min_slack.lo <= 0.0
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-17, 1e-300])
+    @pytest.mark.parametrize("g_max", [2.0000000000000004, 1000.0, 1e300])
+    def test_cf_f_prime_stops_at_width_floor(self, tol, g_max):
+        # the corner equality is met at the width floor in a few hundred
+        # cells at most, whatever tol and g_max, under the default budget
+        rep = run_one(CF_F_PRIME, tol=tol, g_max=g_max)
+        assert rep.note == "cell width floor reached in task long-core"
+        assert rep.cells_processed < 200
+
+    def test_cfa_finite_at_huge_genus(self):
+        # the half-angle form arccosh(2a^2 - 1) = 2 arccosh(a) never
+        # squares the genus, so a cell near g = 1e200 has an enclosure
+        slack = lookup("CF-A").tasks[0].slack_iv(
+            {"g": Interval(1e200, 2e200), "gamma": Interval(0.1, math.pi / 2)})
+        assert math.isfinite(slack.lo) and math.isfinite(slack.hi)
+
 
 class TestEngine:
     def test_empty_domain_certifies_vacuously(self):
@@ -166,6 +182,22 @@ class TestEngine:
         )
         rep = run_one(fam, tol=0.5)
         assert rep.status == "Undecided"
+
+    @pytest.mark.parametrize("axis", [
+        (1.0, math.nextafter(1.0, 2.0)), (math.nextafter(1.0, 0.0), 1.0),
+    ], ids=["mid-on-lo", "mid-on-hi"])
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    def test_unsplittable_axis_is_width_floor(self, axis, log_scale):
+        # an axis one ulp wide has no split point strictly inside: a half
+        # equal to the cell would be pushed again until the budget ran out
+        fam = CertFamily(
+            id="T-ULP", title="straddling slack on a one-ulp axis",
+            tasks=(Task("ulp", (Dim("x", *axis, log_scale=log_scale),),
+                        lambda c: Interval(-1.0, 1.0)),),
+        )
+        rep = run_one(fam, budget=10**5)
+        assert rep.note == "cell width floor reached in task ulp"
+        assert rep.cells_processed <= 2
 
     def test_budget_exhaustion_is_undecided(self):
         rep = run_one(lookup("CF-A"), budget=5)

@@ -190,12 +190,22 @@ class TestCertify:
 
     @pytest.mark.parametrize("gmax, code", [("1e300", 5), ("1.7e308", 3)])
     def test_huge_gmax_has_no_traceback(self, capsys, gmax, code):
-        # cells with no finite enclosure stay undecided (exit 5); a box
-        # ceiling or tail floor with none at g_max is a bad value (exit 3)
+        # wide genus cells spend the budget (exit 5); a box ceiling or tail
+        # floor with no finite enclosure at g_max is a bad value (exit 3)
         got, _, err = run(capsys, "certify", "--gmax", gmax,
                           "--budget", "20000")
         assert got == code
         assert "Traceback" not in err
+
+
+    def test_gmax_one_ulp_above_two_is_width_floor(self, capsys):
+        # the genus axis [2, 2 + ulp] cannot be split: families with a
+        # genus axis stop at once instead of sweeping their whole budget
+        code, rows, _ = run_json(capsys, "certify", "--gmax", "2.0000000000000004")
+        assert code == 5
+        assert max(r["cells_processed"] for r in rows) < 100
+        cfe = next(r for r in rows if r["family"] == "CF-E")
+        assert cfe["note"] == "cell width floor reached in task main"
 
 
 class TestYPiece:

@@ -140,12 +140,6 @@ def test_asin_domain():
     assert Interval(0.0, 1.0).asin().contains(math.asin(0.5))
 
 
-def test_split_and_hull():
-    x = Interval(0.0, 4.0)
-    a, b = x.split()
-    assert a.hi == b.lo
-
-
 def test_min_max_with():
     x = Interval(1.0, 3.0)
     y = Interval(2.0, 2.5)

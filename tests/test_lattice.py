@@ -7,6 +7,7 @@ that admits exhaustive search.
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,6 +365,76 @@ class TestProperties:
             g = lattice.validate(raw, lattice.Mode.PPAV)
             m1 = lattice.successive_minima(g, 1).values[0]
             assert m1 <= bounds.hermite_ppav_bounds(2)[1] * (1 + 1e-9)
+
+
+def _admitted(vecs):
+    ech = lattice._Echelon()
+    return [ech.admits(v) for v in vecs]
+
+
+def _fraction_rank(vecs):
+    """Exact rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(c) for c in v] for v in vecs]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestEchelon:
+    """The exact independence test that picks successive-minima witnesses."""
+
+    def test_scaled_duplicate_is_dependent(self):
+        assert _admitted([(1, 2, 3), (2, 4, 6), (-3, -6, -9)]) == [True, False, False]
+
+    def test_sum_of_stored_rows_is_dependent(self):
+        assert _admitted([(1, 0, 2), (0, 3, 1), (1, 3, 3)]) == [True, True, False]
+
+    def test_new_pivot_positions(self):
+        # pivots 1 and 2 are stored first; (1, 0, 0) brings pivot 0, and
+        # (2, 1, 4) reduces to a row whose first nonzero index is no
+        # stored pivot until then
+        got = _admitted([(0, 1, 0), (0, 0, 5), (2, 1, 4), (1, 0, 0), (3, -2, 7)])
+        assert got == [True, True, True, False, False]
+        got = _admitted([(0, 2, 1), (0, 4, 3), (5, 6, 7)])
+        assert got == [True, True, True]
+
+    def test_independent_beyond_float_precision(self):
+        # equal as float64, independent over the integers
+        assert float(10**17) == float(10**17 + 1)
+        assert _admitted([(1, 10**17), (1, 10**17 + 1)]) == [True, True]
+        assert _admitted([(1, 10**17), (3, 3 * 10**17)]) == [True, False]
+
+    def test_matches_rational_rank(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            d = int(rng.integers(2, 9))
+            vecs = [tuple(int(v) for v in rng.integers(-3, 4, size=d))
+                    for _ in range(int(rng.integers(1, d + 3)))]
+            vecs = [v for v in vecs if any(v)]
+            got = _admitted(vecs)
+            for i, ok in enumerate(got):
+                kept = [v for v, k in zip(vecs[:i], got) if k]
+                assert ok == (_fraction_rank(kept + [vecs[i]]) > len(kept))
+
+    def test_entries_stay_small(self):
+        # full-rank small-integer rows in dimension 16: undivided
+        # fraction-free elimination squares the entry size with every row
+        # (tens of thousands of bits here)
+        rng = np.random.default_rng(43)
+        ech = lattice._Echelon()
+        for _ in range(16):
+            ech.admits(tuple(int(v) for v in rng.integers(-5, 6, size=16)))
+        assert len(ech.rows) == 16
+        assert max(abs(v).bit_length() for _, row in ech.rows for v in row) < 128
 
 
 def _random_unimodular(rng, d):
