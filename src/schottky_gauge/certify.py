@@ -128,11 +128,11 @@ class CertReport:
 # Branch and bound
 # ----------------------------------------------------------------------
 
-def _bisect(cell: Interval, dim: Dim) -> float | None:
+def _bisect(cell: Interval, log_scale: bool) -> float | None:
     """The split point of ``cell``: its geometric mean on a log-scale axis
     when that lies strictly inside, else its midpoint; None when that
     rounds onto an endpoint, so no split makes progress."""
-    if dim.log_scale and cell.lo > 0:
+    if log_scale and cell.lo > 0:
         m = math.sqrt(cell.lo * cell.hi)
         if cell.lo < m < cell.hi:
             return m
@@ -160,6 +160,8 @@ class _Sweep:
         """None when every cell of ``task`` certifies, else
         ``(reason, witness, slack)`` for the cell that stopped the sweep."""
         dims = task.dims
+        names = [d.name for d in dims]
+        logs = [d.log_scale for d in dims]
         init, spans = [], []
         for d in dims:
             hi = d.hi_at(self.g_max)
@@ -169,13 +171,12 @@ class _Sweep:
             spans.append(math.log(hi / d.lo) if d.log_scale else hi - d.lo)
         # Axes whose ceiling follows the genus axis "g"; only tasks that
         # have some pay for the per-cell clip.
-        names = [d.name for d in dims]
         coupled = [i for i, d in enumerate(dims)
                    if callable(d.hi) and d.name != "g"] if "g" in names else []
         genus = names.index("g") if coupled else -1
 
         def mid(cell):
-            return {d.name: c.mid for d, c in zip(dims, cell)}
+            return {n: c.mid for n, c in zip(names, cell)}
 
         def clip(cell):
             """Cap each coupled axis at its ceiling for the cell's largest
@@ -193,7 +194,8 @@ class _Sweep:
         while stack:
             cell, depth = stack.pop()
             self.cells += 1
-            self.max_depth = max(self.max_depth, depth)
+            if depth > self.max_depth:
+                self.max_depth = depth
             if self.cells > self.budget:
                 return "cell budget exhausted", mid(cell), None
             if coupled:
@@ -202,7 +204,7 @@ class _Sweep:
                     self.vacuous += 1
                     continue
             try:
-                slack = task.slack_iv({d.name: c for d, c in zip(dims, cell)})
+                slack = task.slack_iv(dict(zip(names, cell)))
             except DomainError:
                 slack = None
             if slack is not None and slack.lo > 0.0:
@@ -220,11 +222,15 @@ class _Sweep:
                     return _VIOLATED, pt, proof
             if not cell:
                 return "cell width floor reached", None, slack  # zero-dimensional
-            widths = [(math.log(c.hi / c.lo) if d.log_scale else c.hi - c.lo) / s
-                      for c, d, s in zip(cell, dims, spans)]
-            axis = max(range(len(widths)), key=widths.__getitem__)
-            m = _bisect(cell[axis], dims[axis])
-            if widths[axis] < self.tol or m is None:
+            # the widest axis, relative to its initial span, that can split
+            axis, widest, m = -1, -1.0, None
+            for i, c in enumerate(cell):
+                w = (math.log(c.hi / c.lo) if logs[i] else c.hi - c.lo) / spans[i]
+                if w > widest:
+                    split = _bisect(c, logs[i])
+                    if split is not None:
+                        axis, widest, m = i, w, split
+            if m is None or widest < self.tol:
                 return "cell width floor reached", mid(cell), slack
             c = cell[axis]
             for half in (Interval(m, c.hi), Interval(c.lo, m)):

@@ -4,7 +4,11 @@ Soundness model: every primitive is computed with the platform libm (error
 below one ulp for the functions used here) and then widened outward by one
 ulp per endpoint with ``math.nextafter``.  This over-approximates true
 directed rounding, which is not portably switchable from Python, so every
-interval result encloses the exact image of its inputs.
+interval result encloses the exact image of its inputs.  Products and
+quotients with operands of known sign take only the two endpoint products
+that bound them; rounding to nearest is monotone, so those are exactly the
+min and max of the four-product formula, and the soundness model is
+unchanged.
 
 Only the function domains needed by the bound formulas are supported;
 intervals are always finite and nonempty.  An operation with no finite
@@ -18,14 +22,8 @@ import math
 from .errors import DomainError
 
 _INF = math.inf
-
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+_NEG_INF = -math.inf
+_next = math.nextafter
 
 
 class IndeterminateCell(DomainError):
@@ -41,9 +39,9 @@ class Interval:
     def __init__(self, lo: float, hi: float | None = None):
         if hi is None:
             hi = lo
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise IndeterminateCell(f"no finite enclosure: [{lo}, {hi}]")
-        if lo > hi:
+        if not (_NEG_INF < lo <= hi < _INF):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise IndeterminateCell(f"no finite enclosure: [{lo}, {hi}]")
             raise ValueError(f"inverted interval: [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -58,7 +56,7 @@ class Interval:
     def ratio(num: float, den: float) -> "Interval":
         """Enclosure of the exact quotient of two floats (e.g. 2/3)."""
         q = num / den
-        return Interval(_down(q), _up(q))
+        return Interval(_next(q, _NEG_INF), _next(q, _INF))
 
     # -- structure ----------------------------------------------------
 
@@ -77,56 +75,73 @@ class Interval:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval(other, other)
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+        if isinstance(other, Interval):
+            return Interval(_next(self.lo + other.lo, _NEG_INF),
+                            _next(self.hi + other.hi, _INF))
+        return Interval(_next(self.lo + other, _NEG_INF), _next(self.hi + other, _INF))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+        if isinstance(other, Interval):
+            return Interval(_next(self.lo - other.hi, _NEG_INF),
+                            _next(self.hi - other.lo, _INF))
+        return Interval(_next(self.lo - other, _NEG_INF), _next(self.hi - other, _INF))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return Interval(_next(other - self.hi, _NEG_INF), _next(other - self.lo, _INF))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(_down(min(p)), _up(max(p)))
+        lo, hi = self.lo, self.hi
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+            if lo >= 0.0 and olo >= 0.0:
+                return Interval(_next(lo * olo, _NEG_INF), _next(hi * ohi, _INF))
+            p = (lo * olo, lo * ohi, hi * olo, hi * ohi)
+            return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
+        if other >= 0.0:
+            return Interval(_next(lo * other, _NEG_INF), _next(hi * other, _INF))
+        return Interval(_next(hi * other, _NEG_INF), _next(lo * other, _INF))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.lo <= 0.0 <= o.hi:
-            raise IndeterminateCell("division by interval containing zero")
-        p = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(_down(min(p)), _up(max(p)))
+        lo, hi = self.lo, self.hi
+        if isinstance(other, Interval):
+            olo, ohi = other.lo, other.hi
+            if lo >= 0.0 and olo > 0.0:
+                return Interval(_next(lo / ohi, _NEG_INF), _next(hi / olo, _INF))
+            if olo <= 0.0 <= ohi:
+                raise IndeterminateCell("division by interval containing zero")
+            p = (lo / olo, lo / ohi, hi / olo, hi / ohi)
+            return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
+        if 0.0 < other < _INF:
+            return Interval(_next(lo / other, _NEG_INF), _next(hi / other, _INF))
+        # any other divisor, a zero or non-finite one included, takes the
+        # four-quotient path and raises there as an interval divisor would
+        return self / Interval(other)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        lo, hi = self.lo, self.hi
+        if lo > 0.0 and 0.0 <= other < _INF:
+            return Interval(_next(other / hi, _NEG_INF), _next(other / lo, _INF))
+        return Interval(other) / self
 
     def sq(self) -> "Interval":
         if self.lo >= 0:
-            return Interval(_down(self.lo * self.lo), _up(self.hi * self.hi))
+            return Interval(_next(self.lo * self.lo, _NEG_INF),
+                            _next(self.hi * self.hi, _INF))
         if self.hi <= 0:
-            return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
+            return Interval(_next(self.hi * self.hi, _NEG_INF),
+                            _next(self.lo * self.lo, _INF))
         m = max(-self.lo, self.hi)
-        return Interval(0.0, _up(m * m))
+        return Interval(0.0, _next(m * m, _INF))
 
     # -- monotone elementary functions --------------------------------
 
     def _mono_inc(self, f) -> "Interval":
-        return Interval(_down(f(self.lo)), _up(f(self.hi)))
+        return Interval(_next(f(self.lo), _NEG_INF), _next(f(self.hi), _INF))
 
     def log(self):
         if self.lo <= 0:
@@ -149,8 +164,9 @@ class Interval:
             if self.lo >= 0:
                 return self._mono_inc(math.cosh)
             if self.hi <= 0:
-                return Interval(_down(math.cosh(self.hi)), _up(math.cosh(self.lo)))
-            return Interval(1.0, _up(math.cosh(max(-self.lo, self.hi))))
+                return Interval(_next(math.cosh(self.hi), _NEG_INF),
+                                _next(math.cosh(self.lo), _INF))
+            return Interval(1.0, _next(math.cosh(max(-self.lo, self.hi)), _INF))
         except OverflowError:
             raise IndeterminateCell(f"cosh overflow on {self!r}") from None
 
@@ -166,7 +182,8 @@ class Interval:
         """Strict arccosh: the whole interval must lie in [1, inf)."""
         if self.lo < 1.0:
             raise DomainError(f"acosh argument interval below 1: {self!r}")
-        return Interval(max(0.0, _down(math.acosh(self.lo))), _up(math.acosh(self.hi)))
+        return Interval(max(0.0, _next(math.acosh(self.lo), _NEG_INF)),
+                        _next(math.acosh(self.hi), _INF))
 
     def acosh_clamped(self):
         """One-sided arccosh for straddling cells: uses acosh(x) >= 0.
@@ -178,7 +195,7 @@ class Interval:
         if self.hi < 1.0:
             raise DomainError(f"acosh argument interval entirely below 1: {self!r}")
         if self.lo < 1.0:
-            return Interval(0.0, _up(math.acosh(self.hi)))
+            return Interval(0.0, _next(math.acosh(self.hi), _INF))
         return self.acosh()
 
     def asin(self):
@@ -199,22 +216,22 @@ class Interval:
         """
         try:
             if self.lo >= 0:
-                return Interval(_down(_sinhc(self.lo)), _up(_sinhc(self.hi)))
+                return Interval(_next(_sinhc(self.lo), _NEG_INF),
+                                _next(_sinhc(self.hi), _INF))
             if self.hi <= 0:
-                return Interval(_down(_sinhc(-self.hi)), _up(_sinhc(-self.lo)))
-            return Interval(1.0, _up(_sinhc(max(-self.lo, self.hi))))
+                return Interval(_next(_sinhc(-self.hi), _NEG_INF),
+                                _next(_sinhc(-self.lo), _INF))
+            return Interval(1.0, _next(_sinhc(max(-self.lo, self.hi)), _INF))
         except OverflowError:
             raise IndeterminateCell(f"sinhc overflow on {self!r}") from None
 
     # -- lattice of intervals -----------------------------------------
 
-    def min_with(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(min(self.lo, o.lo), min(self.hi, o.hi))
+    def min_with(self, other: "Interval") -> "Interval":
+        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
 
-    def max_with(self, other) -> "Interval":
-        o = self._coerce(other)
-        return Interval(max(self.lo, o.lo), max(self.hi, o.hi))
+    def max_with(self, other: "Interval") -> "Interval":
+        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
 
 def _sinhc(x: float) -> float:
@@ -228,6 +245,6 @@ def _sinhc(x: float) -> float:
 
 
 # Enclosures of constants used throughout the bound formulas.
-IPI = Interval(_down(math.pi), _up(math.pi))
+IPI = Interval(_next(math.pi, _NEG_INF), _next(math.pi, _INF))
 IW = Interval.point(2.0).acosh()                      # arccosh 2
 IWP = Interval.ratio(2.0, 3.0).atanh()                # arctanh(2/3)

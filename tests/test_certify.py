@@ -28,7 +28,38 @@ def reports():
     return {r.family: r for r in run_all()}
 
 
+# The default report of ``run_all()`` (tol 1e-4, g_max 1e6), family by
+# family: status, tail status, cells, vacuous cells, depth, min_slack_lo.
+# A speedup must leave all of it unchanged, min_slack_lo to 1e-12
+# relative. A soundness change to the interval layer (wider enclosures)
+# may move these figures; it re-freezes them here and records the old
+# and new values in CHANGES.md.
+_DEFAULT_REPORT = {
+    "CF-A": ("Certified", "Proven", 13947, 0, 14, 0.00016126374368141677),
+    "CF-B": ("Certified", "Proven", 51, 0, 7, 1.2619250327438214),
+    "CF-C": ("Certified", "Proven", 15, 0, 7, 0.004228468457060041),
+    "CF-D": ("Certified", "Proven", 13, 0, 6, 0.3961421304222625),
+    "CF-E": ("Certified", "Proven", 99, 7, 14, 0.04575316208484192),
+    "CF-F": ("Certified", "Proven", 350, 38, 15, 0.002353499447110607),
+    "CF-G": ("Certified", "N/A", 1, 0, 0, 0.0007456296975855147),
+    "CF-H": ("Certified", "Proven", 13, 0, 6, 0.009025234112393308),
+    "CF-I": ("Certified", "Proven", 1, 0, 0, 4.567782353248616e-06),
+    "CF-J": ("Certified", "Proven", 19, 0, 9, 0.0013066739078548826),
+}
+
+
 class TestFamilies:
+    def test_default_report_frozen(self, reports):
+        assert list(reports) == list(_DEFAULT_REPORT)
+        for fam, (status, tail, cells, vacuous, depth, slack) in \
+                _DEFAULT_REPORT.items():
+            rep = reports[fam]
+            assert (rep.status, rep.tail_status, rep.cells_processed,
+                    rep.vacuous_cells, rep.max_depth) == \
+                (status, tail, cells, vacuous, depth), fam
+            assert rep.min_slack.lo == pytest.approx(slack, rel=1e-12), fam
+        assert sum(r.cells_processed for r in reports.values()) == 14509
+
     def test_all_ten_certified(self, reports):
         assert len(reports) == 10
         for fam, rep in reports.items():
@@ -198,6 +229,22 @@ class TestEngine:
         rep = run_one(fam, budget=10**5)
         assert rep.note == "cell width floor reached in task ulp"
         assert rep.cells_processed <= 2
+
+    def test_widest_splittable_axis_is_split(self):
+        # x is one ulp wide and as wide as y relative to its span, so it
+        # ties for widest but cannot split; y must be split instead until
+        # its cells are 1/4 wide: 1 + 2 + 4 cells
+        fam = CertFamily(
+            id="T-ULP-PAIR", title="a one-ulp axis beside a splittable one",
+            tasks=(Task("pair", (Dim("x", 1.0, math.nextafter(1.0, 2.0)),
+                                 Dim("y", 0.0, 1.0)),
+                        lambda c: Interval(1.0) if c["y"].hi - c["y"].lo <= 0.25
+                        else Interval(-1.0, 1.0)),),
+        )
+        rep = run_one(fam)
+        assert rep.status == "Certified"
+        assert rep.cells_processed == 7
+        assert rep.max_depth == 2
 
     def test_budget_exhaustion_is_undecided(self):
         rep = run_one(lookup("CF-A"), budget=5)

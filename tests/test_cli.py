@@ -198,14 +198,20 @@ class TestCertify:
         assert "Traceback" not in err
 
 
-    def test_gmax_one_ulp_above_two_is_width_floor(self, capsys):
-        # the genus axis [2, 2 + ulp] cannot be split: families with a
-        # genus axis stop at once instead of sweeping their whole budget
+    def test_gmax_one_ulp_above_two_splits_the_other_axis(self, capsys):
+        # the genus axis [2, 2 + ulp] cannot be split, so the sweep splits
+        # the other axis: no family spends its budget or stops at the
+        # width floor; CF-E closes every box cell and is left Undecided by
+        # its tail floor, which is negative from g = 2
         code, rows, _ = run_json(capsys, "certify", "--gmax", "2.0000000000000004")
         assert code == 5
         assert max(r["cells_processed"] for r in rows) < 100
+        assert all("width floor" not in r["note"] for r in rows)
         cfe = next(r for r in rows if r["family"] == "CF-E")
-        assert cfe["note"] == "cell width floor reached in task main"
+        assert cfe["cells_processed"] > 1
+        assert cfe["tail_status"] == "Checked-to-bound"
+        assert cfe["note"] == "tail floor not positive"
+        assert [r["family"] for r in rows if r["status"] != "Certified"] == ["CF-E"]
 
 
 class TestYPiece:

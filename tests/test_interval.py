@@ -34,6 +34,10 @@ def test_rejects_inverted_and_nonfinite():
         Interval(2.0, 1.0)
     with pytest.raises(IndeterminateCell):
         Interval(math.inf, math.inf)
+    with pytest.raises(IndeterminateCell):
+        Interval(math.nan, 1.0)
+    with pytest.raises(IndeterminateCell):
+        Interval(1.0, math.nan)
 
 
 @pytest.mark.parametrize("x", [
@@ -154,3 +158,62 @@ def test_min_max_with():
 def test_division_containment(a, b):
     x, y = make(a, b), make(a + 1.0, b + 1.0)
     assert (x / y).contains(x.mid / y.mid)
+
+
+# Any finite double, with the edge cases drawn often: signed zeros,
+# subnormals, the smallest normal and magnitudes whose products overflow.
+edge = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1e-310, 1.0, -1.0, 1e154, -1e154, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _four_point(op, x, y):
+    """Reference enclosure of x op y for (lo, hi) pairs: the endpoint sum
+    or difference, or the min/max of the four endpoint products or
+    quotients, each widened by one nextafter; None for a divisor
+    containing zero or a non-finite endpoint (no enclosure)."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        lo, hi = a + c, b + d
+    elif op == "-":
+        lo, hi = a - d, b - c
+    elif op == "*":
+        p = (a * c, a * d, b * c, b * d)
+        lo, hi = min(p), max(p)
+    else:
+        if c <= 0.0 <= d:
+            return None
+        p = (a / c, a / d, b / c, b / d)
+        lo, hi = min(p), max(p)
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    return lo.hex(), hi.hex()
+
+
+_OPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+        "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+@settings(max_examples=400)
+@given(a=edge, b=edge, c=edge, d=edge, s=edge)
+def test_sign_cases_match_four_point_formula_bitwise(op, a, b, c, d, s):
+    # each operator's fast sign cases must give exactly the endpoints of
+    # the four-point formula, for interval, float and reflected operands
+    x, y = make(a, b), make(c, d)
+    cases = (
+        (x, y, (x.lo, x.hi), (y.lo, y.hi)),
+        (x, s, (x.lo, x.hi), (s, s)),
+        (s, y, (s, s), (y.lo, y.hi)),
+    )
+    for u, v, ue, ve in cases:
+        want = _four_point(op, ue, ve)
+        if want is None:
+            with pytest.raises(IndeterminateCell):
+                _OPS[op](u, v)
+        else:
+            got = _OPS[op](u, v)
+            assert (got.lo.hex(), got.hi.hex()) == want, (u, op, v)
