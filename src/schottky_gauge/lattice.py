@@ -1,12 +1,11 @@
-"""Successive minima of positive-definite quadratic forms.
+"""Successive minima of positive-definite quadratic forms, in plain Python.
 
-Validation of Gram matrices, LLL reduction with an exact unimodular
-transform (on Python lists, over the columns of the upper-triangular
-Cholesky factor, which a Givens rotation keeps triangular after a swap),
-Fincke-Pohst enumeration of the form as given (it does not reduce), minima
-from one LLL per call at a radius capped by the k-th reduced diagonal entry
-with witnesses chosen by exact integer (fraction-free) elimination, and a
-Minkowski second-theorem check.
+Each form carries one upper-triangular Cholesky factor R (G = R^T R,
+positive diagonal), computed once by ``validate``. LLL works on its columns
+with an exact integer unimodular transform and hands the reduced factor on
+to Fincke-Pohst enumeration, which searches the form as given. Minima come
+from one LLL per call at a radius capped by the k-th reduced diagonal
+entry, with witnesses chosen by exact integer (fraction-free) elimination.
 """
 
 from __future__ import annotations
@@ -15,8 +14,9 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import chain, zip_longest
+from operator import add, mul, sub
 
 from .errors import (
     BudgetExceeded,
@@ -47,16 +47,32 @@ class Mode(enum.Enum):
 @dataclass(frozen=True)
 class GramMatrix:
     dim: int
-    entries: np.ndarray  # symmetrized copy, shape (dim, dim)
+    entries: tuple[tuple[float, ...], ...]  # symmetrized rows
     mode: Mode
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.array(self.entries, dtype=float))
-        self.entries.setflags(write=False)
+        object.__setattr__(self, "entries", tuple(tuple(map(float, row))
+                                                  for row in self.entries))
+
+    @cached_property
+    def factor(self) -> tuple[tuple[float, ...], ...]:
+        """Rows of the upper-triangular R with G = R^T R, by Cholesky; a
+        pivot that is not positive is NotPositiveDefinite."""
+        cols: list[list[float]] = []
+        for k, gk in enumerate(self.entries):
+            c = []
+            for i, ci in enumerate(cols):  # ci = R[0..i][i]; c = R[0..i-1][k]
+                c.append((gk[i] - sum(map(mul, ci, c))) / ci[i])
+            p = gk[k] - sum(map(mul, c, c))
+            if not p > 0.0:
+                raise NotPositiveDefinite("matrix is not positive definite")
+            c.append(math.sqrt(p))
+            cols.append(c)
+        return tuple(zip_longest(*cols, fillvalue=0.0))
 
     def norm_sq(self, coeffs) -> float:
-        x = np.asarray(coeffs, dtype=float)
-        return float(x @ self.entries @ x)
+        return sum((c * sum(map(mul, row, coeffs))
+                    for c, row in zip(coeffs, self.entries) if c), 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,75 +98,85 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance;
     a non-finite entry, or overflow there, is NotPositiveDefinite.
     """
-    a = np.array(raw, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise NotSymmetric(f"expected a nonempty square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = 0.5 * (a + a.T)
-        if not np.isfinite(g).all():
-            raise NotPositiveDefinite("symmetrized matrix is not finite")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
-            raise NotSymmetric("matrix is not symmetric within tolerance")
+    try:
+        a = [list(map(float, row)) for row in raw]
+    except TypeError:
+        a = None
+    if not a or any(len(row) != len(a) for row in a):
+        raise NotSymmetric("expected a nonempty square matrix of numbers")
+    d = len(a)
+    at = [list(col) for col in zip(*a)]
+    g = [[0.5 * v for v in map(add, row, col)] for row, col in zip(a, at)]
+    if not all(map(math.isfinite, chain.from_iterable(g))):
+        raise NotPositiveDefinite("symmetrized matrix is not finite")
+    if a != at and max(map(abs, map(sub, chain(*a), chain(*at)))) > \
+            _SYMMETRY_TOL * max(1.0, max(map(abs, chain(*a)))):
+        raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("matrix is not positive definite") from None
+    gram = GramMatrix(dim=d, entries=g, mode=mode)
+    r = gram.factor  # Cholesky: NotPositiveDefinite unless every pivot is positive
     if mode is Mode.PPAV:
-        det = float(np.prod(np.diag(chol))) ** 2
+        det = math.prod(r[i][i] for i in range(d)) ** 2
         if abs(det - 1.0) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
-    return GramMatrix(dim=d, entries=g, mode=mode)
+    return gram
 
 
-def _lll(r: np.ndarray) -> np.ndarray:
+def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
     """LLL reduction of the columns of the upper-triangular factor R of G
-    (G = R^T R); returns the integer unimodular T with reduced Gram T G T^T.
+    (rows given); returns the integer unimodular T with reduced Gram
+    T G T^T and the reduced factor's columns, column j cut to rows 0..j.
 
-    Column j of R is basis vector j in its Gram-Schmidt frame, so
-    mu[k, j] = R[j, k] / R[j, j] and the squared Gram-Schmidt norms are
-    R[j, j]^2. A swap exchanges two columns and one Givens rotation on the
-    same two rows makes R triangular again.
+    Column j of R is basis vector j in its Gram-Schmidt frame: mu[k, j] =
+    R[j, k] / R[j, j], squared Gram-Schmidt norms R[j, j]^2. After a column
+    swap, a Givens rotation of rows k-1, k (columns >= k-1; row k negated,
+    so the diagonal stays positive) restores the triangle with an exact 0.
     """
-    r = r.tolist()
     n = len(r)
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = [list(col[:j + 1]) for j, col in enumerate(zip(*r))]
+    t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
     swaps = 0
     k = 1
     while k < n:
+        ck, tk = cols[k], t[k]
         for j in range(k - 1, -1, -1):
-            q = round(r[j][k] / r[j][j])
-            if q != 0:
-                for row in r:
-                    row[k] -= q * row[j]
-                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
-        if r[k][k] ** 2 + r[k - 1][k] ** 2 >= _LLL_DELTA * r[k - 1][k - 1] ** 2:
+            q = round(ck[j] / cols[j][j])
+            if q:
+                ck[:j + 1] = [a - q * b for a, b in zip(ck, cols[j])]
+                tk[:] = [a - q * b for a, b in zip(tk, t[j])]
+        prev = cols[k - 1]
+        x, y, p = ck[k - 1], ck[k], prev[k - 1]
+        if y * y + x * x >= _LLL_DELTA * (p * p):
             k += 1
             continue
-        for row in r:
-            row[k - 1], row[k] = row[k], row[k - 1]
-        t[k - 1], t[k] = t[k], t[k - 1]
-        h = math.hypot(r[k - 1][k - 1], r[k][k - 1])
-        c, s = r[k - 1][k - 1] / h, r[k][k - 1] / h
-        r[k - 1], r[k] = ([c * a + s * b for a, b in zip(r[k - 1], r[k])],
-                          [c * b - s * a for a, b in zip(r[k - 1], r[k])])
+        t[k - 1], t[k] = tk, t[k - 1]
+        h = math.hypot(x, y)
+        c, s = x / h, y / h
+        ck[k - 1:] = [c * x + s * y]
+        prev[k - 1:] = [c * p, s * p]
+        cols[k - 1], cols[k] = ck, prev
+        for col in cols[k + 1:]:
+            a, b = col[k - 1], col[k]
+            col[k - 1], col[k] = c * a + s * b, s * a - c * b
         k = max(k - 1, 1)
         swaps += 1
         if swaps > _LLL_MAX_SWAPS:
             raise NumericalBreakdown("LLL swap budget exhausted")
-    return np.array(t, dtype=np.int64)
+    return tuple(map(tuple, t)), cols
 
 
-def reduce(gram: GramMatrix) -> tuple[GramMatrix, np.ndarray]:
-    """LLL-reduce (delta = 0.99); returns the reduced Gram and the integer
-    unimodular T with reduced = T G T^T."""
-    t = _lll(np.linalg.cholesky(gram.entries).T)
-    reduced = t @ gram.entries @ t.T
-    reduced = 0.5 * (reduced + reduced.T)
-    return GramMatrix(dim=gram.dim, entries=reduced, mode=gram.mode), t
+def reduce(gram: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
+    """LLL-reduce (delta = 0.99); returns the reduced Gram, its cached
+    ``factor`` set to the one LLL ends with (no re-factorization), and the
+    integer unimodular T with reduced = T G T^T."""
+    t, cols = _lll(gram.factor)
+    rows = []  # G[i][j] = col_i . col_j, mirrored below the diagonal
+    for i, ci in enumerate(cols):
+        rows.append([r[i] for r in rows] + [sum(map(mul, ci, c)) for c in cols[i:]])
+    reduced = GramMatrix(dim=gram.dim, entries=rows, mode=gram.mode)
+    reduced.__dict__["factor"] = tuple(zip_longest(*cols, fillvalue=0.0))
+    return reduced, t
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,15 +191,15 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     """All nonzero integer vectors with form value <= radius_sq (one
     representative per +/- pair), in ascending (norm, coefficient) order.
 
-    Fincke-Pohst tree search on the triangular factorization of the form
-    as given: it does not reduce, so callers pass an LLL-reduced form (see
-    ``reduce``) for speed. A multiplicative slack keeps boundary vectors
-    whose float norm lands within tolerance of the radius.
+    Fincke-Pohst tree search on the form's triangular factor, which also
+    values the leaves. It does not reduce, so callers pass an LLL-reduced
+    form (see ``reduce``) for speed. A multiplicative slack keeps boundary
+    vectors whose float norm lands within tolerance of the radius.
     """
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
     d = gram.dim
-    r = np.linalg.cholesky(gram.entries).T  # upper triangular, G = R^T R
+    r = gram.factor
     limit = radius_sq * (1.0 + _RADIUS_SLACK)
     found: dict[tuple[int, ...], float] = {}
     nodes = 0
@@ -183,19 +209,17 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     def descend(i: int, partial: float):
         nonlocal nodes
         if i < 0:
-            if any(x):
-                coeffs = _canonical_sign(tuple(x))
-                norm = gram.norm_sq(coeffs)
-                if norm <= limit:
-                    found.setdefault(coeffs, norm)
+            if any(x) and partial <= limit:
+                found.setdefault(_canonical_sign(tuple(x)), partial)
             return
-        # offset contributed by already-fixed coordinates x[i+1:]
-        off = sum(r[i, j] * x[j] for j in range(i + 1, d))
+        # offset contributed by already-fixed coordinates x[i+1:] (x[:i+1] is 0)
+        off = sum(map(mul, r[i], x))
         room = limit - partial
         if room < 0:
             return
-        half = math.sqrt(room) / r[i, i]
-        center = -off / r[i, i]
+        rii = r[i][i]
+        half = math.sqrt(room) / rii
+        center = -off / rii
         lo = math.ceil(center - half - 1e-12)
         hi = math.floor(center + half + 1e-12)
         for v in range(lo, hi + 1):
@@ -203,7 +227,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
             if nodes > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
             x[i] = v
-            term = (r[i, i] * v + off) ** 2
+            term = (rii * v + off) ** 2
             if term <= room + 1e-12:
                 descend(i - 1, partial + term)
         x[i] = 0
@@ -242,7 +266,7 @@ def minkowski_radius(gram: GramMatrix) -> float:
     """Minkowski first-theorem radius (4/pi) det^(1/d) Gamma(d/2+1)^(2/d):
     guaranteed to contain a nonzero lattice vector."""
     d = gram.dim
-    logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(gram.entries)))))
+    logdet = 2.0 * sum(math.log(row[i]) for i, row in enumerate(gram.factor))
     return 4.0 / math.pi * math.exp(logdet / d + 2.0 / d * math.lgamma(d / 2.0 + 1.0))
 
 
@@ -258,10 +282,10 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
     reduced, t = reduce(gram)
-    cap = float(np.sort(np.diag(reduced.entries))[k - 1])
+    cap = sorted(row[i] for i, row in enumerate(reduced.entries))[k - 1]
     radius = min(minkowski_radius(gram), cap)
     while True:
-        back = [_canonical_sign(tuple(int(v) for v in np.array(sv.coeffs) @ t))
+        back = [_canonical_sign(tuple(sum(map(mul, sv.coeffs, col)) for col in zip(*t)))
                 for sv in enumerate_below(reduced, radius)]
         vecs = sorted((ShortVector(c, gram.norm_sq(c)) for c in back),
                       key=lambda sv: (sv.norm_sq, sv.coeffs))
@@ -310,18 +334,19 @@ def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
         if text.lstrip().startswith("{"):
             obj = json.loads(text)
             d = int(obj["dim"])
-            entries = np.array(obj["entries"], dtype=float).reshape(d, d)
+            flat = [float(v) for v in obj["entries"]]
             file_mode = Mode(obj.get("mode", "plain"))
         else:
             tokens = text.split()
             d = int(tokens[0])
-            if len(tokens) != 1 + d * d:
-                raise MalformedGram(f"expected {d * d} entries, got {len(tokens) - 1}")
-            entries = np.array([float(t) for t in tokens[1:]]).reshape(d, d)
+            flat = [float(t) for t in tokens[1:]]
             file_mode = Mode.PLAIN
+        if d < 0 or len(flat) != d * d:
+            raise MalformedGram(f"expected {d}x{d} entries, got {len(flat)}")
     except (ValueError, LookupError, TypeError, OverflowError) as exc:
         raise MalformedGram(f"cannot parse Gram matrix text: {exc}") from exc
-    return validate(entries, mode if mode is not None else file_mode)
+    return validate([flat[i * d:(i + 1) * d] for i in range(d)],
+                    mode if mode is not None else file_mode)
 
 
 def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
@@ -335,7 +360,7 @@ def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
 
 def dump_gram(gram: GramMatrix) -> str:
     """JSON serialization with 17-significant-digit decimals."""
-    entries = [float(format(v, ".17g")) for v in gram.entries.ravel()]
+    entries = [float(format(v, ".17g")) for row in gram.entries for v in row]
     return json.dumps(
         {"dim": gram.dim, "entries": entries, "mode": gram.mode.value}
     )
