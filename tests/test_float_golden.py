@@ -1,0 +1,115 @@
+"""Golden outputs of the float commands: bounds, collar, ypiece, corollary.
+
+Each command's JSON output is compared exactly. JSON renders every float
+at 17 significant digits, which round-trips binary64, so these pins hold
+the float formulas bit for bit: a refactor of them must leave every value
+here unchanged, not merely close.
+"""
+
+import json
+
+import pytest
+
+from schottky_gauge import cli
+
+_BOUND_NAMES = (
+    "thm_bs_upper", "thm_main_m1", "thm_main_m2", "systole_gamma1",
+    "systole_gamma2", "hyperelliptic", "bavard", "hermite_lower",
+    "hermite_upper", "minkowski_product_log",
+)
+
+_BOUNDS = {
+    2: (1.711004258156134, 1.791759469228055, 6.811396189742281,
+        3.58351893845611, 6.591673732008658, 2.4382923105989276,
+        3.0571418389619964, 0.6366197723675813, 1.800632632314212,
+        1.869423311660871),
+    3: (2.1988067966382836, 2.302585092994046, 8.78296136657427,
+        4.605170185988092, 8.49964003216865, 2.4382923105989276,
+        3.710154270638175, 0.7287477205202306, 2.3136297963464827,
+        4.3082123642675825),
+    4: (2.5201141146669945, 2.6390573296152584, 9.978515057091421,
+        5.278114659230517, 9.656627474604601, 2.4382923105989276,
+        4.041990932781286, 0.8378387385447049, 2.8181423672117467,
+        7.322365561777852),
+    5: (2.7601017158543133, 2.8903717578961645, 10.839173440546089,
+        5.780743515792329, 10.489522684399441, 2.4382923105989276,
+        4.245100247620143, 0.9525600768317929, 3.317006845837267,
+        10.782805861916547),
+    6: (2.951728114553252, 3.091042453358316, 11.512073406783355,
+        6.182084906716632, 11.140716200112923, 2.4382923105989276,
+        4.3826918576535485, 1.0696553704608471, 3.811818393581994,
+        14.607889275643148),
+    7: (3.111253014580261, 3.258096538021482, 12.064642924142943,
+        6.516193076042964, 11.675460894331879, 2.4382923105989276,
+        4.482207877841178, 1.1878813406958346, 4.303568962423013,
+        18.741274049024263),
+    8: (3.2479042543364627, 3.4011973816621555, 12.533458930287106,
+        6.802394763324311, 12.129153803503652, 2.4382923105989276,
+        4.557586250793901, 1.306679092380278, 4.7929200435349,
+        23.14172160765442),
+    9: (3.3674262517007483, 3.5263605246161616, 12.940600536676474,
+        7.052721049232323, 12.523161809686911, 2.4382923105989276,
+        4.616682567686027, 1.425769607129011, 5.2803360991541455,
+        27.777735237597348),
+    10: (3.473638909458714, 3.6375861597263857, 13.300424267560013,
+         7.275172319452771, 12.871378323445173, 2.4382923105989276,
+         4.664269484612323, 1.5450033668127237, 5.76615645308686,
+         32.624469898855935),
+}
+
+_COLLAR_21 = {
+    "separation": 0.7307456296975858,
+    "width_lower_config1": 0.8727024485233058,
+    "width_lower_config2": 1.3169578969248166,
+    "capacity_at_config1_width": 1.3474530229721857,
+}
+
+
+def _named(pairs):
+    return [{"name": k, "value": v} for k, v in pairs]
+
+
+def _piece(g, n, bound, variant, m_mix, denom):
+    return {"g": g, "n": n, "bound": bound, "bound_plus3_variant": variant,
+            "log_argument_discrepancy": True, "M": m_mix,
+            "denominator": denom}
+
+
+_GOLDEN = [
+    *((["bounds", "--g", str(g)], _named(zip(_BOUND_NAMES, values)))
+      for g, values in _BOUNDS.items()),
+    (["collar", "--gamma", "2.1"], _named(_COLLAR_21.items())),
+    (["collar", "--gamma", "2.1", "--g", "2"],
+     _named([*_COLLAR_21.items(), ("width_area_upper", 1.8159113788850179)])),
+    (["ypiece", "--gamma", "2", "--w", "1", "--config", "1"],
+     _named([("nu", 3.3898023251834046), ("eta_bound", 3.0),
+             ("coarse_bound", 8.0)])),
+    (["ypiece", "--gamma", "4", "--w", "1", "--config", "2"],
+     _named([("nu1_bound", 1.694901162591702), ("coarse_bound", 4.0)])),
+    # M below its 1/2 cap; the pieces take the log branch of the max
+    (["corollary", "--t", "0.8", "--piece", "2,1", "--piece", "3,0",
+      "--piece", "1,1"],
+     [_piece(2, 1, 6.5904121617412414, 8.68697531994032,
+             0.3799489622552249, 2.3621104128834185),
+      _piece(3, 0, 3.720782170642187, 4.585814763496181,
+             0.3799489622552249, 2.3621104128834185),
+      _piece(1, 1, 3.720782170642187, 7.441564341284374,
+             0.3799489622552249, 2.3621104128834185)]),
+    # M at its cap; the (1,1) piece's literal bound takes the t branch
+    (["corollary", "--file", "{decomposition}"],
+     [_piece(1, 1, 5.729577951308233, 8.392779661585436,
+             0.5, 2.0943951023931953),
+      _piece(2, 2, 12.589169492378154, 15.515984723271048,
+             0.5, 2.0943951023931953)]),
+]
+
+
+@pytest.mark.parametrize("argv,expected", _GOLDEN,
+                         ids=[" ".join(a) for a, _ in _GOLDEN])
+def test_json_output_exact(capsys, tmp_path, argv, expected):
+    decomposition = tmp_path / "decomposition.json"
+    decomposition.write_text(json.dumps(
+        {"t": 6.0, "pieces": [[1, 1], [2, 2]], "n_cut": 3}))
+    argv = [a.format(decomposition=decomposition) for a in argv]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
