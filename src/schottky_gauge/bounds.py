@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from . import lattice
+from .errors import DomainError, IncompleteMinima
 
 # Constant upper bound for m_1(J(S))^2 of a hyperelliptic surface:
 # 3 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3)) / pi.
@@ -119,16 +120,14 @@ def systole_bounds(g: int) -> tuple[float, float]:
 def nsscg_bound_closed(h: int) -> float:
     """2 log(8h - 2): non-separating geodesic ceiling inside a signature
     (h,1) piece with short boundary."""
-    _check_genus(h, 1)
-    return 2.0 * math.log(8 * h - 2)
+    return 2.0 * fay_bound(h)
 
 
 def nsscg_bound_boundary(h: int, eta: float) -> float:
     """max{eta/2 + log(8h-2), 2 log(8h-2)} for arbitrary boundary length eta."""
-    _check_genus(h, 1)
+    l = fay_bound(h)
     if eta <= 0:
         raise DomainError("boundary length must be positive")
-    l = math.log(8 * h - 2)
     return max(eta / 2.0 + l, 2.0 * l)
 
 
@@ -167,8 +166,8 @@ def corollary_report(d: Decomposition) -> dict:
     pieces = []
     for sig in d.pieces:
         # log argument >= 3: each piece is hyperbolic with positive genus
-        literal = (sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n - 3), d.t) / denom
-        variant = (sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n + 3), d.t) / denom
+        literal, variant = ((sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n + s), d.t)
+                            / denom for s in (-3, 3))
         pieces.append(
             {
                 "g": sig.g,
@@ -235,6 +234,19 @@ def hermite_ppav_bounds(g: int) -> tuple[float, float]:
     return lower, upper
 
 
+def check_minkowski(gram, minima) -> dict:
+    """Second-theorem compliance: sum of log m_k^2 against the PPAV ceiling."""
+    if gram.mode is not lattice.Mode.PPAV:
+        raise DomainError("Minkowski check applies to PPAV-mode matrices")
+    if minima.k < gram.dim:
+        raise IncompleteMinima(f"need all {gram.dim} minima, got {minima.k}")
+    g = gram.dim // 2
+    total = sum(math.log(v) for v in minima.values)
+    ceiling = minkowski_product_log_bound(g)
+    return {"g": g, "sum_log_minima_sq": total, "log_bound": ceiling,
+            "slack": ceiling - total, "passed": total <= ceiling + 1e-12}
+
+
 def jacobian_exclusion(gram) -> ExclusionVerdict:
     """Contrapositive Jacobian test for a PPAV Gram matrix.
 
@@ -242,8 +254,6 @@ def jacobian_exclusion(gram) -> ExclusionVerdict:
     exceeds 3.1 log(8g-7); otherwise NotHyperellipticJacobian when m_1^2
     exceeds the hyperelliptic constant; otherwise Inconclusive.
     """
-    from . import lattice  # local import: lattice pulls bounds for Minkowski checks
-
     if gram.mode is not lattice.Mode.PPAV:
         raise DomainError("exclusion test requires a PPAV-mode Gram matrix")
     g = gram.dim // 2

@@ -28,16 +28,40 @@ DEFAULT_G_MAX = 10**6
 DEFAULT_BUDGET = 10**7
 DEFAULT_TOL = 1e-4
 
-_LOG6 = Interval(6.0).log()
-_R31 = Interval.ratio(31.0, 10.0)           # 3.1
-_C66 = Interval.ratio(66.0, 100.0)
-_C96 = Interval.ratio(96.0, 100.0)
-_C73 = Interval.ratio(73.0, 100.0)
-
 
 def _dcap(w: Interval) -> Interval:
     """pi - 2 arcsin(1/cosh w): the capacity denominator."""
     return IPI - (1.0 / w.cosh()).asin() * 2.0
+
+
+# Interval constants, each enclosed once at import.
+_LOG6 = Interval(6.0).log()
+_R31 = Interval.ratio(31.0, 10.0)           # 3.1
+_C22 = Interval.ratio(22.0, 10.0)           # 2.2
+_C3_31 = Interval.ratio(3.0, 3.1)           # 3/3.1
+_C66 = Interval.ratio(66.0, 100.0)
+_C96 = Interval.ratio(96.0, 100.0)
+_C73 = Interval.ratio(73.0, 100.0)
+_COSH_WP = IWP.cosh()
+_SINH_WP = Interval(2.0) / Interval(5.0).sqrt()   # sinh W' = 2/sqrt 5 exactly
+_COSH_WP_SQ = Interval.ratio(9.0, 5.0)            # cosh^2 W' = 9/5 exactly
+_DCAP_W = _dcap(IW)
+_DCAP_WP = _dcap(IWP)
+
+
+def _log8(g: Interval) -> Interval:
+    return (g * 8.0 - 7.0).log()
+
+
+def _half_over_quarter_iv(y: Interval) -> Interval:
+    """cosh(y/2)/cosh(y/4), rewritten as 2c - 1/c with c = cosh(y/4)."""
+    c = (y * 0.25).cosh()
+    return c * 2.0 - 1.0 / c
+
+
+def _crossing_den_iv(x: Interval) -> Interval:
+    """sqrt(cosh^2(x/4) cosh^2 W' - 1), the crossing-width denominator."""
+    return (_COSH_WP_SQ * (x * 0.25).cosh().sq() - 1.0).sqrt()
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +318,7 @@ def certify(
 # g_max.
 
 
-def _gdim() -> Dim:
-    return Dim("g", 2.0, Interval.point, log_scale=True)
+_GDIM = Dim("g", 2.0, Interval.point, log_scale=True)
 
 
 # -- CF-A --------------------------------------------------------------
@@ -309,7 +332,7 @@ def _gdim() -> Dim:
 def _cfa_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma"]
     a = IPI * (g - 1.0) * (y * 0.5).sinhc()
-    return ((g * 8.0 - 7.0).log() - a.acosh()) * 4.0
+    return (_log8(g) - a.acosh()) * 4.0
 
 
 def _cfa_tail(_g_from: float) -> TailProof:
@@ -327,7 +350,7 @@ def _cfa_tail(_g_from: float) -> TailProof:
 def _cfb_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma"]
     arg = IPI * 0.5 * (g - 1.0) * (y * 0.25).sinhc()
-    return (g * 8.0 - 7.0).log() * 3.0 - arg.acosh() * 2.0
+    return _log8(g) * 3.0 - arg.acosh() * 2.0
 
 
 def _cfb_tail(_g_from: float) -> TailProof:
@@ -341,30 +364,24 @@ def _cfb_tail(_g_from: float) -> TailProof:
 # genus only caps alpha1 at 2 log(4g-2); the union over all g is
 # [1.1, inf), so the family is genus-free.  Beyond the bisected range,
 # qwtwo(alpha1) >= arcsinh((4/3) sinh(alpha1/4)) (exact algebra:
-# sqrt(5) sqrt(9/5) = 3) closes the alpha1 tail.
+# sqrt(5) sqrt(9/5) = 3) closes the alpha1 tail of CF-C and CF-J.
 
-_CFC_CAP = 10.0
+_ALPHA1_CAP = 10.0
+_ALPHA1_TAIL_WIDTH = (Interval.ratio(4.0, 3.0)
+                      * Interval.point(_ALPHA1_CAP / 4.0).sinh()).asinh()
 
 
 def _qwtwo_iv(a: Interval) -> Interval:
-    num = (Interval(2.0) / Interval(5.0).sqrt()) * (a * 0.5).sinh()
-    den = (Interval.ratio(9.0, 5.0) * (a * 0.25).cosh().sq() - 1.0).sqrt()
-    return (num / den).asinh()
+    return (_SINH_WP * (a * 0.5).sinh() / _crossing_den_iv(a)).asinh()
 
 
 def _cfc_slack_iv(c: dict) -> Interval:
-    return _dcap(_qwtwo_iv(c["alpha1"])) - Interval.ratio(3.0, 3.1)
-
-
-def _crossing_tail_floor(quarter: float) -> Interval:
-    """Interval floor arcsinh((4/3) sinh(quarter)) for qwtwo-type widths."""
-    return (Interval.ratio(4.0, 3.0) * Interval.point(quarter).sinh()).asinh()
+    return _dcap(_qwtwo_iv(c["alpha1"])) - _C3_31
 
 
 def _cfc_tail(_g_from: float) -> TailProof:
-    w_lb = _crossing_tail_floor(_CFC_CAP / 4.0)
-    floor = (_dcap(w_lb) - Interval.ratio(3.0, 3.1)).lo
-    return TailProof(floor, f"width floor for alpha1 >= {_CFC_CAP} "
+    floor = (_dcap(_ALPHA1_TAIL_WIDTH) - _C3_31).lo
+    return TailProof(floor, f"width floor for alpha1 >= {_ALPHA1_CAP} "
                             "(covers every genus cap)")
 
 
@@ -373,20 +390,18 @@ def _cfc_tail(_g_from: float) -> TailProof:
 
 def _cfd_slack_iv(c: dict) -> Interval:
     g = c["g"]
-    lhs = ((g * 24.0 - 23.0).log() * 2.0 + Interval.ratio(22.0, 10.0)) / _dcap(IWP)
-    return (g * 8.0 - 7.0).log() * _R31 - lhs
+    lhs = ((g * 24.0 - 23.0).log() * 2.0 + _C22) / _DCAP_WP
+    return _log8(g) * _R31 - lhs
 
 
 def _cfd_tail(g_from: float) -> TailProof:
     # 24g-23 <= 3(8g-7), so slack >= (3.1 - 2/D) log(8g-7) - (2 log 3 + 2.2)/D,
     # increasing in g once the leading coefficient is positive.
-    d = _dcap(IWP)
-    coeff = _R31 - 2.0 / d
+    coeff = _R31 - 2.0 / _DCAP_WP
     if coeff.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
-    const = (Interval(3.0).log() * 2.0 + Interval.ratio(22.0, 10.0)) / d
-    lf = (Interval.point(g_from) * 8.0 - 7.0).log()
-    return TailProof((coeff * lf - const).lo,
+    const = (Interval(3.0).log() * 2.0 + _C22) / _DCAP_WP
+    return TailProof((coeff * _log8(Interval.point(g_from)) - const).lo,
                      "log-coefficient comparison, increasing in g")
 
 
@@ -396,23 +411,21 @@ def _cfd_tail(g_from: float) -> TailProof:
 # w = min{0.66, arccosh(cosh(gamma2/2)/(cosh(gamma2/4) cosh W'))}.
 
 def _gamma2_cap(g: float) -> Interval:
-    return (Interval.point(g) * 8.0 - 7.0).log() * 3.0
+    return _log8(Interval.point(g)) * 3.0
 
 
 def _cfe_numerator_iv(y: Interval) -> Interval:
-    return ((y * 0.25).cosh() * IWP.cosh()).acosh() * 4.0
+    return ((y * 0.25).cosh() * _COSH_WP).acosh() * 4.0
 
 
 def _cfe_width_iv(y: Interval) -> Interval:
-    c = (y * 0.25).cosh()
-    ratio = (c * 2.0 - 1.0 / c) / IWP.cosh()  # cosh(y/2)/cosh(y/4), rewritten
-    return ratio.acosh_clamped().min_with(_C66)
+    return (_half_over_quarter_iv(y) / _COSH_WP).acosh_clamped().min_with(_C66)
 
 
 def _cfe_slack_iv(c: dict) -> Interval:
     g, y = c["g"], c["gamma2"]
     lhs = _cfe_numerator_iv(y) / _dcap(_cfe_width_iv(y))
-    return (g * 8.0 - 7.0).log() * _R31 - lhs
+    return _log8(g) * _R31 - lhs
 
 
 def _cfe_tail(g_from: float) -> TailProof:
@@ -422,7 +435,7 @@ def _cfe_tail(g_from: float) -> TailProof:
     # cosh(gamma2/4)/cosh W' >= cosh(2.5)/cosh W' > cosh 0.66) and
     # arccosh x <= log 2x, cosh x <= e^x give
     # N <= gamma2 + 4 log(2 cosh W').
-    if (Interval.point(2.5).cosh() / IWP.cosh()).lo < _C66.cosh().hi:
+    if (Interval.point(2.5).cosh() / _COSH_WP).lo < _C66.cosh().hi:
         return TailProof(-math.inf, "regime split invalid")
     d21 = _dcap(_cfe_width_iv(Interval.point(2.1)))
     c10 = (_cfe_numerator_iv(Interval.point(10.0)) / d21).hi
@@ -430,8 +443,8 @@ def _cfe_tail(g_from: float) -> TailProof:
     coeff = _R31 - 3.0 / d66
     if coeff.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
-    ce = (IWP.cosh() * 2.0).log() * 4.0
-    lf = (Interval.point(g_from) * 8.0 - 7.0).log()
+    ce = (_COSH_WP * 2.0).log() * 4.0
+    lf = _log8(Interval.point(g_from))
     t1 = (lf * _R31 - c10).lo
     t2 = (coeff * lf - ce / d66).lo
     return TailProof(min(t1, t2),
@@ -449,9 +462,7 @@ def _cfe_tail(g_from: float) -> TailProof:
 def _cff_w_iv(y: Interval) -> Interval:
     """Configuration-1 width floor max{b1, b2} as an interval over y."""
     b1 = (1.0 / (y * 0.5).sinh()).asinh()
-    c = (y * 0.25).cosh()
-    b2 = (c * 2.0 - 1.0 / c).acosh_clamped()
-    return b1.max_with(b2)
+    return b1.max_with(_half_over_quarter_iv(y).acosh_clamped())
 
 
 def _cff_long_cap(g: float) -> Interval:
@@ -476,11 +487,11 @@ def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
 
     def long(c: dict) -> Interval:
         g, y = c["g"], c["gamma"]
-        return weight((g * 4.0 - 2.0).log()) - y / _dcap(IW)
+        return weight((g * 4.0 - 2.0).log()) - y / _DCAP_W
 
     return (
         Task("short-core", (Dim("gamma", 0.0, collar.K),), short),
-        Task("long-core", (_gdim(), Dim("gamma", collar.K, _cff_long_cap)), long),
+        Task("long-core", (_GDIM, Dim("gamma", collar.K, _cff_long_cap)), long),
     )
 
 
@@ -488,7 +499,7 @@ def _cff_tail(_g_from: float) -> TailProof:
     # Above K the capacity is at most 2 log(4g-2)/D(W) with 2/D(W) = 3/pi,
     # so the slack is at least (1 - 3/pi) log 6 for every g; below K the
     # short-core task is already genus-free.
-    floor = (_LOG6 * (1.0 - 2.0 / _dcap(IW))).lo
+    floor = (_LOG6 * (1.0 - 2.0 / _DCAP_W)).lo
     return TailProof(floor, "capacity ceiling 3 gamma/(2 pi) above K, g-free")
 
 
@@ -503,14 +514,13 @@ def _cfg_slack_iv(_c: dict) -> Interval:
 
 def _cfh_slack_iv(c: dict) -> Interval:
     y = c["gamma2"]
-    den = ((y * 0.25).cosh().sq() * IWP.cosh().sq() - 1.0).sqrt()
-    return ((y * 0.5).cosh() / den).asinh() - _C96
+    return ((y * 0.5).cosh() / _crossing_den_iv(y)).asinh() - _C96
 
 
 def _cfh_tail(_g_from: float) -> TailProof:
     # For gamma2 >= 60: sqrt(c^2 cW^2 - 1) <= c cW and 2c^2 - 1 >= c^2
     # give width >= arcsinh(cosh(15)/cosh W'), increasing beyond.
-    w_lb = (Interval.point(15.0).cosh() / IWP.cosh()).asinh()
+    w_lb = (Interval.point(15.0).cosh() / _COSH_WP).asinh()
     return TailProof((w_lb - _C96).lo,
                      "width floor for gamma2 >= 60 (covers every genus cap)")
 
@@ -538,22 +548,15 @@ def _cfi_tail(_g_from: float) -> TailProof:
 
 
 # -- CF-J --------------------------------------------------------------
-# crossing_width_bound(alpha1, W', alpha1/4) > 0.66 for alpha1 >= 1.5.
-
-_CFJ_CAP = 10.0
-
+# qwtwo(alpha1) > 0.66 for alpha1 >= 1.5; the alpha1 tail is CF-C's.
 
 def _cfj_slack_iv(c: dict) -> Interval:
-    a = c["alpha1"]
-    num = IWP.sinh() * (a * 0.5).sinh()
-    den = ((a * 0.25).cosh().sq() * IWP.cosh().sq() - 1.0).sqrt()
-    return (num / den).asinh() - _C66
+    return _qwtwo_iv(c["alpha1"]) - _C66
 
 
 def _cfj_tail(_g_from: float) -> TailProof:
-    w_lb = _crossing_tail_floor(_CFJ_CAP / 4.0)
-    return TailProof((w_lb - _C66).lo,
-                     f"width floor for alpha1 >= {_CFJ_CAP}")
+    return TailProof((_ALPHA1_TAIL_WIDTH - _C66).lo,
+                     f"width floor for alpha1 >= {_ALPHA1_CAP}")
 
 
 # ----------------------------------------------------------------------
@@ -565,32 +568,32 @@ _GAMMA_HALF_PI = Dim("gamma", 0.0, math.pi / 2.0)
 FAMILIES: tuple[CertFamily, ...] = (
     CertFamily(
         id="CF-A", title="config-1 boundary length vs 4 log(8g-7)",
-        tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
+        tasks=(Task("main", (_GDIM, _GAMMA_HALF_PI),
                     _cfa_slack_iv),),
         tail=_cfa_tail,
     ),
     CertFamily(
         id="CF-B", title="config-2 boundary length vs 3 log(8g-7)",
-        tasks=(Task("main", (_gdim(), _GAMMA_HALF_PI),
+        tasks=(Task("main", (_GDIM, _GAMMA_HALF_PI),
                     _cfb_slack_iv),),
         tail=_cfb_tail,
     ),
     CertFamily(
         id="CF-C", title="crossing-width denominator vs 3/3.1",
-        tasks=(Task("main", (Dim("alpha1", 1.1, _CFC_CAP),),
+        tasks=(Task("main", (Dim("alpha1", 1.1, _ALPHA1_CAP),),
                     _cfc_slack_iv),),
         tail=_cfc_tail,
     ),
     CertFamily(
         id="CF-D", title="two-collar capacity sum vs 3.1 log(8g-7)",
-        tasks=(Task("main", (_gdim(),), _cfd_slack_iv),),
+        tasks=(Task("main", (_GDIM,), _cfd_slack_iv),),
         tail=_cfd_tail,
     ),
     CertFamily(
         id="CF-E", title="second-collar capacity vs 3.1 log(8g-7)",
         tasks=(Task(
             "main",
-            (_gdim(), Dim("gamma2", 2.1, _gamma2_cap)),
+            (_GDIM, Dim("gamma2", 2.1, _gamma2_cap)),
             _cfe_slack_iv),),
         tail=_cfe_tail,
     ),
@@ -611,12 +614,12 @@ FAMILIES: tuple[CertFamily, ...] = (
     ),
     CertFamily(
         id="CF-I", title="hyperelliptic systole limit",
-        tasks=(Task("main", (_gdim(),), _cfi_slack_iv),),
+        tasks=(Task("main", (_GDIM,), _cfi_slack_iv),),
         tail=_cfi_tail,
     ),
     CertFamily(
         id="CF-J", title="crossing width floor 0.66",
-        tasks=(Task("main", (Dim("alpha1", 1.5, _CFJ_CAP),),
+        tasks=(Task("main", (Dim("alpha1", 1.5, _ALPHA1_CAP),),
                     _cfj_slack_iv),),
         tail=_cfj_tail,
     ),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisNotSatisfied
-from .hyptrig import acosh_safe
+from .hyptrig import acosh_safe, pentagon_opposite
 
 
 class CollarConfig(enum.Enum):
@@ -100,12 +100,7 @@ def y2_nu1_exact(gamma: float, w: float) -> float:
 
     On its domain the value never exceeds the coarse bound gamma/2 + 2w.
     """
-    _positive("gamma", gamma)
-    _positive("w", w)
-    s = math.sinh(gamma / 4.0) * math.sinh(w)
-    if s < 1.0:
-        raise DomainError(f"no configuration-2 pentagon: sinh product {s} < 1")
-    return 2.0 * math.acosh(s)
+    return 2.0 * pentagon_opposite(gamma / 4.0, w)
 
 
 def collar_width_lower_bound(
@@ -125,7 +120,7 @@ def collar_width_lower_bound(
         )
     if config is CollarConfig.CONFIG2:
         return W
-    b1 = math.asinh(1.0 / math.sinh(gamma / 2.0))
+    b1 = collar_separation(gamma)
     b2 = acosh_safe(math.cosh(gamma / 2.0) / math.cosh(gamma / 4.0))
     return max(b1, b2)
 
@@ -155,21 +150,23 @@ def crossing_width_bound(alpha1: float, w1: float, r1: float) -> float:
     _positive("w1", w1)
     if r1 < 0 or r1 > alpha1 / 4.0 + 1e-15:
         raise DomainError("crossing offset r1 must lie in [0, alpha1/4]")
-    den_sq = math.cosh(r1) ** 2 * math.cosh(w1) ** 2 - 1.0
+    return _crossing_width(math.sinh(w1) * math.sinh(alpha1 / 2.0), r1, w1)
+
+
+def _crossing_width(num: float, r: float, w: float) -> float:
+    """arcsinh(num / sqrt(cosh^2(r) cosh^2(w) - 1)), the crossing width."""
+    den_sq = math.cosh(r) ** 2 * math.cosh(w) ** 2 - 1.0
     if den_sq <= 0:
         raise DomainError("degenerate crossing: cosh^2 r1 cosh^2 w1 <= 1")
-    return math.asinh(math.sinh(w1) * math.sinh(alpha1 / 2.0) / math.sqrt(den_sq))
+    return math.asinh(num / math.sqrt(den_sq))
 
 
 def qwtwo(alpha1: float) -> float:
-    """Specialization of the crossing bound at w1 = W', r1 = alpha1/4.
-
-    arcsinh((2 sqrt 5 / 5) sinh(alpha1/2) / sqrt((9/5) cosh^2(alpha1/4) - 1)).
+    """Specialization of the crossing bound at w1 = W', r1 = alpha1/4:
+    arcsinh((2/sqrt 5) sinh(alpha1/2) / sqrt((9/5) cosh^2(alpha1/4) - 1)),
+    as sinh W' = 2/sqrt 5 and cosh^2 W' = 9/5.
     """
-    _positive("alpha1", alpha1)
-    num = (2.0 * math.sqrt(5.0) / 5.0) * math.sinh(alpha1 / 2.0)
-    den = math.sqrt(1.8 * math.cosh(alpha1 / 4.0) ** 2 - 1.0)
-    return math.asinh(num / den)
+    return crossing_width_bound(alpha1, W_PRIME, alpha1 / 4.0)
 
 
 def qpiece_basis_bounds(boundary: float) -> tuple[float, float]:
@@ -204,9 +201,7 @@ def case2c2_width_bound(gamma2: float) -> float:
     if gamma2 < 2.1:
         raise DomainError("width floor established only for gamma2 >= 2.1")
     arg = math.cosh(gamma2 / 2.0) / (math.cosh(gamma2 / 4.0) * math.cosh(W_PRIME))
-    if arg < 1.0:
-        raise DomainError(f"arccosh argument {arg} < 1 below stated domain")
-    return min(0.66, math.acosh(arg))
+    return min(0.66, acosh_safe(arg))
 
 
 def case2c2b_width_bound(gamma2: float) -> float:
@@ -216,5 +211,4 @@ def case2c2b_width_bound(gamma2: float) -> float:
     """
     if gamma2 < 2.1:
         raise DomainError("width floor established only for gamma2 >= 2.1")
-    den = math.sqrt(math.cosh(gamma2 / 4.0) ** 2 * math.cosh(W_PRIME) ** 2 - 1.0)
-    return math.asinh(math.cosh(gamma2 / 2.0) / den)
+    return _crossing_width(math.cosh(gamma2 / 2.0), gamma2 / 4.0, W_PRIME)

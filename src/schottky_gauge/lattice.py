@@ -22,7 +22,6 @@ from .errors import (
     BudgetExceeded,
     DeterminantNotOne,
     DomainError,
-    IncompleteMinima,
     MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
@@ -303,26 +302,6 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
         radius = min(2.0 * radius, cap)
 
 
-def check_minkowski(gram: GramMatrix, minima: SuccessiveMinima) -> dict:
-    """Second-theorem compliance: sum of log m_k^2 against the PPAV ceiling."""
-    from . import bounds  # deferred: bounds imports this module for exclusion
-
-    if gram.mode is not Mode.PPAV:
-        raise DomainError("Minkowski check applies to PPAV-mode matrices")
-    if minima.k < gram.dim:
-        raise IncompleteMinima(f"need all {gram.dim} minima, got {minima.k}")
-    g = gram.dim // 2
-    total = sum(math.log(v) for v in minima.values)
-    ceiling = bounds.minkowski_product_log_bound(g)
-    return {
-        "g": g,
-        "sum_log_minima_sq": total,
-        "log_bound": ceiling,
-        "slack": ceiling - total,
-        "passed": total <= ceiling + 1e-12,
-    }
-
-
 # ----------------------------------------------------------------------
 # File formats
 # ----------------------------------------------------------------------
@@ -373,7 +352,6 @@ __all__ = [
     "ShortVector",
     "SuccessiveMinima",
     "ValidationError",
-    "check_minkowski",
     "dump_gram",
     "enumerate_below",
     "load_gram",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lattice_oracle import brute_force_below, brute_force_minima
-from schottky_gauge import lattice
+from schottky_gauge import bounds, lattice
 from schottky_gauge.errors import (
     BudgetExceeded,
     DeterminantNotOne,
@@ -276,7 +276,7 @@ class TestMinkowski:
     def test_identity_g2(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 4)
-        rep = lattice.check_minkowski(g, m)
+        rep = bounds.check_minkowski(g, m)
         assert rep["passed"]
         assert rep["sum_log_minima_sq"] == pytest.approx(0.0, abs=1e-12)
         assert rep["slack"] == pytest.approx(1.8694233116608715, rel=1e-9)
@@ -287,7 +287,7 @@ class TestMinkowski:
         g4[2:, 2:] = HEX
         g = lattice.validate(g4, lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 4)
-        rep = lattice.check_minkowski(g, m)
+        rep = bounds.check_minkowski(g, m)
         assert rep["passed"]
         assert rep["sum_log_minima_sq"] == pytest.approx(
             4.0 * math.log(HEX_MIN), rel=1e-9)
@@ -296,13 +296,13 @@ class TestMinkowski:
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 2)
         with pytest.raises(IncompleteMinima):
-            lattice.check_minkowski(g, m)
+            bounds.check_minkowski(g, m)
 
     def test_requires_ppav(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PLAIN)
         m = lattice.successive_minima(g, 4)
         with pytest.raises(DomainError):
-            lattice.check_minkowski(g, m)
+            bounds.check_minkowski(g, m)
 
 
 class TestFileFormats:
