@@ -1,10 +1,19 @@
 """Directed-rounded interval arithmetic on IEEE-754 binary64.
 
-Soundness model: every primitive is computed with the platform libm (error
-below one ulp for the functions used here) and then widened outward by one
-ulp per endpoint with ``math.nextafter``.  This over-approximates true
-directed rounding, which is not portably switchable from Python, so every
-interval result encloses the exact image of its inputs.  Products and
+Soundness model: every primitive is computed in binary64 with the platform
+libm and then widened outward per endpoint with ``math.nextafter``, by as
+many ulps as the primitive's error allows:
+
+- 1 ulp for +, -, *, /, sqrt (correctly rounded) and for log, asin and
+  sin (libm error below one ulp);
+- 2 ulp for sinh, cosh, asinh, acosh and atanh, whose glibc error is
+  documented up to 2 ulp (an mpmath oracle found 1.5 to 1.7 ulp for
+  sinh, asinh, acosh and atanh);
+- 4 ulp for sinhc = sinh(x)/x: sinh's 2 ulp and the quotient's rounding.
+
+This over-approximates true directed rounding, which is not portably
+switchable from Python, so every interval result encloses the exact
+image of its inputs on a libm within those bounds.  Products and
 quotients with operands of known sign take only the two endpoint products
 that bound them; rounding to nearest is monotone, so those are exactly the
 min and max of the four-product formula, and the soundness model is
@@ -153,37 +162,50 @@ class Interval:
             raise IndeterminateCell("sqrt of partially negative interval")
         return self._mono_inc(math.sqrt)
 
+    # sinh, cosh, asinh, acosh and atanh widen by 2 ulp per endpoint
+
     def sinh(self):
         try:
-            return self._mono_inc(math.sinh)
+            lo, hi = math.sinh(self.lo), math.sinh(self.hi)
         except OverflowError:
             raise IndeterminateCell(f"sinh overflow on {self!r}") from None
+        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
+                        _next(_next(hi, _INF), _INF))
 
     def cosh(self):
+        """Even, with its minimum 1 at 0, which floors the lower end."""
+        lo, hi = self.lo, self.hi
         try:
-            if self.lo >= 0:
-                return self._mono_inc(math.cosh)
-            if self.hi <= 0:
-                return Interval(_next(math.cosh(self.hi), _NEG_INF),
-                                _next(math.cosh(self.lo), _INF))
-            return Interval(1.0, _next(math.cosh(max(-self.lo, self.hi)), _INF))
+            if lo >= 0:
+                lo, hi = math.cosh(lo), math.cosh(hi)
+            elif hi <= 0:
+                lo, hi = math.cosh(hi), math.cosh(lo)
+            else:
+                lo, hi = 1.0, math.cosh(max(-lo, hi))
         except OverflowError:
             raise IndeterminateCell(f"cosh overflow on {self!r}") from None
+        return Interval(max(1.0, _next(_next(lo, _NEG_INF), _NEG_INF)),
+                        _next(_next(hi, _INF), _INF))
 
     def asinh(self):
-        return self._mono_inc(math.asinh)
+        lo, hi = math.asinh(self.lo), math.asinh(self.hi)
+        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
+                        _next(_next(hi, _INF), _INF))
 
     def atanh(self):
         if not (-1.0 < self.lo and self.hi < 1.0):
             raise IndeterminateCell("atanh domain")
-        return self._mono_inc(math.atanh)
+        lo, hi = math.atanh(self.lo), math.atanh(self.hi)
+        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
+                        _next(_next(hi, _INF), _INF))
 
     def acosh(self):
         """Strict arccosh: the whole interval must lie in [1, inf)."""
         if self.lo < 1.0:
             raise DomainError(f"acosh argument interval below 1: {self!r}")
-        return Interval(max(0.0, _next(math.acosh(self.lo), _NEG_INF)),
-                        _next(math.acosh(self.hi), _INF))
+        lo, hi = math.acosh(self.lo), math.acosh(self.hi)
+        return Interval(max(0.0, _next(_next(lo, _NEG_INF), _NEG_INF)),
+                        _next(_next(hi, _INF), _INF))
 
     def acosh_clamped(self):
         """One-sided arccosh for straddling cells: uses acosh(x) >= 0.
@@ -195,7 +217,7 @@ class Interval:
         if self.hi < 1.0:
             raise DomainError(f"acosh argument interval entirely below 1: {self!r}")
         if self.lo < 1.0:
-            return Interval(0.0, _next(math.acosh(self.hi), _INF))
+            return Interval(0.0, _next(_next(math.acosh(self.hi), _INF), _INF))
         return self.acosh()
 
     def asin(self):
@@ -212,18 +234,22 @@ class Interval:
     def sinhc(self):
         """sinh(x)/x extended by 1 at x = 0; even, minimum 1 at 0, and
         increasing in |x| (the Taylor series of sinh(x)/x has only
-        positive coefficients).
+        positive coefficients).  Widened by 4 ulp per endpoint: sinh's
+        2 ulp and the quotient's rounding, with room to spare.
         """
+        lo, hi = self.lo, self.hi
         try:
-            if self.lo >= 0:
-                return Interval(_next(_sinhc(self.lo), _NEG_INF),
-                                _next(_sinhc(self.hi), _INF))
-            if self.hi <= 0:
-                return Interval(_next(_sinhc(-self.hi), _NEG_INF),
-                                _next(_sinhc(-self.lo), _INF))
-            return Interval(1.0, _next(_sinhc(max(-self.lo, self.hi)), _INF))
+            if lo >= 0:
+                lo, hi = _sinhc(lo), _sinhc(hi)
+            elif hi <= 0:
+                lo, hi = _sinhc(-hi), _sinhc(-lo)
+            else:
+                lo, hi = 1.0, _sinhc(max(-lo, hi))
         except OverflowError:
             raise IndeterminateCell(f"sinhc overflow on {self!r}") from None
+        lo = _next(_next(_next(_next(lo, _NEG_INF), _NEG_INF), _NEG_INF), _NEG_INF)
+        hi = _next(_next(_next(_next(hi, _INF), _INF), _INF), _INF)
+        return Interval(max(1.0, lo), hi)
 
     # -- lattice of intervals -----------------------------------------
 
