@@ -4,6 +4,10 @@ Theorem-level bounds on successive minima of Jacobians, lemma-level
 geodesic length bounds, Minkowski/Hermite lattice bounds, the
 decomposition corollary, and the contrapositive exclusion test for PPAV
 Gram matrices.
+
+The checks that read computed minima (the Minkowski second-theorem check
+and the exclusion verdict) live here, on top of
+:mod:`schottky_gauge.lattice`, which imports nothing from this module.
 """
 
 from __future__ import annotations

@@ -4,6 +4,13 @@ Capacity of a collar, lower and upper bounds on collar widths, Y-piece
 boundary lengths for the two self-intersection configurations, and the
 homology-basis bounds for a one-holed torus.  All lengths are hyperbolic
 lengths in curvature -1 units.
+
+These are the float forms of the lemmas that ``certify`` proves in
+interval arithmetic.  Each formula is written once and specialized by
+calling it: ``qwtwo`` is the crossing-width bound at W', the crossing and
+configuration-2 floors share one denominator, the configuration-1 floor
+reuses ``collar_separation``, and ``y2_nu1_exact`` is the pentagon
+relation of :mod:`schottky_gauge.hyptrig`.
 """
 
 from __future__ import annotations
