@@ -6,7 +6,6 @@ from .errors import (
     BudgetExceeded,
     DeterminantNotOne,
     DomainError,
-    HypothesisNotSatisfied,
     IncompleteMinima,
     MalformedGram,
     NotPositiveDefinite,
@@ -24,7 +23,6 @@ __all__ = [
     "BudgetExceeded",
     "DeterminantNotOne",
     "DomainError",
-    "HypothesisNotSatisfied",
     "IncompleteMinima",
     "Interval",
     "MalformedGram",

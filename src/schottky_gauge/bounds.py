@@ -38,7 +38,8 @@ class Signature:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.g, int) and isinstance(self.n, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.g, self.n)):
             raise DomainError(f"signature ({self.g!r},{self.n!r}) is not integral")
         if self.g < 0 or self.n < 0:
             raise DomainError("signature components must be nonnegative")
@@ -51,13 +52,11 @@ class Decomposition:
     """Result of cutting a surface along disjoint short geodesics.
 
     ``t`` is a common upper bound for the cutting geodesics, ``pieces``
-    the positive-genus components of the cut surface, ``n_cut`` the number
-    of cutting geodesics.
+    the positive-genus components of the cut surface.
     """
 
     t: float
     pieces: tuple[Signature, ...]
-    n_cut: int
 
     def __post_init__(self):
         if not 0 < self.t < math.inf:
@@ -67,20 +66,18 @@ class Decomposition:
             raise DomainError("decomposition needs at least one piece")
         if any(p.g <= 0 for p in self.pieces):
             raise DomainError("every piece must have positive genus")
-        if not isinstance(self.n_cut, int) or self.n_cut < 1:
-            raise DomainError(f"n_cut must be a positive integer, got {self.n_cut!r}")
 
 
 def load_decomposition(path: str) -> Decomposition:
-    """Read a JSON decomposition ``{"t": ..., "pieces": [[g, n], ...],
-    "n_cut": ...}`` (``n_cut`` defaults to 1). A file that is not JSON or
-    whose fields are missing or malformed raises :class:`DomainError`."""
+    """Read a JSON decomposition ``{"t": ..., "pieces": [[g, n], ...]}``;
+    other keys are ignored. A file that is not JSON or whose fields are
+    missing or malformed (a boolean or a string where a number belongs)
+    raises :class:`DomainError`."""
     with open(path, encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
             pieces = tuple(Signature(g, n) for g, n in spec["pieces"])
-            return Decomposition(t=float(spec["t"]), pieces=pieces,
-                                 n_cut=spec.get("n_cut", 1))
+            return Decomposition(t=lattice.json_float(spec["t"]), pieces=pieces)
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"cannot parse decomposition file: {exc}") from exc
 
@@ -151,17 +148,12 @@ def corollary_mixing(t: float) -> float:
     return min(s / math.sqrt(s * s + 1.0), 0.5)
 
 
-def corollary_bound(d: Decomposition) -> list[float]:
-    """Per-piece vector-norm bounds
-    (n_i + 1) max{4 log(4 g_i + 2 n_i - 3), t} / (pi - 2 arcsin(M))."""
-    return [r["bound"] for r in corollary_report(d)["pieces"]]
-
-
 def corollary_report(d: Decomposition) -> dict:
     """Full decomposition report.
 
-    Includes M, the literal per-piece bounds with log argument
-    4 g_i + 2 n_i - 3, and the companion values with +3 (the form the
+    Includes M, the literal per-piece vector-norm bounds
+    (n_i + 1) max{4 log(4 g_i + 2 n_i - 3), t} / (pi - 2 arcsin(M)), and
+    the companion values with +3 in the log argument (the form the
     underlying bordered-systole bound produces); a flag marks the
     discrepancy rather than silently adopting either reading.
     """

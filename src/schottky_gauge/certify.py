@@ -35,7 +35,7 @@ def _dcap(w: Interval) -> Interval:
 
 
 # Interval constants, each enclosed once at import.
-_LOG6 = Interval(6.0).log()
+_LOG6 = Interval.point(6.0).log()
 _R31 = Interval.ratio(31.0, 10.0)           # 3.1
 _C22 = Interval.ratio(22.0, 10.0)           # 2.2
 _C3_31 = Interval.ratio(3.0, 3.1)           # 3/3.1
@@ -43,7 +43,7 @@ _C66 = Interval.ratio(66.0, 100.0)
 _C96 = Interval.ratio(96.0, 100.0)
 _C73 = Interval.ratio(73.0, 100.0)
 _COSH_WP = IWP.cosh()
-_SINH_WP = Interval(2.0) / Interval(5.0).sqrt()   # sinh W' = 2/sqrt 5 exactly
+_SINH_WP = 2.0 / Interval.point(5.0).sqrt()      # sinh W' = 2/sqrt 5 exactly
 _COSH_WP_SQ = Interval.ratio(9.0, 5.0)            # cosh^2 W' = 9/5 exactly
 _DCAP_W = _dcap(IW)
 _DCAP_WP = _dcap(IWP)
@@ -339,7 +339,7 @@ def _cfa_tail(_g_from: float) -> TailProof:
     # arccosh(a) <= log(2a) and 8g-7 >= 8(g-1) give the g-free floor
     # 4 log 8 - 4 log(2 pi sinhc(pi/4)), valid for every g >= 2.
     smax = (IPI * 0.25).sinhc()
-    floor = ((Interval(8.0).log() - (IPI * smax * 2.0).log()) * 4.0).lo
+    floor = ((Interval.point(8.0).log() - (IPI * smax * 2.0).log()) * 4.0).lo
     return TailProof(floor, "log-majorization of arccosh, g-free floor")
 
 
@@ -355,7 +355,7 @@ def _cfb_slack_iv(c: dict) -> Interval:
 
 def _cfb_tail(_g_from: float) -> TailProof:
     smax = (IPI * 0.125).sinhc()
-    floor = (Interval(8.0).log() * 3.0 - (IPI * smax).log() * 2.0).lo
+    floor = (Interval.point(8.0).log() * 3.0 - (IPI * smax).log() * 2.0).lo
     return TailProof(floor, "log-majorization of arccosh, g-free floor")
 
 
@@ -400,7 +400,7 @@ def _cfd_tail(g_from: float) -> TailProof:
     coeff = _R31 - 2.0 / _DCAP_WP
     if coeff.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
-    const = (Interval(3.0).log() * 2.0 + _C22) / _DCAP_WP
+    const = (Interval.point(3.0).log() * 2.0 + _C22) / _DCAP_WP
     return TailProof((coeff * _log8(Interval.point(g_from)) - const).lo,
                      "log-coefficient comparison, increasing in g")
 

@@ -17,7 +17,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 from . import bounds, certify, collar, lattice
@@ -139,14 +138,7 @@ def cmd_certify(args, parser) -> int:
             fams = tuple(certify.lookup(f) for f in args.families)
         except DomainError as exc:
             parser.error(str(exc))
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get("SCHOTTKY_GAUGE_BUDGET")
-        try:
-            budget = certify.DEFAULT_BUDGET if raw is None else _positive_int(raw)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"SCHOTTKY_GAUGE_BUDGET: {exc}")
-    reports = certify.run_all(tol=args.tol, budget=budget,
+    reports = certify.run_all(tol=args.tol, budget=args.budget,
                               g_max=args.gmax, families=fams)
     render([r.as_dict() for r in reports], args.format)
     if any(r.status == "Violated" for r in reports):
@@ -176,7 +168,7 @@ def cmd_ypiece(args, parser) -> int:
 
 def cmd_collar(args, parser) -> int:
     gamma = args.gamma
-    w1 = collar.collar_width_lower_bound(gamma, collar.CollarConfig.CONFIG1, True)
+    w1 = collar.collar_width_lower_bound(gamma)
     rows = _named(separation=collar.collar_separation(gamma),
                   width_lower_config1=w1, width_lower_config2=collar.W,
                   capacity_at_config1_width=collar.capacity(gamma, w1))
@@ -193,8 +185,7 @@ def cmd_corollary(args, parser) -> int:
     elif args.t is None or not args.piece:
         parser.error("corollary needs --t and at least one --piece, or --file")
     else:
-        decomp = bounds.Decomposition(
-            t=args.t, pieces=tuple(args.piece), n_cut=args.n_cut)
+        decomp = bounds.Decomposition(t=args.t, pieces=tuple(args.piece))
     report = bounds.corollary_report(decomp)
     render([{**piece, "M": report["M"], "denominator": report["denominator"]}
             for piece in report["pieces"]], args.format)
@@ -244,7 +235,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: it holds no per-call
-    state, and ``SCHOTTKY_GAUGE_BUDGET`` is read per ``certify`` call."""
+    state."""
     parser = argparse.ArgumentParser(
         prog="schottky-gauge",
         description="Bounds, successive minima, and certified inequalities "
@@ -273,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", nargs="+", default=["all"])
     p.add_argument("--gmax", type=_genus_cutoff, default=certify.DEFAULT_G_MAX)
     p.add_argument("--tol", type=_positive_float, default=certify.DEFAULT_TOL)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int,
+                   default=certify.DEFAULT_BUDGET)
     _add_format(p)
 
     p = sub.add_parser("ypiece", help="Y-piece boundary lengths")
@@ -294,10 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_float, default=None)
     p.add_argument("--piece", type=_signature, action="append",
                    help="signature as 'g,n'; repeatable")
-    p.add_argument("--n-cut", type=_positive_int, default=1)
     p.add_argument("--file", default=None,
-                   help='JSON decomposition {"t": ..., "pieces": [[g, n], ...], '
-                        '"n_cut": ...}; n_cut defaults to 1')
+                   help='JSON decomposition {"t": ..., "pieces": [[g, n], ...]}')
     _add_format(p)
 
     return parser

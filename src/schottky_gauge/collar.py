@@ -15,46 +15,10 @@ relation of :mod:`schottky_gauge.hyptrig`.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, HypothesisNotSatisfied
+from .errors import DomainError
 from .hyptrig import acosh_safe, pentagon_opposite
-
-
-class CollarConfig(enum.Enum):
-    """How the closure of a collar self-intersects.
-
-    CONFIG1: the two perpendicular arcs through the intersection point
-    arrive on opposite sides of the geodesic; CONFIG2: on the same side.
-    """
-
-    CONFIG1 = 1
-    CONFIG2 = 2
-
-
-@dataclass(frozen=True)
-class YPiece:
-    """Boundary data of the Y-piece produced by a self-intersecting collar.
-
-    For CONFIG1, ``nu1`` holds the single new boundary geodesic (the two
-    copies of the cut geodesic are implicit); for CONFIG2, ``nu1 <= nu2``.
-    """
-
-    config: CollarConfig
-    gamma: float
-    nu1: float
-    nu2: float | None = None
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.nu1 <= 0:
-            raise DomainError("Y-piece boundary lengths must be positive")
-        if self.config is CollarConfig.CONFIG2:
-            if self.nu2 is None or self.nu2 <= 0:
-                raise DomainError("CONFIG2 Y-piece needs both nu1 and nu2")
-            if self.nu1 > self.nu2:
-                raise DomainError("CONFIG2 requires nu1 <= nu2")
 
 
 # Collar-width constants.  K is the length threshold at which the
@@ -110,23 +74,16 @@ def y2_nu1_exact(gamma: float, w: float) -> float:
     return 2.0 * pentagon_opposite(gamma / 4.0, w)
 
 
-def collar_width_lower_bound(
-    gamma: float, config: CollarConfig, hypothesis: bool = False
-) -> float:
-    """Width floor for a self-intersecting collar.
+def collar_width_lower_bound(gamma: float) -> float:
+    """Width floor for a configuration-1 self-intersecting collar,
+    max{arcsinh(1/sinh(gamma/2)), arccosh(cosh(gamma/2)/cosh(gamma/4))},
+    which is always >= W'.
 
-    CONFIG1 (with the hypothesis eta >= gamma):
-        max{arcsinh(1/sinh(gamma/2)), arccosh(cosh(gamma/2)/cosh(gamma/4))},
-    which is always >= W'.  CONFIG2 (with nu1 or nu2 > gamma): W.
-    Raises HypothesisNotSatisfied when the relevant flag is absent.
+    Hypothesis: the short geodesic eta of the Y-piece satisfies
+    eta >= gamma.  The configuration-2 floor (with nu1 or nu2 > gamma) is
+    the constant W.
     """
     _positive("gamma", gamma)
-    if not hypothesis:
-        raise HypothesisNotSatisfied(
-            "width bound needs eta >= gamma (config 1) or a nu > gamma (config 2)"
-        )
-    if config is CollarConfig.CONFIG2:
-        return W
     b1 = collar_separation(gamma)
     b2 = acosh_safe(math.cosh(gamma / 2.0) / math.cosh(gamma / 4.0))
     return max(b1, b2)

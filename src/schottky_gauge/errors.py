@@ -14,10 +14,6 @@ class DomainError(SchottkyGaugeError):
     """
 
 
-class HypothesisNotSatisfied(SchottkyGaugeError):
-    """A lemma's hypothesis flag is absent, so it yields no bound."""
-
-
 class ValidationError(SchottkyGaugeError):
     """Base class for Gram-matrix validation failures.
 

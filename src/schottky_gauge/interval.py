@@ -45,9 +45,7 @@ class Interval:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: float, hi: float | None = None):
-        if hi is None:
-            hi = lo
+    def __init__(self, lo: float, hi: float):
         if not (_NEG_INF < lo <= hi < _INF):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise IndeterminateCell(f"no finite enclosure: [{lo}, {hi}]")
@@ -129,13 +127,13 @@ class Interval:
             return Interval(_next(lo / other, _NEG_INF), _next(hi / other, _INF))
         # any other divisor, a zero or non-finite one included, takes the
         # four-quotient path and raises there as an interval divisor would
-        return self / Interval(other)
+        return self / Interval.point(other)
 
     def __rtruediv__(self, other):
         lo, hi = self.lo, self.hi
         if lo > 0.0 and 0.0 <= other < _INF:
             return Interval(_next(other / hi, _NEG_INF), _next(other / lo, _INF))
-        return Interval(other) / self
+        return Interval.point(other) / self
 
     def sq(self) -> "Interval":
         if self.lo >= 0:

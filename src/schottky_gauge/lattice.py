@@ -306,14 +306,27 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
 # File formats
 # ----------------------------------------------------------------------
 
+def json_float(value) -> float:
+    """A number read from JSON as a float. ``float`` alone would take
+    ``true`` as 1.0 and ``"2"`` as 2.0; a boolean or a string raises
+    ``TypeError`` instead."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
     """Parse either the JSON or the whitespace Gram-matrix format; text
-    that does not parse as either is MalformedGram."""
+    that does not parse as either, a non-number where a JSON number
+    belongs, or a non-integral ``dim``, is MalformedGram."""
     try:
         if text.lstrip().startswith("{"):
             obj = json.loads(text)
-            d = int(obj["dim"])
-            flat = [float(v) for v in obj["entries"]]
+            d = json_float(obj["dim"])
+            if not d.is_integer():
+                raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
+            d = int(d)
+            flat = [json_float(v) for v in obj["entries"]]
             file_mode = Mode(obj.get("mode", "plain"))
         else:
             tokens = text.split()
@@ -337,14 +350,6 @@ def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
     return parse_gram_text(text, mode)
 
 
-def dump_gram(gram: GramMatrix) -> str:
-    """JSON serialization with 17-significant-digit decimals."""
-    entries = [float(format(v, ".17g")) for row in gram.entries for v in row]
-    return json.dumps(
-        {"dim": gram.dim, "entries": entries, "mode": gram.mode.value}
-    )
-
-
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "GramMatrix",
@@ -352,8 +357,8 @@ __all__ = [
     "ShortVector",
     "SuccessiveMinima",
     "ValidationError",
-    "dump_gram",
     "enumerate_below",
+    "json_float",
     "load_gram",
     "minkowski_radius",
     "parse_gram_text",

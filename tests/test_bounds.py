@@ -105,12 +105,12 @@ def test_fay_bound():
 
 class TestCorollary:
     def test_single_piece(self):
-        d = Decomposition(t=1.0, pieces=(Signature(2, 1),), n_cut=1)
-        (val,) = bounds.corollary_bound(d)
-        assert val == pytest.approx(7.1382352850589647, rel=REL)
+        d = Decomposition(t=1.0, pieces=(Signature(2, 1),))
+        (piece,) = bounds.corollary_report(d)["pieces"]
+        assert piece["bound"] == pytest.approx(7.1382352850589647, rel=REL)
 
     def test_report_fields(self):
-        d = Decomposition(t=1.0, pieces=(Signature(2, 1),), n_cut=1)
+        d = Decomposition(t=1.0, pieces=(Signature(2, 1),))
         rep = bounds.corollary_report(d)
         assert rep["M"] == pytest.approx(0.4621171572600098, rel=REL)
         assert rep["denominator"] == pytest.approx(2.1808304953223343, rel=REL)
@@ -124,11 +124,11 @@ class TestCorollary:
 
     def test_invalid_decomposition(self):
         with pytest.raises(DomainError):
-            Decomposition(t=0.0, pieces=(Signature(2, 1),), n_cut=1)
+            Decomposition(t=0.0, pieces=(Signature(2, 1),))
         with pytest.raises(DomainError):
-            Decomposition(t=1.0, pieces=(), n_cut=1)
+            Decomposition(t=1.0, pieces=())
         with pytest.raises(DomainError):
-            Decomposition(t=1.0, pieces=(Signature(0, 3),), n_cut=1)
+            Decomposition(t=1.0, pieces=(Signature(0, 3),))
 
 
 class TestSignature:
@@ -145,15 +145,14 @@ class TestSignature:
             Signature(2.5, 1)
         with pytest.raises(DomainError):
             Signature(2, 1.5)
+        with pytest.raises(DomainError):
+            Signature(2, False)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"t": math.nan}, {"t": math.inf}, {"n_cut": 1.5},
-], ids=str)
-def test_decomposition_rejects_non_finite_t_and_fractional_n_cut(kwargs):
+@pytest.mark.parametrize("kwargs", [{"t": math.nan}, {"t": math.inf}], ids=str)
+def test_decomposition_rejects_non_finite_t(kwargs):
     with pytest.raises(DomainError):
-        Decomposition(**{"t": 1.0, "pieces": (Signature(2, 1),), "n_cut": 1,
-                         **kwargs})
+        Decomposition(**{"t": 1.0, "pieces": (Signature(2, 1),), **kwargs})
 
 
 class TestExclusion:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schottky_gauge import cli, lattice
+from schottky_gauge import certify, cli, lattice
 
 
 def run(capsys, *argv):
@@ -74,14 +74,6 @@ class TestMinima:
         code, rows, _ = run_json(capsys, "minima", path, "--k", "2")
         assert code == 0
         assert len(rows) == 2
-
-    def test_certify_budget_env_ignored(self, capsys, tmp_path, monkeypatch):
-        # SCHOTTKY_GAUGE_BUDGET is the certify cell budget only
-        monkeypatch.setenv("SCHOTTKY_GAUGE_BUDGET", "3")
-        path = write_gram(tmp_path, np.eye(2))
-        code, rows, _ = run_json(capsys, "minima", path)
-        assert code == 0
-        assert [r["norm_sq"] for r in rows] == [1.0, 1.0]
 
     def test_tiny_entries_accepted(self, capsys, tmp_path):
         path = write_gram(tmp_path, 1e-300 * np.eye(2), mode="plain")
@@ -165,11 +157,14 @@ class TestCertify:
         assert code == 0
         assert rows[0]["status"] == "Undecided"
 
-    def test_budget_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHOTTKY_GAUGE_BUDGET", "3")
-        code, rows, _ = run_json(capsys, "certify", "--families", "CF-A")
+    def test_budget_flag(self, capsys):
+        assert cli.build_parser().parse_args(["certify"]).budget == \
+            certify.DEFAULT_BUDGET
+        code, rows, _ = run_json(
+            capsys, "certify", "--families", "CF-A", "--budget", "3")
         assert code == 5
         assert rows[0]["status"] == "Undecided"
+        assert rows[0]["note"] == "cell budget exhausted in task main"
 
     @pytest.mark.parametrize("setting", [
         ("--budget", "0"), ("--budget", "-5"), ("--tol", "0"),
@@ -179,13 +174,6 @@ class TestCertify:
     def test_bad_setting_is_usage_error(self, capsys, setting):
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--families", "CF-G", *setting])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-    def test_bad_budget_env_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SCHOTTKY_GAUGE_BUDGET", value)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["certify", "--families", "CF-G"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("gmax, code", [("1e300", 5), ("1.7e308", 3)])
@@ -271,6 +259,7 @@ class TestCorollary:
 
     def test_file_input(self, capsys, tmp_path):
         p = tmp_path / "decomp.json"
+        # every key but t and pieces is ignored, so old files with n_cut load
         p.write_text(json.dumps(
             {"t": 1.0, "pieces": [[2, 1]], "n_cut": 1}))
         code, rows, _ = run_json(capsys, "corollary", "--file", str(p))
@@ -300,8 +289,9 @@ BAD_INPUTS = [
     (["corollary", "--file", "{file}"], "[1,2]", 3),
     (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[2]]}', 3),
     (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[2.5, 1]]}', 3),
-    (["corollary", "--file", "{file}"],
-     '{"t": 1, "pieces": [[2, 1]], "n_cut": 1.5}', 3),
+    (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[2, false]]}', 3),
+    (["corollary", "--file", "{file}"], '{"t": true, "pieces": [[2, 1]]}', 3),
+    (["corollary", "--file", "{file}"], '{"t": "1", "pieces": [[2, 1]]}', 3),
     (["bounds", "--g", HUGE_GENUS], None, 3),
     (["collar", "--gamma", "1", "--g", HUGE_GENUS], None, 3),
     (["ypiece", "--gamma", "1e308", "--w", "1e308", "--config", "1"], None, 3),
@@ -318,6 +308,13 @@ BAD_INPUTS = [
     (["minima", "{file}"], "2 1 0 0", 3, "MalformedGram"),
     (["minima", "{file}"], '{"entries": [1, 0, 0, 1]}', 3, "MalformedGram"),
     (["exclude", "{file}"], '{"dim": null, "entries": []}', 3, "MalformedGram"),
+    (["minima", "{file}"], '{"dim": true, "entries": [true]}', 3, "MalformedGram"),
+    (["minima", "{file}"], '{"dim": 2.7, "entries": [1, 0, 0, 1]}', 3,
+     "MalformedGram"),
+    (["minima", "{file}"], '{"dim": "2", "entries": [1, 0, 0, 1]}', 3,
+     "MalformedGram"),
+    (["minima", "{file}"], '{"dim": 2, "entries": ["1", 0, 0, 1]}', 3,
+     "MalformedGram"),
     (["minima", "{file}"], "0", 3, "NotSymmetric"),
     (["minima", "{file}"], "2 1 5 0 1", 3, "NotSymmetric"),
     (["corollary", "--file", "{file}"], b"\xff\xfe", 3),
@@ -355,7 +352,6 @@ def test_bad_input_exit_code(capsys, tmp_path, argv, file_text, code, name):
     ["collar", "--gamma", "2", "--g", "1"],
     ["minima", "{gram}", "--k", "0"],
     ["corollary", "--t", "1", "--piece", "1,0"],
-    ["corollary", "--t", "1", "--piece", "2,1", "--n-cut", "0"],
 ], ids=" ".join)
 def test_flag_range_is_usage_error(capsys, tmp_path, argv):
     # a flag outside its range is a usage error even where the library

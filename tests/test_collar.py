@@ -10,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schottky_gauge import collar
-from schottky_gauge.collar import CollarConfig
-from schottky_gauge.errors import DomainError, HypothesisNotSatisfied
+from schottky_gauge.errors import DomainError
 
 REL = 1e-12
 
@@ -25,7 +24,7 @@ class TestConstants:
 
     def test_k_between_thresholds(self):
         # K is where the config-1 width floor reaches W
-        w_at_k = collar.collar_width_lower_bound(collar.K, CollarConfig.CONFIG1, True)
+        w_at_k = collar.collar_width_lower_bound(collar.K)
         assert w_at_k == pytest.approx(collar.W, abs=5e-4)
 
 
@@ -91,35 +90,20 @@ class TestYPieces:
         with pytest.raises(DomainError):
             collar.y2_nu1_exact(0.1, 0.1)
 
-    def test_ypiece_record_invariants(self):
-        with pytest.raises(DomainError):
-            collar.YPiece(CollarConfig.CONFIG2, gamma=1.0, nu1=2.0, nu2=1.0)
-        with pytest.raises(DomainError):
-            collar.YPiece(CollarConfig.CONFIG2, gamma=1.0, nu1=1.0)
-        collar.YPiece(CollarConfig.CONFIG1, gamma=1.0, nu1=2.0)
-
 
 class TestWidthBounds:
-    def test_hypothesis_flag_required(self):
-        with pytest.raises(HypothesisNotSatisfied):
-            collar.collar_width_lower_bound(1.0, CollarConfig.CONFIG1)
-
-    def test_config2_floor_is_w(self):
-        assert collar.collar_width_lower_bound(
-            5.0, CollarConfig.CONFIG2, True) == collar.W
-
     def test_config1_branch_values(self):
         # at 1.79 the separation branch still dominates
         b1 = math.asinh(1.0 / math.sinh(0.895))
         assert b1 == pytest.approx(0.8678772179882830, rel=REL)
         b2 = math.acosh(math.cosh(0.895) / math.cosh(0.4475))
         assert b2 == pytest.approx(0.7516273938983504, rel=REL)
-        got = collar.collar_width_lower_bound(1.79, CollarConfig.CONFIG1, True)
+        got = collar.collar_width_lower_bound(1.79)
         assert got == pytest.approx(b1, rel=REL)
 
     @given(st.floats(0.05, 8.0))
     def test_config1_floor_at_least_w_prime(self, gamma):
-        w = collar.collar_width_lower_bound(gamma, CollarConfig.CONFIG1, True)
+        w = collar.collar_width_lower_bound(gamma)
         assert w >= collar.W_PRIME - 1e-12
 
     def test_area_upper(self):

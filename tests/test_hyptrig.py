@@ -16,38 +16,6 @@ from schottky_gauge.errors import DomainError
 REL = 1e-12
 
 
-def test_right_triangle_hyp_value():
-    assert hyptrig.right_triangle_hyp(1.0, 1.0) == pytest.approx(
-        1.5133740065965040, rel=REL)
-
-
-def test_right_triangle_hyp_degenerate_leg():
-    # one zero leg collapses to the other leg
-    assert hyptrig.right_triangle_hyp(0.0, 2.0) == pytest.approx(2.0, rel=REL)
-
-
-def test_right_triangle_hyp_large_arguments():
-    # cosh overflows past ~710; the log-space branch must still work:
-    # acosh(cosh a cosh b) -> a + b - log 2 for large legs
-    c = hyptrig.right_triangle_hyp(800.0, 900.0)
-    assert c == pytest.approx(800.0 + 900.0 - math.log(2.0), rel=1e-15)
-
-
-def test_right_triangle_angle_value():
-    assert hyptrig.right_triangle_angle(0.5, 1.0) == pytest.approx(
-        0.4593989360890137, rel=REL)
-
-
-def test_right_triangle_angle_right_angle_at_equal_sides():
-    assert hyptrig.right_triangle_angle(2.0, 2.0) == pytest.approx(
-        math.pi / 2.0, rel=REL)
-
-
-def test_right_triangle_angle_rejects_longer_opposite():
-    with pytest.raises(DomainError):
-        hyptrig.right_triangle_angle(2.0, 1.0)
-
-
 def test_pentagon_value():
     assert hyptrig.pentagon_opposite(1.0, 1.0) == pytest.approx(
         0.8474505812958514, rel=REL)
@@ -83,8 +51,3 @@ def test_hexagon_y1_consistency(gamma, w):
     hexv = 2.0 * hyptrig.hexagon_opposite(gamma / 2.0, 2.0 * w, gamma / 2.0)
     assert nu == pytest.approx(hexv, rel=1e-12)
 
-
-def test_triangle_pythagoras_asymptotics():
-    # for small legs the hyperbolic relation approaches the Euclidean one
-    c = hyptrig.right_triangle_hyp(1e-4, 1e-4)
-    assert c == pytest.approx(math.sqrt(2.0) * 1e-4, rel=1e-6)

@@ -27,6 +27,9 @@ def test_point_and_ratio_enclose():
     assert Interval.point(1.5).contains(1.5)
     two_thirds = Interval.ratio(2.0, 3.0)
     assert two_thirds.lo < 2.0 / 3.0 < two_thirds.hi or two_thirds.contains(2.0 / 3.0)
+    # a point interval has one constructor: the bare one needs both ends
+    with pytest.raises(TypeError):
+        Interval(1.5)
 
 
 def test_rejects_inverted_and_nonfinite():
@@ -55,7 +58,7 @@ def test_arithmetic_overflow_is_indeterminate():
     # ValueError or an infinite endpoint
     assert issubclass(IndeterminateCell, DomainError)
     with pytest.raises(IndeterminateCell):
-        Interval(1e200) * Interval(1e200)
+        Interval.point(1e200) * Interval.point(1e200)
     with pytest.raises(IndeterminateCell):
         Interval.point(1e308) + 1e308
 
