@@ -7,7 +7,8 @@ by adaptive bisection with outward-rounded interval arithmetic; the genus
 tail from ``g_max`` on is closed by a per-family closed-form slack floor
 whose derivation is recorded in the family's ``tail`` note.
 
-Each task has exactly one slack definition, its interval form.  A family is
+Each task has exactly one slack definition, its interval form, which takes
+one Interval per axis in the order of the task's ``dims``.  A family is
 Certified only when every leaf cell has a strictly positive slack lower
 bound and the tail is handled; it is Violated only when that same form,
 evaluated on the point cell at a cell's midpoint, has a strictly negative
@@ -17,7 +18,7 @@ upper bound.  The engine never weakens a claim to force a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import collar
@@ -92,12 +93,13 @@ class Dim:
 
 @dataclass(frozen=True)
 class Task:
-    """One rectangular sub-domain with its slack form; ``slack_iv`` raises
-    ``DomainError`` on a cell where it has no enclosure."""
+    """One rectangular sub-domain with its slack form.  ``slack_iv`` takes
+    one Interval per axis, in ``dims`` order, and raises ``DomainError`` on
+    a cell where it has no enclosure."""
 
     name: str
     dims: tuple[Dim, ...]
-    slack_iv: Callable[[dict], Interval]
+    slack_iv: Callable[..., Interval]
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,13 @@ class CertFamily:
 
 @dataclass(frozen=True)
 class CertReport:
+    """One family's result, field for field the row the CLI prints; the
+    witness maps each axis name to a cell midpoint."""
+
     family: str
     status: str                   # Certified | Violated | Undecided
-    min_slack: Interval | None
+    min_slack_lo: float | None
+    min_slack_hi: float | None
     witness: dict | None
     cells_processed: int
     max_depth: int
@@ -132,20 +138,7 @@ class CertReport:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "status": self.status,
-            "min_slack_lo": None if self.min_slack is None else self.min_slack.lo,
-            "min_slack_hi": None if self.min_slack is None else self.min_slack.hi,
-            "witness": self.witness,
-            "cells_processed": self.cells_processed,
-            "max_depth": self.max_depth,
-            "tail_status": self.tail_status,
-            "tail_note": self.tail_note,
-            "vacuous_cells": self.vacuous_cells,
-            "g_max": self.g_max,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +221,7 @@ class _Sweep:
                     self.vacuous += 1
                     continue
             try:
-                slack = task.slack_iv(dict(zip(names, cell)))
+                slack = task.slack_iv(*cell)
             except DomainError:
                 slack = None
             if slack is not None and slack.lo > 0.0:
@@ -238,14 +231,11 @@ class _Sweep:
             if slack is not None and slack.hi < 0.0:
                 pt = mid(cell)
                 try:
-                    proof = task.slack_iv(
-                        {k: Interval.point(v) for k, v in pt.items()})
+                    proof = task.slack_iv(*map(Interval.point, pt.values()))
                 except DomainError:
                     proof = None
                 if proof is not None and proof.hi < 0.0:
                     return _VIOLATED, pt, proof
-            if not cell:
-                return "cell width floor reached", None, slack  # zero-dimensional
             # the widest axis, relative to its initial span, that can split
             axis, widest, m = -1, -1.0, None
             for i, c in enumerate(cell):
@@ -300,8 +290,11 @@ def certify(
             else:
                 tail_status = "Checked-to-bound"
                 status, note = "Undecided", "tail floor not positive"
+    slack = sweep.min_slack
     return CertReport(
-        family=family.id, status=status, min_slack=sweep.min_slack,
+        family=family.id, status=status,
+        min_slack_lo=None if slack is None else slack.lo,
+        min_slack_hi=None if slack is None else slack.hi,
         witness=sweep.witness, cells_processed=sweep.cells,
         max_depth=sweep.max_depth, tail_status=tail_status, tail_note=tail_note,
         vacuous_cells=sweep.vacuous, g_max=g_max, note=note,
@@ -329,8 +322,7 @@ _GDIM = Dim("g", 2.0, Interval.point, log_scale=True)
 # and arccosh(2 a^2 - 1) = 2 arccosh(a): the slack is
 # 4 (log(8g-7) - arccosh(a)), finite below g ~ 1e307 and never vacuous.
 
-def _cfa_slack_iv(c: dict) -> Interval:
-    g, y = c["g"], c["gamma"]
+def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
     a = IPI * (g - 1.0) * (y * 0.5).sinhc()
     return (_log8(g) - a.acosh()) * 4.0
 
@@ -347,8 +339,7 @@ def _cfa_tail(_g_from: float) -> TailProof:
 # 2 arccosh(sinh(gamma/4) 2 pi (g-1)/gamma) <= 3 log(8g - 7); the argument
 # rewrites to (pi/2)(g-1) sinhc(gamma/4) >= pi/2 > 1.
 
-def _cfb_slack_iv(c: dict) -> Interval:
-    g, y = c["g"], c["gamma"]
+def _cfb_slack_iv(g: Interval, y: Interval) -> Interval:
     arg = IPI * 0.5 * (g - 1.0) * (y * 0.25).sinhc()
     return _log8(g) * 3.0 - arg.acosh() * 2.0
 
@@ -375,8 +366,8 @@ def _qwtwo_iv(a: Interval) -> Interval:
     return (_SINH_WP * (a * 0.5).sinh() / _crossing_den_iv(a)).asinh()
 
 
-def _cfc_slack_iv(c: dict) -> Interval:
-    return _dcap(_qwtwo_iv(c["alpha1"])) - _C3_31
+def _cfc_slack_iv(a: Interval) -> Interval:
+    return _dcap(_qwtwo_iv(a)) - _C3_31
 
 
 def _cfc_tail(_g_from: float) -> TailProof:
@@ -388,8 +379,7 @@ def _cfc_tail(_g_from: float) -> TailProof:
 # -- CF-D --------------------------------------------------------------
 # (2 log(24g-23) + 2.2)/(pi - 2 arcsin(1/cosh W')) <= 3.1 log(8g-7).
 
-def _cfd_slack_iv(c: dict) -> Interval:
-    g = c["g"]
+def _cfd_slack_iv(g: Interval) -> Interval:
     lhs = ((g * 24.0 - 23.0).log() * 2.0 + _C22) / _DCAP_WP
     return _log8(g) * _R31 - lhs
 
@@ -422,8 +412,7 @@ def _cfe_width_iv(y: Interval) -> Interval:
     return (_half_over_quarter_iv(y) / _COSH_WP).acosh_clamped().min_with(_C66)
 
 
-def _cfe_slack_iv(c: dict) -> Interval:
-    g, y = c["g"], c["gamma2"]
+def _cfe_slack_iv(g: Interval, y: Interval) -> Interval:
     lhs = _cfe_numerator_iv(y) / _dcap(_cfe_width_iv(y))
     return _log8(g) * _R31 - lhs
 
@@ -473,8 +462,7 @@ def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
     """Short-core and long-core tasks for the ceiling weight(log(4g-2))."""
     rhs6 = weight(_LOG6)
 
-    def short(c: dict) -> Interval:
-        y = c["gamma"]
+    def short(y: Interval) -> Interval:
         if y.lo <= 0.0:
             # b1 = arcsinh(1/sinh(gamma/2)) decreases, so its value at the
             # right endpoint floors the width on the whole cell; the
@@ -485,8 +473,7 @@ def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
             return Interval(rhs6.lo - cap_hi, rhs6.hi)
         return rhs6 - y / _dcap(_cff_w_iv(y))
 
-    def long(c: dict) -> Interval:
-        g, y = c["g"], c["gamma"]
+    def long(g: Interval, y: Interval) -> Interval:
         return weight((g * 4.0 - 2.0).log()) - y / _DCAP_W
 
     return (
@@ -505,15 +492,14 @@ def _cff_tail(_g_from: float) -> TailProof:
 
 # -- CF-G --------------------------------------------------------------
 
-def _cfg_slack_iv(_c: dict) -> Interval:
+def _cfg_slack_iv() -> Interval:
     sep = (1.0 / Interval.point(1.05).sinh()).asinh()
     return sep.min_with(IWP) - _C73
 
 
 # -- CF-H --------------------------------------------------------------
 
-def _cfh_slack_iv(c: dict) -> Interval:
-    y = c["gamma2"]
+def _cfh_slack_iv(y: Interval) -> Interval:
     return ((y * 0.5).cosh() / _crossing_den_iv(y)).asinh() - _C96
 
 
@@ -531,8 +517,7 @@ def _cfh_tail(_g_from: float) -> TailProof:
 _BAVARD_LIMIT_IV = (1.0 / ((IPI / 12.0).sin() * 2.0)).acosh() * 4.0
 
 
-def _cfi_slack_iv(c: dict) -> Interval:
-    g = c["g"]
+def _cfi_slack_iv(g: Interval) -> Interval:
     # (g+1)/g written as 1 + 1/g so a wide genus cell still yields a tight
     # enclosure inside (pi/12, pi/8]
     theta = IPI / 12.0 * (1.0 + 1.0 / g)
@@ -550,8 +535,8 @@ def _cfi_tail(_g_from: float) -> TailProof:
 # -- CF-J --------------------------------------------------------------
 # qwtwo(alpha1) > 0.66 for alpha1 >= 1.5; the alpha1 tail is CF-C's.
 
-def _cfj_slack_iv(c: dict) -> Interval:
-    return _qwtwo_iv(c["alpha1"]) - _C66
+def _cfj_slack_iv(a: Interval) -> Interval:
+    return _qwtwo_iv(a) - _C66
 
 
 def _cfj_tail(_g_from: float) -> TailProof:

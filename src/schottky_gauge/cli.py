@@ -37,24 +37,23 @@ def _fmt(value, digits: int):
     return str(value)
 
 
-def _plain(value):
-    """``value`` with nested floats at 17 significant digits, tuples as
-    lists; a non-finite float raises ``OverflowError`` (exit 3)."""
+def _check_finite(value) -> None:
+    """Raise ``OverflowError`` (exit 3) on a non-finite float nested
+    anywhere in ``value``."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise OverflowError("non-finite value in output")
-        return float(format(value, ".17g"))
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    elif isinstance(value, dict):
+        _check_finite(list(value.values()))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_finite(v)
 
 
 def render(rows: list[dict], fmt: str, out=None) -> None:
     """Render a homogeneous list of records as json, csv, or a table;
     nothing is written when a record holds NaN or an infinity."""
-    rows = _plain(rows)
+    _check_finite(rows)
     out = out or sys.stdout
     if fmt == "json":
         json.dump(rows, out, indent=2)
@@ -143,8 +142,8 @@ def cmd_certify(args, parser) -> int:
     render([r.as_dict() for r in reports], args.format)
     if any(r.status == "Violated" for r in reports):
         return EXIT_VIOLATED
-    if any(r.status == "Undecided" and not certify.lookup(r.family).exempt
-           for r in reports):
+    if any(r.status == "Undecided" and not f.exempt
+           for f, r in zip(fams, reports)):
         return EXIT_UNDECIDED
     return EXIT_OK
 

@@ -51,7 +51,7 @@ def test_criterion_3_core_certifications():
     for fam_id in ("CF-A", "CF-B"):
         rep = certify.certify(certify.lookup(fam_id))
         assert rep.status == "Certified", fam_id
-        assert rep.min_slack.lo > 0.0
+        assert rep.min_slack_lo > 0.0
         assert rep.tail_status == "Proven"
         assert rep.g_max == 10**6
     dt = time.monotonic() - t0
@@ -65,12 +65,12 @@ def test_criterion_4_case_constants():
     g_rep = certify.certify(certify.lookup("CF-G"))
     assert g_rep.status == "Certified"
     # margin of the 0.73075 separation value over the 0.73 constant
-    assert 0.0 < g_rep.min_slack.lo < 0.005
-    assert g_rep.min_slack.lo == pytest.approx(0.00074563, abs=1e-8)
+    assert 0.0 < g_rep.min_slack_lo < 0.005
+    assert g_rep.min_slack_lo == pytest.approx(0.00074563, abs=1e-8)
     for fam_id in ("CF-J", "CF-H"):
         rep = certify.certify(certify.lookup(fam_id))
         assert rep.status == "Certified", fam_id
-        assert rep.min_slack.lo > 0.0
+        assert rep.min_slack_lo > 0.0
     dt = time.monotonic() - t0
     assert dt < 60.0
     print(f"\nACCEPTANCE 4: PASS — CF-G/CF-J/CF-H margins strictly positive "
@@ -82,7 +82,7 @@ def test_criterion_5_composite_certifications():
     for fam_id in ("CF-C", "CF-D", "CF-E", "CF-F"):
         rep = certify.certify(certify.lookup(fam_id))
         assert rep.status == "Certified", fam_id
-        assert rep.min_slack.lo > 0.0
+        assert rep.min_slack_lo > 0.0
         assert rep.tail_status == "Proven"
     dt = time.monotonic() - t0
     assert dt < 900.0

@@ -57,14 +57,14 @@ class TestFamilies:
             assert (rep.status, rep.tail_status, rep.cells_processed,
                     rep.vacuous_cells, rep.max_depth) == \
                 (status, tail, cells, vacuous, depth), fam
-            assert rep.min_slack.lo == pytest.approx(slack, rel=1e-12, abs=0), fam
+            assert rep.min_slack_lo == pytest.approx(slack, rel=1e-12, abs=0), fam
         assert sum(r.cells_processed for r in reports.values()) == 14509
 
     def test_all_ten_certified(self, reports):
         assert len(reports) == 10
         for fam, rep in reports.items():
             assert rep.status == "Certified", fam
-            assert rep.min_slack.lo > 0.0, fam
+            assert rep.min_slack_lo > 0.0, fam
             # point families (CF-G) have no genus tail to close
             assert rep.tail_status in ("Proven", "N/A"), fam
 
@@ -89,7 +89,7 @@ class TestFamilies:
         assert CF_F_PRIME.exempt
         # the infimum is an exact equality at a domain corner: the best
         # slack lower bound must hover just below zero, never far below
-        assert -0.01 < rep.min_slack.lo <= 0.0
+        assert -0.01 < rep.min_slack_lo <= 0.0
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-17, 1e-300])
     @pytest.mark.parametrize("g_max", [2.0000000000000004, 1000.0, 1e300])
@@ -104,7 +104,7 @@ class TestFamilies:
         # the half-angle form arccosh(2a^2 - 1) = 2 arccosh(a) never
         # squares the genus, so a cell near g = 1e200 has an enclosure
         slack = lookup("CF-A").tasks[0].slack_iv(
-            {"g": Interval(1e200, 2e200), "gamma": Interval(0.1, math.pi / 2)})
+            Interval(1e200, 2e200), Interval(0.1, math.pi / 2))
         assert math.isfinite(slack.lo) and math.isfinite(slack.hi)
 
 
@@ -115,7 +115,7 @@ class TestEngine:
             tasks=(Task(
                 name="empty",
                 dims=(Dim("x", 2.0, 1.0),),
-                slack_iv=lambda c: Interval.point(-1.0)),),
+                slack_iv=lambda x: Interval.point(-1.0)),),
         )
         rep = run_one(fam)
         assert rep.status == "Certified"
@@ -127,11 +127,11 @@ class TestEngine:
             tasks=(Task(
                 name="neg",
                 dims=(Dim("x", 0.0, 1.0),),
-                slack_iv=lambda c: c["x"] - 2.0),),
+                slack_iv=lambda x: x - 2.0),),
         )
         rep = run_one(fam)
         assert rep.status == "Violated"
-        assert rep.min_slack.hi < 0.0
+        assert rep.min_slack_hi < 0.0
         assert rep.witness is not None
         assert 0.0 <= rep.witness["x"] <= 1.0
         assert rep.witness["x"] - 2.0 < 0.0
@@ -144,8 +144,8 @@ class TestEngine:
     def test_violation_needs_negative_point_enclosure(self, at_point):
         # every proper cell looks violated, but the point enclosure proves
         # nothing: the engine must keep subdividing, never report Violated
-        def slack(c):
-            if c["x"].hi - c["x"].lo > 0.0:
+        def slack(x):
+            if x.hi - x.lo > 0.0:
                 return Interval(-2.0, -1.0)
             if isinstance(at_point, Exception):
                 raise at_point
@@ -170,7 +170,7 @@ class TestEngine:
                 name="coupled",
                 dims=(Dim("g", 2.0, Interval.point, log_scale=True),
                       Dim("y", 0.0, Interval.point)),
-                slack_iv=lambda c: c["g"] - c["y"] + 0.5),),
+                slack_iv=lambda g, y: g - y + 0.5),),
         )
         rep = run_one(fam, g_max=100.0)
         assert rep.status == "Certified"
@@ -185,7 +185,7 @@ class TestEngine:
             tasks=(Task(
                 name="genus",
                 dims=(Dim("g", 2.0, Interval.point, log_scale=True),),
-                slack_iv=lambda c: (c["g"] - 2.9).sq() * 4.0 - 0.25),),
+                slack_iv=lambda g: (g - 2.9).sq() * 4.0 - 0.25),),
             tail=lambda g_from: TailProof(
                 4.0 * max(g_from - 2.9, 0.0) ** 2 - 0.25,
                 "increasing beyond g = 2.9"),
@@ -203,7 +203,7 @@ class TestEngine:
             tasks=(Task(
                 name="pinch",
                 dims=(Dim("x", 0.0, 2.0),),
-                slack_iv=lambda c: c["x"].sq() - c["x"] * 2.0 + (1.0 + 1e-9)),),
+                slack_iv=lambda x: x.sq() - x * 2.0 + (1.0 + 1e-9)),),
         )
         rep = run_one(fam, tol=0.5)
         assert rep.status == "Undecided"
@@ -218,7 +218,7 @@ class TestEngine:
         fam = CertFamily(
             id="T-ULP", title="straddling slack on a one-ulp axis",
             tasks=(Task("ulp", (Dim("x", *axis, log_scale=log_scale),),
-                        lambda c: Interval(-1.0, 1.0)),),
+                        lambda x: Interval(-1.0, 1.0)),),
         )
         rep = run_one(fam, budget=10**5)
         assert rep.note == "cell width floor reached in task ulp"
@@ -232,13 +232,28 @@ class TestEngine:
             id="T-ULP-PAIR", title="a one-ulp axis beside a splittable one",
             tasks=(Task("pair", (Dim("x", 1.0, math.nextafter(1.0, 2.0)),
                                  Dim("y", 0.0, 1.0)),
-                        lambda c: Interval.point(1.0) if c["y"].hi - c["y"].lo <= 0.25
+                        lambda x, y: Interval.point(1.0) if y.hi - y.lo <= 0.25
                         else Interval(-1.0, 1.0)),),
         )
         rep = run_one(fam)
         assert rep.status == "Certified"
         assert rep.cells_processed == 7
         assert rep.max_depth == 2
+
+    @pytest.mark.parametrize("slack, status, note", [
+        (Interval(-1.0, 1.0), "Undecided", "cell width floor reached"),
+        (Interval(-2.0, -1.0), "Violated", "violation proven by point enclosure"),
+    ], ids=["straddles-zero", "negative"])
+    def test_task_without_axes(self, slack, status, note):
+        # a task with no axes is one cell that cannot split: its form takes
+        # no arguments, and its witness is the empty midpoint
+        fam = CertFamily(id="T-POINT", title="a constant slack",
+                         tasks=(Task("point", (), lambda: slack),))
+        rep = run_one(fam)
+        assert (rep.status, rep.note) == (status, f"{note} in task point")
+        assert (rep.min_slack_lo, rep.min_slack_hi) == (slack.lo, slack.hi)
+        assert rep.witness == {}
+        assert rep.cells_processed == 1
 
     def test_budget_exhaustion_is_undecided(self):
         rep = run_one(lookup("CF-A"), budget=5)
@@ -252,10 +267,10 @@ class TestEngine:
             id="T-SHARED", title="budget across two tasks",
             tasks=(
                 Task("first", (Dim("x", 0.0, 1.0),),
-                     lambda c: Interval.point(1.0) if c["x"].hi - c["x"].lo <= 0.25
+                     lambda x: Interval.point(1.0) if x.hi - x.lo <= 0.25
                      else Interval(-1.0, 1.0)),
                 Task("second", (Dim("y", 0.0, 1.0),),
-                     lambda c: Interval(-1.0, 1.0)),
+                     lambda y: Interval(-1.0, 1.0)),
             ),
         )
         rep = run_one(fam, budget=10)
@@ -266,15 +281,15 @@ class TestEngine:
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["b-last", "b-first"])
     def test_min_slack_over_all_tasks(self, order):
         tasks = (
-            Task("a", (Dim("x", 0.0, 1.0),), lambda c: Interval(2.0, 3.0)),
-            Task("b", (Dim("y", 0.0, 4.0),), lambda c: Interval(1.0, 3.0)),
+            Task("a", (Dim("x", 0.0, 1.0),), lambda x: Interval(2.0, 3.0)),
+            Task("b", (Dim("y", 0.0, 4.0),), lambda y: Interval(1.0, 3.0)),
         )
         fam = CertFamily(id="T-MIN", title="smallest slack wins",
                          tasks=tuple(tasks[i] for i in order))
         rep = run_one(fam)
         assert rep.status == "Certified"
         assert rep.cells_processed == 2
-        assert (rep.min_slack.lo, rep.min_slack.hi) == (1.0, 3.0)
+        assert (rep.min_slack_lo, rep.min_slack_hi) == (1.0, 3.0)
         assert rep.witness == {"y": 2.0}
 
     def test_invalid_parameters(self):
@@ -377,19 +392,19 @@ class TestSoundness:
             assume(False)  # outside the source formula's float domain
         assume(math.isfinite(ref))
         try:
-            enc = task.slack_iv({k: Interval.point(v) for k, v in pt.items()})
+            enc = task.slack_iv(*map(Interval.point, pt.values()))
         except IndeterminateCell:
             assume(False)  # no finite enclosure, so nothing to check
         pad = 1e-12 * abs(ref)  # the reference's own rounding
         assert enc.lo - pad <= ref <= enc.hi + pad, (pt, ref, enc)
         if fam.id in reports:
-            assert ref >= reports[fam.id].min_slack.lo - 1e-9
+            assert ref >= reports[fam.id].min_slack_lo - 1e-9
 
     def test_cfi_limit_is_zero(self):
         # the slack tends to 0 as g -> inf; the certified floor must be
         # tiny yet positive
         rep = run_one(lookup("CF-I"))
-        assert 0.0 < rep.min_slack.lo < 1e-4
+        assert 0.0 < rep.min_slack_lo < 1e-4
 
 
 def test_report_as_dict_roundtrip():
@@ -399,3 +414,12 @@ def test_report_as_dict_roundtrip():
     assert d["status"] == "Certified"
     assert d["min_slack_lo"] <= d["min_slack_hi"]
     assert isinstance(d["cells_processed"], int)
+
+
+def test_report_fields_are_the_output_row():
+    # the CLI prints as_dict() as it stands: its keys, in order, are the
+    # certify output columns
+    assert list(run_one(lookup("CF-G")).as_dict()) == [
+        "family", "status", "min_slack_lo", "min_slack_hi", "witness",
+        "cells_processed", "max_depth", "tail_status", "tail_note",
+        "vacuous_cells", "g_max", "note"]
