@@ -400,6 +400,10 @@ def _cfd_tail(g_from: float) -> TailProof:
 #   <= 3.1 log(8g-7)  for gamma2 in [2.1, 3 log(8g-7)], with
 # w = min{0.66, arccosh(cosh(gamma2/2)/(cosh(gamma2/4) cosh W'))}.
 
+# The box starts at the float below 2.1, so it covers the real endpoint.
+_GAMMA2_LO = Interval.ratio(21.0, 10.0).lo
+
+
 def _gamma2_cap(g: float) -> Interval:
     return _log8(Interval.point(g)) * 3.0
 
@@ -426,7 +430,7 @@ def _cfe_tail(g_from: float) -> TailProof:
     # N <= gamma2 + 4 log(2 cosh W').
     if (Interval.point(2.5).cosh() / _COSH_WP).lo < _C66.cosh().hi:
         return TailProof(-math.inf, "regime split invalid")
-    d21 = _dcap(_cfe_width_iv(Interval.point(2.1)))
+    d21 = _dcap(_cfe_width_iv(Interval.point(_GAMMA2_LO)))
     c10 = (_cfe_numerator_iv(Interval.point(10.0)) / d21).hi
     d66 = _dcap(_C66)
     coeff = _R31 - 3.0 / d66
@@ -548,7 +552,8 @@ def _cfj_tail(_g_from: float) -> TailProof:
 # Registry
 # ----------------------------------------------------------------------
 
-_GAMMA_HALF_PI = Dim("gamma", 0.0, math.pi / 2.0)
+# Box endpoints are floats on the outer side of the stated real bounds.
+_GAMMA_HALF_PI = Dim("gamma", 0.0, (IPI * 0.5).hi)
 
 FAMILIES: tuple[CertFamily, ...] = (
     CertFamily(
@@ -565,7 +570,7 @@ FAMILIES: tuple[CertFamily, ...] = (
     ),
     CertFamily(
         id="CF-C", title="crossing-width denominator vs 3/3.1",
-        tasks=(Task("main", (Dim("alpha1", 1.1, _ALPHA1_CAP),),
+        tasks=(Task("main", (Dim("alpha1", Interval.ratio(11.0, 10.0).lo, _ALPHA1_CAP),),
                     _cfc_slack_iv),),
         tail=_cfc_tail,
     ),
@@ -578,7 +583,7 @@ FAMILIES: tuple[CertFamily, ...] = (
         id="CF-E", title="second-collar capacity vs 3.1 log(8g-7)",
         tasks=(Task(
             "main",
-            (_GDIM, Dim("gamma2", 2.1, _gamma2_cap)),
+            (_GDIM, Dim("gamma2", _GAMMA2_LO, _gamma2_cap)),
             _cfe_slack_iv),),
         tail=_cfe_tail,
     ),
@@ -593,7 +598,7 @@ FAMILIES: tuple[CertFamily, ...] = (
     ),
     CertFamily(
         id="CF-H", title="config-2 second-collar width floor 0.96",
-        tasks=(Task("main", (Dim("gamma2", 2.1, 60.0),),
+        tasks=(Task("main", (Dim("gamma2", _GAMMA2_LO, 60.0),),
                     _cfh_slack_iv),),
         tail=_cfh_tail,
     ),

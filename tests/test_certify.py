@@ -1,7 +1,9 @@
 """Certification engine: family verdicts, tails, and engine behavior."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,12 +33,13 @@ def reports():
 # The default report of ``run_all()`` (tol 1e-4, g_max 1e6), family by
 # family: status, tail status, cells, vacuous cells, depth, min_slack_lo.
 # A speedup must leave all of it unchanged, min_slack_lo to 1e-12
-# relative. A soundness change to the interval layer (wider enclosures)
-# may move these figures; it re-freezes them here and records the old
-# and new values in CHANGES.md.
+# relative. A soundness change (wider enclosures in the interval layer,
+# or a box widened to cover its stated endpoints) may move these figures;
+# it re-freezes them here and records the old and new values in
+# CHANGES.md.
 _DEFAULT_REPORT = {
-    "CF-A": ("Certified", "Proven", 13947, 0, 14, 0.00016126374367431135),
-    "CF-B": ("Certified", "Proven", 51, 0, 7, 1.2619250327438214),
+    "CF-A": ("Certified", "Proven", 13965, 0, 14, 0.00016126374367431135),
+    "CF-B": ("Certified", "Proven", 65, 0, 8, 1.2619250327438214),
     "CF-C": ("Certified", "Proven", 15, 0, 7, 0.004228468457060041),
     "CF-D": ("Certified", "Proven", 13, 0, 6, 0.3961421304222625),
     "CF-E": ("Certified", "Proven", 99, 7, 14, 0.04575316208484192),
@@ -58,7 +61,20 @@ class TestFamilies:
                     rep.vacuous_cells, rep.max_depth) == \
                 (status, tail, cells, vacuous, depth), fam
             assert rep.min_slack_lo == pytest.approx(slack, rel=1e-12, abs=0), fam
-        assert sum(r.cells_processed for r in reports.values()) == 14509
+        assert sum(r.cells_processed for r in reports.values()) == 14541
+
+    def test_boxes_cover_the_stated_endpoints(self):
+        # every box starts at a float at or below its stated real lower
+        # bound and ends at or above its stated real upper bound
+        starts = {"CF-C": Fraction(11, 10), "CF-E": Fraction(21, 10),
+                  "CF-H": Fraction(21, 10), "CF-J": Fraction(3, 2)}
+        for fam, stated in starts.items():
+            axis = lookup(fam).tasks[0].dims[-1]
+            assert Fraction(axis.lo) <= stated, fam
+        with mpmath.workdps(50):
+            for fam in ("CF-A", "CF-B"):
+                gamma = lookup(fam).tasks[0].dims[1]
+                assert gamma.lo == 0.0 and gamma.hi >= mpmath.pi / 2, fam
 
     def test_all_ten_certified(self, reports):
         assert len(reports) == 10
