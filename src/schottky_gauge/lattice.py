@@ -14,7 +14,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, zip_longest
 from operator import add, mul, sub
 
@@ -45,29 +44,13 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    dim: int
     entries: tuple[tuple[float, ...], ...]  # symmetrized rows
     mode: Mode
+    factor: tuple[tuple[float, ...], ...]   # rows of upper-triangular R, G = R^T R
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(map(float, row))
-                                                  for row in self.entries))
-
-    @cached_property
-    def factor(self) -> tuple[tuple[float, ...], ...]:
-        """Rows of the upper-triangular R with G = R^T R, by Cholesky; a
-        pivot that is not positive is NotPositiveDefinite."""
-        cols: list[list[float]] = []
-        for k, gk in enumerate(self.entries):
-            c = []
-            for i, ci in enumerate(cols):  # ci = R[0..i][i]; c = R[0..i-1][k]
-                c.append((gk[i] - sum(map(mul, ci, c))) / ci[i])
-            p = gk[k] - sum(map(mul, c, c))
-            if not p > 0.0:
-                raise NotPositiveDefinite("matrix is not positive definite")
-            c.append(math.sqrt(p))
-            cols.append(c)
-        return tuple(zip_longest(*cols, fillvalue=0.0))
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
 
     def norm_sq(self, coeffs) -> float:
         return sum((c * sum(map(mul, row, coeffs))
@@ -89,6 +72,22 @@ class SuccessiveMinima:
     k: int
     values: tuple[float, ...]
     witnesses: tuple[ShortVector, ...]
+
+
+def _cholesky(g) -> tuple[tuple[float, ...], ...]:
+    """Rows of the upper-triangular R with G = R^T R; a pivot that is not
+    positive is NotPositiveDefinite."""
+    cols: list[list[float]] = []
+    for k, gk in enumerate(g):
+        c = []
+        for i, ci in enumerate(cols):  # ci = R[0..i][i]; c = R[0..i-1][k]
+            c.append((gk[i] - sum(map(mul, ci, c))) / ci[i])
+        p = gk[k] - sum(map(mul, c, c))
+        if not p > 0.0:
+            raise NotPositiveDefinite("matrix is not positive definite")
+        c.append(math.sqrt(p))
+        cols.append(c)
+    return tuple(zip_longest(*cols, fillvalue=0.0))
 
 
 def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
@@ -113,13 +112,12 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
-    gram = GramMatrix(dim=d, entries=g, mode=mode)
-    r = gram.factor  # Cholesky: NotPositiveDefinite unless every pivot is positive
+    r = _cholesky(g)
     if mode is Mode.PPAV:
         det = math.prod(r[i][i] for i in range(d)) ** 2
         if abs(det - 1.0) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
-    return gram
+    return GramMatrix(tuple(map(tuple, g)), mode, r)
 
 
 def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
@@ -166,16 +164,15 @@ def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
 
 
 def reduce(gram: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce (delta = 0.99); returns the reduced Gram, its cached
-    ``factor`` set to the one LLL ends with (no re-factorization), and the
-    integer unimodular T with reduced = T G T^T."""
+    """LLL-reduce (delta = 0.99); returns the reduced Gram, whose factor is
+    the one LLL ends with (no re-factorization), and the integer unimodular
+    T with reduced = T G T^T."""
     t, cols = _lll(gram.factor)
     rows = []  # G[i][j] = col_i . col_j, mirrored below the diagonal
     for i, ci in enumerate(cols):
         rows.append([r[i] for r in rows] + [sum(map(mul, ci, c)) for c in cols[i:]])
-    reduced = GramMatrix(dim=gram.dim, entries=rows, mode=gram.mode)
-    reduced.__dict__["factor"] = tuple(zip_longest(*cols, fillvalue=0.0))
-    return reduced, t
+    return GramMatrix(tuple(map(tuple, rows)), gram.mode,
+                      tuple(zip_longest(*cols, fillvalue=0.0))), t
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -283,8 +280,9 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     reduced, t = reduce(gram)
     cap = sorted(row[i] for i, row in enumerate(reduced.entries))[k - 1]
     radius = min(minkowski_radius(gram), cap)
+    t_cols = tuple(zip(*t))
     while True:
-        back = [_canonical_sign(tuple(sum(map(mul, sv.coeffs, col)) for col in zip(*t)))
+        back = [_canonical_sign(tuple(sum(map(mul, sv.coeffs, col)) for col in t_cols))
                 for sv in enumerate_below(reduced, radius)]
         vecs = sorted((ShortVector(c, gram.norm_sq(c)) for c in back),
                       key=lambda sv: (sv.norm_sq, sv.coeffs))
