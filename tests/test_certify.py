@@ -1,6 +1,7 @@
 """Certification engine: family verdicts, tails, and engine behavior."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -421,6 +422,43 @@ class TestSoundness:
         # tiny yet positive
         rep = run_one(lookup("CF-I"))
         assert 0.0 < rep.min_slack_lo < 1e-4
+
+
+# Tails checked by sampling: (family, task, range of the first axis). The
+# genus tasks sample g beyond DEFAULT_G_MAX; the genus-free tails sample
+# the one axis beyond the bisected box, up to where every form is finite.
+_TAIL_RANGES = [
+    ("CF-A", "main", DEFAULT_G_MAX, 1e15),
+    ("CF-B", "main", DEFAULT_G_MAX, 1e15),
+    ("CF-D", "main", DEFAULT_G_MAX, 1e15),
+    ("CF-E", "main", DEFAULT_G_MAX, 1e15),
+    ("CF-F", "long-core", DEFAULT_G_MAX, 1e15),
+    ("CF-I", "main", DEFAULT_G_MAX, 1e15),
+    ("CF-C", "main", 10.0, 1000.0),
+    ("CF-H", "main", 60.0, 1000.0),
+    ("CF-J", "main", 10.0, 1000.0),
+]
+
+
+@pytest.mark.parametrize("fam_id, task_name, lo, hi", _TAIL_RANGES,
+                         ids=[f"{f}/{t}" for f, t, *_ in _TAIL_RANGES])
+def test_tail_floor_below_sampled_slack(fam_id, task_name, lo, hi):
+    # the floor each tail proof claims beyond the box must lie below the
+    # slack's point enclosure at every sampled point there: the first axis
+    # log-uniform on [lo, hi], any other axis uniform below its ceiling
+    fam = lookup(fam_id)
+    task = next(t for t in fam.tasks if t.name == task_name)
+    proof = fam.tail(DEFAULT_G_MAX)
+    rng = random.Random(fam_id)
+    for _ in range(3000):
+        pt = [lo * (hi / lo) ** rng.random()]
+        for d in task.dims[1:]:
+            top = d.hi(pt[0]).lo if callable(d.hi) else d.hi
+            pt.append(d.lo + rng.random() * (top - d.lo))
+        enc = task.slack_iv(*map(Interval.point, pt))
+        assert enc.hi >= proof.infimum_lb, (pt, enc)
+        if proof.strict:
+            assert enc.hi > proof.infimum_lb, (pt, enc)
 
 
 def test_report_as_dict_roundtrip():

@@ -157,6 +157,27 @@ class TestCertify:
         assert code == 0
         assert rows[0]["status"] == "Undecided"
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--families", "CF-F'", "CF-A", "--budget", "3"], 5),
+        (["--families", "CF-F'", "CF-G", "--gmax", "1000"], 0),
+    ], ids=["budget-3", "gmax-1000"])
+    def test_exit_code_reads_exempt_of_families_run(self, capsys, argv, code):
+        # an Undecided exempt family never fails the run; any other does
+        got, rows, _ = run_json(capsys, "certify", *argv)
+        assert got == code
+        assert rows[0]["status"] == "Undecided"
+
+    def test_violated_family_exits_4(self, capsys, monkeypatch):
+        neg = certify.CertFamily(
+            id="T-NEG", title="x - 2 on [0, 1]",
+            tasks=(certify.Task("neg", (certify.Dim("x", 0.0, 1.0),),
+                                lambda x: x - 2.0),))
+        monkeypatch.setattr(certify, "FAMILIES", (neg,))
+        code, rows, _ = run_json(capsys, "certify")
+        assert code == 4
+        assert [r["status"] for r in rows] == ["Violated"]
+        assert rows[0]["min_slack_hi"] < 0.0
+
     def test_budget_flag(self, capsys):
         assert cli.build_parser().parse_args(["certify"]).budget == \
             certify.DEFAULT_BUDGET
@@ -284,6 +305,10 @@ HUGE_GENUS = "1" + "0" * 400
 # name expected in stderr])
 BAD_INPUTS = [
     (["corollary", "--t", "1", "--piece", "a,b"], None, 2),
+    (["corollary"], None, 2),
+    (["corollary", "--t", "1"], None, 2),
+    (["corollary", "--t", "1", "--piece=-1,5"], None, 2),
+    (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[-1, 5]]}', 3),
     (["corollary", "--file", "{file}"], '{"t": 1}', 3),
     (["corollary", "--file", "{file}"], "nope", 3),
     (["corollary", "--file", "{file}"], "[1,2]", 3),
