@@ -118,27 +118,6 @@ def systole_bounds(g: int) -> tuple[float, float]:
     return 2.0 * math.log(4 * g - 2), 3.0 * math.log(8 * g - 7)
 
 
-def nsscg_bound_closed(h: int) -> float:
-    """2 log(8h - 2): non-separating geodesic ceiling inside a signature
-    (h,1) piece with short boundary."""
-    return 2.0 * fay_bound(h)
-
-
-def nsscg_bound_boundary(h: int, eta: float) -> float:
-    """max{eta/2 + log(8h-2), 2 log(8h-2)} for arbitrary boundary length eta."""
-    l = fay_bound(h)
-    if eta <= 0:
-        raise DomainError("boundary length must be positive")
-    return max(eta / 2.0 + l, 2.0 * l)
-
-
-def boundary_systole_bound(sig: Signature, boundary_total: float) -> float:
-    """4 log(4g + 2n + 3) + l(boundary): systole ceiling for a bordered surface."""
-    if boundary_total < 0:
-        raise DomainError("total boundary length must be nonnegative")
-    return 4.0 * math.log(4 * sig.g + 2 * sig.n + 3) + boundary_total
-
-
 def corollary_mixing(t: float) -> float:
     """M = min{sinh(t/2)/sqrt(sinh^2(t/2) + 1), 1/2} entering the
     decomposition bound denominator."""
@@ -176,12 +155,6 @@ def corollary_report(d: Decomposition) -> dict:
     return {"t": d.t, "M": m_mix, "denominator": denom, "pieces": pieces}
 
 
-def fay_bound(g_i: int) -> float:
-    """log(8 g_i - 2): degeneration bound for a piece of genus g_i."""
-    _check_genus(g_i, 1)
-    return math.log(8 * g_i - 2)
-
-
 def hyperelliptic_bound() -> float:
     """Genus-independent ceiling for m_1^2 of a hyperelliptic Jacobian."""
     return 3.0 * math.log(_HYPER_INNER) / math.pi
@@ -209,15 +182,6 @@ def minkowski_product_log_bound(g: int) -> float:
     the product of all 2g squared minima of a PPAV."""
     _check_genus(g, 1)
     return g * math.log(4.0 / math.pi) + 2.0 * math.lgamma(g + 1)
-
-
-def minkowski_m2_bound(g: int, m1: float) -> float:
-    """m1^(-1/g) ((4/pi)(g!)^(1/g))^(2g/(2g-1)): second-minimum ceiling."""
-    _check_genus(g)
-    if m1 <= 0:
-        raise DomainError("m1 must be positive")
-    log_base = math.log(4.0 / math.pi) + math.lgamma(g + 1) / g
-    return math.exp(-math.log(m1) / g + 2.0 * g / (2.0 * g - 1.0) * log_base)
 
 
 def hermite_ppav_bounds(g: int) -> tuple[float, float]:

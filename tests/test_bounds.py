@@ -34,21 +34,6 @@ def test_genus_guard():
             fn(1)
 
 
-def test_nsscg_bounds():
-    assert bounds.nsscg_bound_closed(1) == pytest.approx(
-        2.0 * math.log(6.0), rel=REL)
-    # short boundary reduces to the closed form
-    assert bounds.nsscg_bound_boundary(1, 0.5) == bounds.nsscg_bound_closed(1)
-    # long boundary switches branch
-    assert bounds.nsscg_bound_boundary(1, 10.0) == pytest.approx(
-        5.0 + math.log(6.0), rel=REL)
-
-
-def test_boundary_systole_bound():
-    got = bounds.boundary_systole_bound(Signature(2, 1), 1.0)
-    assert got == pytest.approx(11.2597974298461469, rel=REL)
-
-
 def test_hyperelliptic_constants():
     assert bounds.hyperelliptic_bound() == pytest.approx(
         2.4382923105989274, rel=REL)
@@ -76,13 +61,6 @@ def test_minkowski_product_log_bound():
         1.8694233116608715, rel=REL)
 
 
-def test_minkowski_m2_bound():
-    assert bounds.minkowski_m2_bound(2, 1.0) == pytest.approx(
-        2.1906188578461718, rel=REL)
-    with pytest.raises(DomainError):
-        bounds.minkowski_m2_bound(2, 0.0)
-
-
 def test_hermite_ppav_bounds():
     lo, hi = bounds.hermite_ppav_bounds(2)
     assert lo == pytest.approx(0.6366197723675813, rel=REL)
@@ -97,10 +75,6 @@ def test_hermite_asymptote():
     target = g / (math.pi * math.e)
     assert 0.95 * target < lo < 1.1 * target
     assert 3.8 * target < hi < 4.4 * target
-
-
-def test_fay_bound():
-    assert bounds.fay_bound(2) == pytest.approx(2.6390573296152584, rel=REL)
 
 
 class TestCorollary:
