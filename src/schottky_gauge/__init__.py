@@ -1,7 +1,7 @@
 """Hyperbolic-geometry bounds, lattice successive minima, and certified
 inequality verification for the Jacobian exclusion problem."""
 
-from . import bounds, certify, collar, hyptrig, interval, lattice
+from . import bounds, certify, collar, interval, lattice
 from .errors import (
     BudgetExceeded,
     DeterminantNotOne,
@@ -36,7 +36,6 @@ __all__ = [
     "bounds",
     "certify",
     "collar",
-    "hyptrig",
     "interval",
     "lattice",
 ]

@@ -30,39 +30,19 @@ DEFAULT_BUDGET = 10**7
 DEFAULT_TOL = 1e-4
 
 
-def _dcap(w: Interval) -> Interval:
-    """pi - 2 arcsin(1/cosh w): the capacity denominator."""
-    return IPI - (1.0 / w.cosh()).asin() * 2.0
-
-
 # Interval constants, each enclosed once at import.
 _LOG6 = Interval.point(6.0).log()
 _R31 = Interval.ratio(31.0, 10.0)           # 3.1
 _C22 = Interval.ratio(22.0, 10.0)           # 2.2
 _C3_31 = Interval.ratio(3.0, 3.1)           # 3/3.1
-_C66 = Interval.ratio(66.0, 100.0)
 _C96 = Interval.ratio(96.0, 100.0)
 _C73 = Interval.ratio(73.0, 100.0)
-_COSH_WP = IWP.cosh()
-_SINH_WP = 2.0 / Interval.point(5.0).sqrt()      # sinh W' = 2/sqrt 5 exactly
-_COSH_WP_SQ = Interval.ratio(9.0, 5.0)            # cosh^2 W' = 9/5 exactly
-_DCAP_W = _dcap(IW)
-_DCAP_WP = _dcap(IWP)
+_DCAP_W = collar.dcap(IW)
+_DCAP_WP = collar.dcap(IWP)
 
 
 def _log8(g: Interval) -> Interval:
     return (g * 8.0 - 7.0).log()
-
-
-def _half_over_quarter_iv(y: Interval) -> Interval:
-    """cosh(y/2)/cosh(y/4), rewritten as 2c - 1/c with c = cosh(y/4)."""
-    c = (y * 0.25).cosh()
-    return c * 2.0 - 1.0 / c
-
-
-def _crossing_den_iv(x: Interval) -> Interval:
-    """sqrt(cosh^2(x/4) cosh^2 W' - 1), the crossing-width denominator."""
-    return (_COSH_WP_SQ * (x * 0.25).cosh().sq() - 1.0).sqrt()
 
 
 # ----------------------------------------------------------------------
@@ -362,16 +342,12 @@ _ALPHA1_TAIL_WIDTH = (Interval.ratio(4.0, 3.0)
                       * Interval.point(_ALPHA1_CAP / 4.0).sinh()).asinh()
 
 
-def _qwtwo_iv(a: Interval) -> Interval:
-    return (_SINH_WP * (a * 0.5).sinh() / _crossing_den_iv(a)).asinh()
-
-
 def _cfc_slack_iv(a: Interval) -> Interval:
-    return _dcap(_qwtwo_iv(a)) - _C3_31
+    return collar.dcap(collar.qwtwo(a)) - _C3_31
 
 
 def _cfc_tail(_g_from: float) -> TailProof:
-    floor = (_dcap(_ALPHA1_TAIL_WIDTH) - _C3_31).lo
+    floor = (collar.dcap(_ALPHA1_TAIL_WIDTH) - _C3_31).lo
     return TailProof(floor, f"width floor for alpha1 >= {_ALPHA1_CAP} "
                             "(covers every genus cap)")
 
@@ -380,7 +356,7 @@ def _cfc_tail(_g_from: float) -> TailProof:
 # (2 log(24g-23) + 2.2)/(pi - 2 arcsin(1/cosh W')) <= 3.1 log(8g-7).
 
 def _cfd_slack_iv(g: Interval) -> Interval:
-    lhs = ((g * 24.0 - 23.0).log() * 2.0 + _C22) / _DCAP_WP
+    lhs = collar.capacity((g * 24.0 - 23.0).log() * 2.0 + _C22, IWP)
     return _log8(g) * _R31 - lhs
 
 
@@ -409,15 +385,11 @@ def _gamma2_cap(g: float) -> Interval:
 
 
 def _cfe_numerator_iv(y: Interval) -> Interval:
-    return ((y * 0.25).cosh() * _COSH_WP).acosh() * 4.0
-
-
-def _cfe_width_iv(y: Interval) -> Interval:
-    return (_half_over_quarter_iv(y) / _COSH_WP).acosh_clamped().min_with(_C66)
+    return ((y * 0.25).cosh() * collar.COSH_WP).acosh() * 4.0
 
 
 def _cfe_slack_iv(g: Interval, y: Interval) -> Interval:
-    lhs = _cfe_numerator_iv(y) / _dcap(_cfe_width_iv(y))
+    lhs = _cfe_numerator_iv(y) / collar.dcap(collar.config2_width(y))
     return _log8(g) * _R31 - lhs
 
 
@@ -428,15 +400,16 @@ def _cfe_tail(g_from: float) -> TailProof:
     # cosh(gamma2/4)/cosh W' >= cosh(2.5)/cosh W' > cosh 0.66) and
     # arccosh x <= log 2x, cosh x <= e^x give
     # N <= gamma2 + 4 log(2 cosh W').
-    if (Interval.point(2.5).cosh() / _COSH_WP).lo < _C66.cosh().hi:
+    cap = collar.WIDTH_CAP
+    if (Interval.point(2.5).cosh() / collar.COSH_WP).lo < cap.cosh().hi:
         return TailProof(-math.inf, "regime split invalid")
-    d21 = _dcap(_cfe_width_iv(Interval.point(_GAMMA2_LO)))
+    d21 = collar.dcap(collar.config2_width(Interval.point(_GAMMA2_LO)))
     c10 = (_cfe_numerator_iv(Interval.point(10.0)) / d21).hi
-    d66 = _dcap(_C66)
+    d66 = collar.dcap(cap)
     coeff = _R31 - 3.0 / d66
     if coeff.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
-    ce = (_COSH_WP * 2.0).log() * 4.0
+    ce = (collar.COSH_WP * 2.0).log() * 4.0
     lf = _log8(Interval.point(g_from))
     t1 = (lf * _R31 - c10).lo
     t2 = (coeff * lf - ce / d66).lo
@@ -452,12 +425,6 @@ def _cfe_tail(g_from: float) -> TailProof:
 # domain ceiling couples gamma to g.  CF-F uses weight = identity; CF-F'
 # uses the sharper (3/pi) log(4g-2).
 
-def _cff_w_iv(y: Interval) -> Interval:
-    """Configuration-1 width floor max{b1, b2} as an interval over y."""
-    b1 = (1.0 / (y * 0.5).sinh()).asinh()
-    return b1.max_with(_half_over_quarter_iv(y).acosh_clamped())
-
-
 def _cff_long_cap(g: float) -> Interval:
     return (Interval.point(g) * 4.0 - 2.0).log() * 2.0
 
@@ -472,13 +439,14 @@ def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
             # right endpoint floors the width on the whole cell; the
             # capacity ceiling that yields is enough for cells touching
             # gamma = 0.
-            b1_hi = (1.0 / (Interval.point(y.hi) * 0.5).sinh()).asinh()
-            cap_hi = (Interval.point(y.hi) / _dcap(Interval.point(b1_hi.lo))).hi
+            top = Interval.point(y.hi)
+            b1_hi = collar.separation(top * 0.5)
+            cap_hi = collar.capacity(top, Interval.point(b1_hi.lo)).hi
             return Interval(rhs6.lo - cap_hi, rhs6.hi)
-        return rhs6 - y / _dcap(_cff_w_iv(y))
+        return rhs6 - collar.capacity(y, collar.config1_width(y))
 
     def long(g: Interval, y: Interval) -> Interval:
-        return weight((g * 4.0 - 2.0).log()) - y / _DCAP_W
+        return weight((g * 4.0 - 2.0).log()) - collar.capacity(y, IW)
 
     return (
         Task("short-core", (Dim("gamma", 0.0, collar.K),), short),
@@ -497,20 +465,21 @@ def _cff_tail(_g_from: float) -> TailProof:
 # -- CF-G --------------------------------------------------------------
 
 def _cfg_slack_iv() -> Interval:
-    sep = (1.0 / Interval.point(1.05).sinh()).asinh()
-    return sep.min_with(IWP) - _C73
+    # the half-length 1.05 of gamma = 2.1, given exactly: halving a point
+    # interval would widen it by an ulp
+    return collar.separation(Interval.point(1.05)).min_with(IWP) - _C73
 
 
 # -- CF-H --------------------------------------------------------------
 
 def _cfh_slack_iv(y: Interval) -> Interval:
-    return ((y * 0.5).cosh() / _crossing_den_iv(y)).asinh() - _C96
+    return collar.config2_crossing_width(y) - _C96
 
 
 def _cfh_tail(_g_from: float) -> TailProof:
     # For gamma2 >= 60: sqrt(c^2 cW^2 - 1) <= c cW and 2c^2 - 1 >= c^2
     # give width >= arcsinh(cosh(15)/cosh W'), increasing beyond.
-    w_lb = (Interval.point(15.0).cosh() / _COSH_WP).asinh()
+    w_lb = (Interval.point(15.0).cosh() / collar.COSH_WP).asinh()
     return TailProof((w_lb - _C96).lo,
                      "width floor for gamma2 >= 60 (covers every genus cap)")
 
@@ -540,11 +509,11 @@ def _cfi_tail(_g_from: float) -> TailProof:
 # qwtwo(alpha1) > 0.66 for alpha1 >= 1.5; the alpha1 tail is CF-C's.
 
 def _cfj_slack_iv(a: Interval) -> Interval:
-    return _qwtwo_iv(a) - _C66
+    return collar.qwtwo(a) - collar.WIDTH_CAP
 
 
 def _cfj_tail(_g_from: float) -> TailProof:
-    return TailProof((_ALPHA1_TAIL_WIDTH - _C66).lo,
+    return TailProof((_ALPHA1_TAIL_WIDTH - collar.WIDTH_CAP).lo,
                      f"width floor for alpha1 >= {_ALPHA1_CAP}")
 
 

@@ -21,6 +21,7 @@ import sys
 
 from . import bounds, certify, collar, lattice
 from .errors import DomainError, SchottkyGaugeError, ValidationError
+from .interval import IW, IndeterminateCell, Interval
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,14 +151,18 @@ def cmd_certify(args, parser) -> int:
 
 def cmd_ypiece(args, parser) -> int:
     gamma, w = args.gamma, args.w
+    side = Interval.point(w)
     try:
         if args.config == 1:
-            rows = _named(nu=collar.y1_nu(gamma, w),
-                          eta_bound=collar.y1_eta_bound(gamma, w),
+            nu = collar.pentagon(Interval.point(gamma / 2.0), side) * 4.0
+            rows = _named(nu=nu.mid, eta_bound=gamma / 2.0 + 2.0 * w,
                           coarse_bound=2.0 * gamma + 4.0 * w)
         else:
-            rows = _named(nu1_bound=collar.y2_nu1_exact(gamma, w),
+            nu1 = collar.pentagon(Interval.point(gamma / 4.0), side) * 2.0
+            rows = _named(nu1_bound=nu1.mid,
                           coarse_bound=gamma / 2.0 + 2.0 * w)
+    except IndeterminateCell:
+        raise  # an overflow, not a missing Y-piece
     except DomainError:
         print("degenerate")
         return EXIT_OK
@@ -166,14 +171,14 @@ def cmd_ypiece(args, parser) -> int:
 
 
 def cmd_collar(args, parser) -> int:
-    gamma = args.gamma
-    w1 = collar.collar_width_lower_bound(gamma)
-    rows = _named(separation=collar.collar_separation(gamma),
-                  width_lower_config1=w1, width_lower_config2=collar.W,
-                  capacity_at_config1_width=collar.capacity(gamma, w1))
+    gamma = Interval.point(args.gamma)
+    w1 = collar.config1_width(gamma)
+    rows = _named(separation=collar.separation(gamma * 0.5).mid,
+                  width_lower_config1=w1.mid, width_lower_config2=IW.mid,
+                  capacity_at_config1_width=collar.capacity(gamma, w1).mid)
     if args.g is not None:
-        rows += _named(
-            width_area_upper=collar.collar_width_area_upper(gamma, args.g))
+        rows += _named(width_area_upper=collar.area_width(
+            Interval.point(float(args.g)), gamma).mid)
     render(rows, args.format)
     return EXIT_OK
 

@@ -1,178 +1,103 @@
-"""Collar geometry of simple closed geodesics.
+"""Collar lemmas of simple closed geodesics, as interval forms.
 
-Capacity of a collar, lower and upper bounds on collar widths, Y-piece
-boundary lengths for the two self-intersection configurations, and the
-homology-basis bounds for a one-holed torus.  All lengths are hyperbolic
-lengths in curvature -1 units.
+Capacity of a collar, the separation and width floors of a collar, the
+area-forced width ceiling, the right-angled pentagon relation behind the
+Y-piece boundary lengths, and the crossing width.  All lengths are
+hyperbolic lengths in curvature -1 units.
 
-These are the float forms of the lemmas that ``certify`` proves in
-interval arithmetic.  Each formula is written once and specialized by
-calling it: ``qwtwo`` is the crossing-width bound at W', the crossing and
-configuration-2 floors share one denominator, the configuration-1 floor
-reuses ``collar_separation``, and ``y2_nu1_exact`` is the pentagon
-relation of :mod:`schottky_gauge.hyptrig`.
+Each lemma has this one definition, a function of
+:class:`~schottky_gauge.interval.Interval`.  ``certify`` calls it on
+cells to prove the bound inequalities; the ``collar`` and ``ypiece``
+commands call it on point intervals and print the midpoint of the
+enclosure, which contains the exact value.  W = arccosh 2 and
+W' = arctanh(2/3) are the constants ``IW`` and ``IWP`` of
+:mod:`schottky_gauge.interval`.
 """
 
 from __future__ import annotations
 
-import math
+from .interval import IPI, IWP, Interval
 
-from .errors import DomainError
-from .hyptrig import acosh_safe, pentagon_opposite
-
-
-# Collar-width constants.  K is the length threshold at which the
-# configuration-1 width floor reaches W (rounded to three decimals).
-W = math.acosh(2.0)
-W_PRIME = math.atanh(2.0 / 3.0)
+# The length threshold at which the configuration-1 width floor reaches W
+# (rounded to three decimals).
 K = 3.326
 
+COSH_WP = IWP.cosh()
+_SINH_WP = 2.0 / Interval.point(5.0).sqrt()      # sinh W' = 2/sqrt 5 exactly
+_COSH_WP_SQ = Interval.ratio(9.0, 5.0)            # cosh^2 W' = 9/5 exactly
+WIDTH_CAP = Interval.ratio(66.0, 100.0)           # 0.66
 
-def _positive(name, value):
-    if value <= 0:
-        raise DomainError(f"{name} must be positive, got {value}")
+
+def dcap(w: Interval) -> Interval:
+    """pi - 2 arcsin(1/cosh w): the capacity denominator, decreasing from
+    pi toward 0 as the width w grows."""
+    return IPI - (1.0 / w.cosh()).asin() * 2.0
 
 
-def capacity(l: float, w: float) -> float:
-    """Capacity of a collar of core length l and width w.
+def capacity(l: Interval, w: Interval) -> Interval:
+    """l / (pi - 2 arcsin(1/cosh w)): capacity of a collar of core length
+    l and width w, an upper bound for the squared norm of its test form."""
+    return l / dcap(w)
 
-    l / (pi - 2 arcsin(1/cosh w)); strictly increasing in l, strictly
-    decreasing in w (a wider collar gives a better bound), and an upper
-    bound for the squared norm of the associated test form.
+
+def separation(half: Interval) -> Interval:
+    """arcsinh(1/sinh(half)): the distance from a closed geodesic of
+    length 2 half that every geodesic disjoint from it keeps."""
+    return (1.0 / half.sinh()).asinh()
+
+
+def half_over_quarter(y: Interval) -> Interval:
+    """cosh(y/2)/cosh(y/4), rewritten as 2c - 1/c with c = cosh(y/4),
+    which stays finite where cosh(y/2) overflows."""
+    c = (y * 0.25).cosh()
+    return c * 2.0 - 1.0 / c
+
+
+def config1_width(y: Interval) -> Interval:
+    """Width floor max{arcsinh(1/sinh(y/2)), arccosh(cosh(y/2)/cosh(y/4))}
+    of a configuration-1 self-intersecting collar of core length y, at
+    least W'.  Hypothesis: the Y-piece's short geodesic eta has eta >= y.
+    The configuration-2 floor is the constant W."""
+    return separation(y * 0.5).max_with(half_over_quarter(y).acosh_clamped())
+
+
+def area_width(g: Interval, y: Interval) -> Interval:
+    """arcsinh(2 pi (g-1)/y): the width ceiling that the area of a genus-g
+    surface forces on a collar of core length y."""
+    return ((g - 1.0) * IPI * 2.0 / y).asinh()
+
+
+def pentagon(a: Interval, b: Interval) -> Interval:
+    """Side c opposite the sides a and b of a right-angled pentagon,
+    cosh c = sinh a sinh b.  Raises ``DomainError`` when the product's
+    enclosure reaches below 1: no such pentagon is proven to exist.
+
+    The Y-piece boundary lengths are 4 pentagon(gamma/2, w) in
+    configuration 1 and 2 pentagon(gamma/4, w) in configuration 2.
     """
-    _positive("l", l)
-    _positive("w", w)
-    return l / (math.pi - 2.0 * math.asin(1.0 / math.cosh(w)))
+    return (a.sinh() * b.sinh()).acosh()
 
 
-def y1_nu(gamma: float, w: float) -> float:
-    """Exact boundary length nu of the configuration-1 Y-piece.
-
-    nu = 2 arccosh(sinh^2(gamma/2)(cosh 2w - 1) - 1); always below the
-    homotopy bound 2*gamma + 4*w.
-    """
-    _positive("gamma", gamma)
-    _positive("w", w)
-    arg = math.sinh(gamma / 2.0) ** 2 * (math.cosh(2.0 * w) - 1.0) - 1.0
-    if arg < 1.0:
-        raise DomainError(f"no configuration-1 Y-piece: arccosh argument {arg} < 1")
-    return 2.0 * math.acosh(arg)
+def crossing_den(x: Interval) -> Interval:
+    """sqrt(cosh^2(x/4) cosh^2 W' - 1): the crossing-width denominator at
+    a collar of width W' crossed at offset x/4."""
+    return (_COSH_WP_SQ * (x * 0.25).cosh().sq() - 1.0).sqrt()
 
 
-def y1_eta_bound(gamma: float, w: float) -> float:
-    """Upper bound gamma/2 + 2w for the short geodesic eta of configuration 1."""
-    _positive("gamma", gamma)
-    _positive("w", w)
-    return gamma / 2.0 + 2.0 * w
+def qwtwo(a: Interval) -> Interval:
+    """arcsinh(sinh W' sinh(a/2) / crossing_den(a)): width floor for a
+    geodesic of length a crossing a collar of width W' at offset a/4."""
+    return (_SINH_WP * (a * 0.5).sinh() / crossing_den(a)).asinh()
 
 
-def y2_nu1_exact(gamma: float, w: float) -> float:
-    """Pentagon bound 2 arccosh(sinh(gamma/4) sinh(w)) for nu1 in configuration 2.
-
-    On its domain the value never exceeds the coarse bound gamma/2 + 2w.
-    """
-    return 2.0 * pentagon_opposite(gamma / 4.0, w)
-
-
-def collar_width_lower_bound(gamma: float) -> float:
-    """Width floor for a configuration-1 self-intersecting collar,
-    max{arcsinh(1/sinh(gamma/2)), arccosh(cosh(gamma/2)/cosh(gamma/4))},
-    which is always >= W'.
-
-    Hypothesis: the short geodesic eta of the Y-piece satisfies
-    eta >= gamma.  The configuration-2 floor (with nu1 or nu2 > gamma) is
-    the constant W.
-    """
-    _positive("gamma", gamma)
-    b1 = collar_separation(gamma)
-    b2 = acosh_safe(math.cosh(gamma / 2.0) / math.cosh(gamma / 4.0))
-    return max(b1, b2)
+def config2_width(y: Interval) -> Interval:
+    """Configuration-2 second-collar width floor
+    min{0.66, arccosh(cosh(y/2)/(cosh(y/4) cosh W'))}, stated for
+    y >= 2.1, where the arccosh argument exceeds 1."""
+    return (half_over_quarter(y) / COSH_WP).acosh_clamped().min_with(WIDTH_CAP)
 
 
-def collar_width_area_upper(gamma: float, g: int) -> float:
-    """Area-forced width ceiling arcsinh(2 pi (g-1) / gamma) on a genus-g surface."""
-    _positive("gamma", gamma)
-    if g < 2:
-        raise DomainError("genus must be >= 2")
-    return math.asinh(2.0 * math.pi * (g - 1) / gamma)
-
-
-def collar_separation(gamma: float) -> float:
-    """Guaranteed distance arcsinh(1/sinh(gamma/2)) of any disjoint geodesic."""
-    _positive("gamma", gamma)
-    return math.asinh(1.0 / math.sinh(gamma / 2.0))
-
-
-def crossing_width_bound(alpha1: float, w1: float, r1: float) -> float:
-    """Width floor for a geodesic crossing a collar of width w1.
-
-    arcsinh(sinh(w1) sinh(alpha1/2) / sqrt(cosh^2(r1) cosh^2(w1) - 1));
-    decreasing in r1, increasing in w1 and alpha1.  r1 may not exceed
-    alpha1/4.
-    """
-    _positive("alpha1", alpha1)
-    _positive("w1", w1)
-    if r1 < 0 or r1 > alpha1 / 4.0 + 1e-15:
-        raise DomainError("crossing offset r1 must lie in [0, alpha1/4]")
-    return _crossing_width(math.sinh(w1) * math.sinh(alpha1 / 2.0), r1, w1)
-
-
-def _crossing_width(num: float, r: float, w: float) -> float:
-    """arcsinh(num / sqrt(cosh^2(r) cosh^2(w) - 1)), the crossing width."""
-    den_sq = math.cosh(r) ** 2 * math.cosh(w) ** 2 - 1.0
-    if den_sq <= 0:
-        raise DomainError("degenerate crossing: cosh^2 r1 cosh^2 w1 <= 1")
-    return math.asinh(num / math.sqrt(den_sq))
-
-
-def qwtwo(alpha1: float) -> float:
-    """Specialization of the crossing bound at w1 = W', r1 = alpha1/4:
-    arcsinh((2/sqrt 5) sinh(alpha1/2) / sqrt((9/5) cosh^2(alpha1/4) - 1)),
-    as sinh W' = 2/sqrt 5 and cosh^2 W' = 9/5.
-    """
-    return crossing_width_bound(alpha1, W_PRIME, alpha1 / 4.0)
-
-
-def qpiece_basis_bounds(boundary: float) -> tuple[float, float]:
-    """Upper bounds (alpha1_max, alpha2_max) for a short homology basis
-    of a one-holed torus with the given boundary length.
-
-    The second bound is evaluated at alpha1 = alpha1_max (worst case); use
-    :func:`qpiece_basis_bounds_at` when the actual alpha1 is known.
-    """
-    _positive("boundary", boundary)
-    a1 = 2.0 * math.acosh(math.cosh(boundary / 6.0) + 0.5)
-    return a1, qpiece_basis_bounds_at(boundary, a1)
-
-
-def qpiece_basis_bounds_at(boundary: float, alpha1: float) -> float:
-    """alpha2 bound from the Q-piece relation, using a known alpha1."""
-    _positive("boundary", boundary)
-    _positive("alpha1", alpha1)
-    ca = math.cosh(alpha1 / 2.0)
-    num = math.cosh(boundary / 4.0) ** 2 + ca * ca - 1.0
-    den = 2.0 * (ca - 1.0)
-    if den <= 0:
-        raise DomainError("alpha1 too small: cosh(alpha1/2) <= 1")
-    return 2.0 * acosh_safe(math.sqrt(num / den))
-
-
-def case2c2_width_bound(gamma2: float) -> float:
-    """Width floor min{0.66, arccosh(cosh(g2/2)/(cosh(g2/4) cosh(W')))}.
-
-    Stated domain gamma2 >= 2.1, where the arccosh argument exceeds 1.
-    """
-    if gamma2 < 2.1:
-        raise DomainError("width floor established only for gamma2 >= 2.1")
-    arg = math.cosh(gamma2 / 2.0) / (math.cosh(gamma2 / 4.0) * math.cosh(W_PRIME))
-    return min(0.66, acosh_safe(arg))
-
-
-def case2c2b_width_bound(gamma2: float) -> float:
-    """Configuration-2 width floor
-    arcsinh(cosh(g2/2)/sqrt(cosh^2(g2/4) cosh^2(W') - 1)); above 0.96 on
-    its domain gamma2 >= 2.1.
-    """
-    if gamma2 < 2.1:
-        raise DomainError("width floor established only for gamma2 >= 2.1")
-    return _crossing_width(math.cosh(gamma2 / 2.0), gamma2 / 4.0, W_PRIME)
+def config2_crossing_width(y: Interval) -> Interval:
+    """Configuration-2 crossing width floor arcsinh(cosh(y/2)/crossing_den(y)),
+    above 0.96 for y >= 2.1."""
+    return ((y * 0.5).cosh() / crossing_den(y)).asinh()

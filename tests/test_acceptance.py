@@ -11,21 +11,25 @@ import numpy as np
 import pytest
 
 from lattice_oracle import brute_force_minima
-from schottky_gauge import bounds, certify, collar, hyptrig, lattice
+from schottky_gauge import bounds, certify, collar, lattice
 from schottky_gauge.errors import DomainError, DeterminantNotOne
+from schottky_gauge.interval import IW, IWP, Interval
+
+P = Interval.point
 
 
 def test_criterion_1_constants():
     t0 = time.monotonic()
-    assert collar.W == pytest.approx(1.3169578969, abs=1e-9)
-    assert collar.W_PRIME == pytest.approx(0.8047189562, abs=1e-9)
+    assert IW.mid == pytest.approx(1.3169578969, abs=1e-9)
+    assert IWP.mid == pytest.approx(0.8047189562, abs=1e-9)
     coeff_w = 3.0 / (2.0 * math.pi)
-    assert collar.capacity(1.0, collar.W) == pytest.approx(coeff_w, abs=1e-9)
+    cap_w = collar.capacity(P(1.0), IW)
+    assert cap_w.mid == pytest.approx(coeff_w, abs=1e-9)
     assert coeff_w == pytest.approx(0.4774648292, abs=1e-9)
-    assert coeff_w <= 0.5
-    coeff_wp = collar.capacity(1.0, collar.W_PRIME)
-    assert coeff_wp == pytest.approx(0.6851871321216385, abs=1e-9)
-    assert coeff_wp <= 0.7
+    assert cap_w.hi <= 0.5
+    cap_wp = collar.capacity(P(1.0), IWP)
+    assert cap_wp.mid == pytest.approx(0.6851871321216385, abs=1e-9)
+    assert cap_wp.hi <= 0.7
     dt = time.monotonic() - t0
     assert dt < 1.0
     print(f"\nACCEPTANCE 1: PASS — W, W', capacity coefficients to 1e-9 "
@@ -172,11 +176,16 @@ class TestCriterion9Properties:
             gamma = float(rng.uniform(0.2, 4.0))
             w = float(rng.uniform(0.3, 3.0))
             try:
-                nu = collar.y1_nu(gamma, w)
+                nu = collar.pentagon(P(gamma / 2.0), P(w)) * 4.0
             except DomainError:
                 continue
-            hexv = 2.0 * hyptrig.hexagon_opposite(gamma / 2.0, 2.0 * w, gamma / 2.0)
-            assert nu == pytest.approx(hexv, rel=1e-11)
+            # the Y-piece as a symmetric right-angled hexagon with sides
+            # gamma/2, 2w, gamma/2
+            a = gamma / 2.0
+            rhs = (math.sinh(a) ** 2 * math.cosh(2.0 * w)
+                   - math.cosh(a) ** 2)
+            hexv = 2.0 * math.acosh(rhs)
+            assert nu.mid == pytest.approx(hexv, rel=1e-11)
             checked += 1
         print(f"\nACCEPTANCE 9a: PASS — hexagon/Y1 identity, {checked} cases")
 
@@ -187,10 +196,11 @@ class TestCriterion9Properties:
             w = float(rng.uniform(0.1, 10.0))
             d = float(rng.uniform(0.01, 1.0))
             c = float(rng.uniform(0.5, 3.0))
-            assert collar.capacity(l + d, w) > collar.capacity(l, w)
-            assert collar.capacity(l, w + d) < collar.capacity(l, w)
-            assert collar.capacity(c * l, w) == pytest.approx(
-                c * collar.capacity(l, w), rel=1e-9)
+            cap = collar.capacity(P(l), P(w))
+            assert collar.capacity(P(l + d), P(w)).lo > cap.hi
+            assert collar.capacity(P(l), P(w + d)).hi < cap.lo
+            assert collar.capacity(P(c * l), P(w)).mid == pytest.approx(
+                c * cap.mid, rel=1e-9)
         print(f"\nACCEPTANCE 9b: PASS — capacity monotone/linear, {self.N} cases")
 
     def test_transform_invariance(self):

@@ -302,7 +302,7 @@ class TestCorollary:
 HUGE_GENUS = "1" + "0" * 400
 
 # (argv, text of the file that "{file}" names, expected exit code[, error
-# name expected in stderr])
+# name expected in stderr]); an exit 0 row pins the edge of a range
 BAD_INPUTS = [
     (["corollary", "--t", "1", "--piece", "a,b"], None, 2),
     (["corollary"], None, 2),
@@ -344,6 +344,12 @@ BAD_INPUTS = [
     (["minima", "{file}"], "2 1 5 0 1", 3, "NotSymmetric"),
     (["corollary", "--file", "{file}"], b"\xff\xfe", 3),
     (["collar", "--gamma", "1e-320"], None, 3),
+    # sinh(800) overflows: no enclosure, which is not a degenerate Y-piece
+    (["ypiece", "--gamma", "1", "--w", "800", "--config", "1"], None, 3),
+    (["ypiece", "--gamma", "1", "--w", "800", "--config", "2"], None, 3),
+    # the separation's sinh(gamma/2) is finite up to gamma ~ 1421
+    (["collar", "--gamma", "1420"], None, 0),
+    (["collar", "--gamma", "1500"], None, 3),
 ]
 
 

@@ -1,9 +1,10 @@
-"""Golden outputs of the float commands: bounds, collar, ypiece, corollary.
+"""Golden outputs of the value commands: bounds, collar, ypiece, corollary.
 
 Each command's JSON output is compared exactly. JSON renders every float
 at 17 significant digits, which round-trips binary64, so these pins hold
-the float formulas bit for bit: a refactor of them must leave every value
-here unchanged, not merely close.
+each value bit for bit: the float closed forms of bounds and corollary,
+and the midpoints of the interval enclosures that collar and ypiece print.
+A refactor of them must leave every value here unchanged, not merely close.
 """
 
 import json
@@ -59,9 +60,9 @@ _BOUNDS = {
 
 _COLLAR_21 = {
     "separation": 0.7307456296975858,
-    "width_lower_config1": 0.8727024485233058,
+    "width_lower_config1": 0.8727024485233056,
     "width_lower_config2": 1.3169578969248166,
-    "capacity_at_config1_width": 1.3474530229721857,
+    "capacity_at_config1_width": 1.347453022972186,
 }
 
 
@@ -82,10 +83,10 @@ _GOLDEN = [
     (["collar", "--gamma", "2.1", "--g", "2"],
      _named([*_COLLAR_21.items(), ("width_area_upper", 1.8159113788850179)])),
     (["ypiece", "--gamma", "2", "--w", "1", "--config", "1"],
-     _named([("nu", 3.3898023251834046), ("eta_bound", 3.0),
+     _named([("nu", 3.389802325183405), ("eta_bound", 3.0),
              ("coarse_bound", 8.0)])),
     (["ypiece", "--gamma", "4", "--w", "1", "--config", "2"],
-     _named([("nu1_bound", 1.694901162591702), ("coarse_bound", 4.0)])),
+     _named([("nu1_bound", 1.6949011625917025), ("coarse_bound", 4.0)])),
     # M below its 1/2 cap; the pieces take the log branch of the max
     (["corollary", "--t", "0.8", "--piece", "2,1", "--piece", "3,0",
       "--piece", "1,1"],

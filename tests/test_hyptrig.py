@@ -1,53 +1,76 @@
-"""Point forms of the hyperbolic polygon relations.
+"""Right-angled polygon relations behind the Y-piece boundary lengths.
 
-Expected values were frozen from a 40-digit mpmath evaluation of the
-defining identities.
+``collar.pentagon`` is the pentagon relation cosh c = sinh a sinh b.  The
+configuration-1 Y-piece is a symmetric right-angled hexagon with sides
+a, 2b, a, which its axis of symmetry cuts into two such pentagons; the
+hexagon relation is written out here in mpmath, at 40 digits, and checked
+against the pentagon's enclosure.
 """
 
-import math
-
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schottky_gauge import collar, hyptrig
+from schottky_gauge import collar
 from schottky_gauge.errors import DomainError
+from schottky_gauge.interval import Interval
 
-REL = 1e-12
+# a private 40-digit context, so no other test's precision changes
+mp = mpmath.MPContext()
+mp.dps = 40
+
+P = Interval.point
+
+
+def _hexagon_rhs(a, connector, b):
+    """cosh of the side opposite the connector of a right-angled hexagon."""
+    return (mp.sinh(a) * mp.sinh(b) * mp.cosh(connector)
+            - mp.cosh(a) * mp.cosh(b))
+
+
+def _encloses(enc: Interval, value) -> bool:
+    return mp.mpf(enc.lo) <= value <= mp.mpf(enc.hi)
 
 
 def test_pentagon_value():
-    assert hyptrig.pentagon_opposite(1.0, 1.0) == pytest.approx(
-        0.8474505812958514, rel=REL)
+    assert _encloses(collar.pentagon(P(1.0), P(1.0)),
+                     mp.acosh(mp.sinh(1) ** 2))
 
 
 def test_pentagon_domain():
+    # sinh(0.5)^2 < 1: no such pentagon
     with pytest.raises(DomainError):
-        hyptrig.pentagon_opposite(0.5, 0.5)
+        collar.pentagon(P(0.5), P(0.5))
 
 
 def test_hexagon_value():
-    assert hyptrig.hexagon_opposite(1.0, 2.0, 1.0) == pytest.approx(
-        1.6949011625917027, rel=REL)
+    # the hexagon with sides 1, 2, 1 is two pentagons with sides 1, 1
+    hexv = mp.acosh(_hexagon_rhs(1, 2, 1))
+    assert _encloses(collar.pentagon(P(1.0), P(1.0)) * 2.0, hexv)
 
 
 def test_hexagon_rhs_example():
-    rhs = math.sinh(1.0) ** 2 * math.cosh(2.0) - math.cosh(1.0) ** 2
-    assert rhs == pytest.approx(2.8148625179204902, rel=REL)
+    # cosh of the hexagon side is 2 cosh^2(c) - 1 for the pentagon side c
+    c = collar.pentagon(P(1.0), P(1.0))
+    assert _encloses(c.cosh().sq() * 2.0 - 1.0, _hexagon_rhs(1, 2, 1))
+    assert _hexagon_rhs(1, 2, 1) == pytest.approx(2.8148625179204902, rel=1e-15)
 
 
 def test_hexagon_degenerate():
+    # no hexagon with sides 0.3, 0.1, 0.3, and so no pentagon with 0.3, 0.05
+    assert _hexagon_rhs(mp.mpf(0.3), mp.mpf(0.1), mp.mpf(0.3)) < 1
     with pytest.raises(DomainError):
-        hyptrig.hexagon_opposite(0.3, 0.1, 0.3)
+        collar.pentagon(P(0.3), P(0.05))
 
 
 @given(st.floats(0.2, 4.0), st.floats(0.3, 3.0))
 def test_hexagon_y1_consistency(gamma, w):
-    """y1_nu(g, w) = 2 * hexagon_opposite(g/2, 2w, g/2) wherever defined."""
+    """nu = 2 hexagon(g/2, 2w, g/2) = 4 pentagon(g/2, w) wherever the
+    pentagon is proven to exist."""
     try:
-        nu = collar.y1_nu(gamma, w)
+        nu = collar.pentagon(P(gamma / 2.0), P(w)) * 4.0
     except DomainError:
         return
-    hexv = 2.0 * hyptrig.hexagon_opposite(gamma / 2.0, 2.0 * w, gamma / 2.0)
-    assert nu == pytest.approx(hexv, rel=1e-12)
-
+    half = mp.mpf(gamma) / 2
+    assert _encloses(nu, 2 * mp.acosh(_hexagon_rhs(half, 2 * mp.mpf(w), half)))
