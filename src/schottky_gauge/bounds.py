@@ -1,9 +1,13 @@
 """Named bound evaluators and the Jacobian-exclusion verdict.
 
-Theorem-level bounds on successive minima of Jacobians, lemma-level
-geodesic length bounds, Minkowski/Hermite lattice bounds, the
-decomposition corollary, and the contrapositive exclusion test for PPAV
-Gram matrices.
+Each genus ceiling of the theorems on successive minima of Jacobians and
+on short geodesics has one definition here, a function of an Interval
+genus named after the ``bounds`` row it feeds.  ``certify`` proves with
+them on genus cells; the ``bounds`` and ``exclude`` commands evaluate
+them on a point genus and use the midpoint of the enclosure, which
+contains the exact value.  The Minkowski/Hermite lattice bounds (they
+need lgamma, which has no interval form) and the decomposition corollary
+are floats.
 
 The checks that read computed minima (the Minkowski second-theorem check
 and the exclusion verdict) live here, on top of
@@ -15,14 +19,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import lattice
 from .errors import DomainError, IncompleteMinima
+from .interval import IPI, Interval
 
-# Constant upper bound for m_1(J(S))^2 of a hyperelliptic surface:
-# 3 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3)) / pi.
-_HYPER_INNER = 3.0 + 2.0 * math.sqrt(3.0) + 2.0 * math.sqrt(5.0 + 3.0 * math.sqrt(3.0))
+_R31 = Interval.ratio(31.0, 10.0)           # 3.1
 
 
 def _check_genus(g: int, minimum: int = 2) -> None:
@@ -90,32 +93,71 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ExclusionVerdict:
+    """The row ``exclude`` prints, field for field: the two minima, the
+    ceilings they are held against and each ceiling's margin over them."""
+
+    verdict: Verdict
     m1_sq: float
     m2_sq: float
     thm_bs_threshold: float
-    thm_main_m1_threshold: float
     thm_main_m2_threshold: float
     hyperelliptic_threshold: float
-    verdict: Verdict
-    margins: dict[str, float] = field(default_factory=dict)
+    margin_m1_vs_bs: float
+    margin_m1_vs_main: float
+    margin_m2_vs_main: float
+    margin_m1_vs_hyperelliptic: float
+
+    def as_dict(self) -> dict:
+        return {**asdict(self), "verdict": self.verdict.value}
 
 
-def thm_bs_upper(g: int) -> float:
-    """(3/pi) log(4g - 2): ceiling for m_1^2 over all genus-g Jacobians."""
-    _check_genus(g)
-    return 3.0 / math.pi * math.log(4 * g - 2)
+def log8(g: Interval) -> Interval:
+    """log(8g - 7), the logarithm of the m_2 and gamma_2 ceilings."""
+    return (g * 8.0 - 7.0).log()
 
 
-def thm_main_bounds(g: int) -> tuple[float, float]:
-    """(log(4g-2), 3.1 log(8g-7)): ceilings for m_1^2 and m_2^2 of a Jacobian."""
-    _check_genus(g)
-    return math.log(4 * g - 2), 3.1 * math.log(8 * g - 7)
+def thm_main_m1(g: Interval) -> Interval:
+    """log(4g - 2): the main theorem's ceiling for m_1^2 of a Jacobian."""
+    return (g * 4.0 - 2.0).log()
 
 
-def systole_bounds(g: int) -> tuple[float, float]:
-    """(2 log(4g-2), 3 log(8g-7)): ceilings for the two shortest geodesics."""
-    _check_genus(g)
-    return 2.0 * math.log(4 * g - 2), 3.0 * math.log(8 * g - 7)
+def thm_main_m2(g: Interval) -> Interval:
+    """3.1 log(8g - 7): the main theorem's ceiling for m_2^2 of a Jacobian."""
+    return log8(g) * _R31
+
+
+def thm_bs_upper(g: Interval) -> Interval:
+    """(3/pi) log(4g - 2): Buser-Sarnak's ceiling for m_1^2 over all
+    genus-g Jacobians."""
+    return thm_main_m1(g) * 3.0 / IPI
+
+
+def systole_gamma1(g: Interval) -> Interval:
+    """2 log(4g - 2): ceiling for the shortest closed geodesic."""
+    return thm_main_m1(g) * 2.0
+
+
+def systole_gamma2(g: Interval) -> Interval:
+    """3 log(8g - 7): ceiling for the second shortest closed geodesic."""
+    return log8(g) * 3.0
+
+
+def _bavard(theta: Interval) -> Interval:
+    return (1.0 / (theta.sin() * 2.0)).acosh() * 4.0
+
+
+def bavard_bound(g: Interval) -> Interval:
+    """4 arccosh(1/(2 sin(pi (g+1)/12g))): Bavard's ceiling for the systole
+    of a hyperelliptic surface, increasing toward ``BAVARD_LIMIT``."""
+    # (g+1)/g written as 1 + 1/g so a wide genus cell still yields a tight
+    # enclosure inside (pi/12, pi/8]
+    return _bavard(IPI / 12.0 * (1.0 + 1.0 / g))
+
+
+# 4 arccosh(1/(2 sin(pi/12))) = 2 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3))
+BAVARD_LIMIT = _bavard(IPI / 12.0)
+# the genus-free ceiling for m_1^2 of a hyperelliptic Jacobian
+HYPERELLIPTIC = BAVARD_LIMIT * 1.5 / IPI
 
 
 def corollary_mixing(t: float) -> float:
@@ -153,23 +195,6 @@ def corollary_report(d: Decomposition) -> dict:
             }
         )
     return {"t": d.t, "M": m_mix, "denominator": denom, "pieces": pieces}
-
-
-def hyperelliptic_bound() -> float:
-    """Genus-independent ceiling for m_1^2 of a hyperelliptic Jacobian."""
-    return 3.0 * math.log(_HYPER_INNER) / math.pi
-
-
-def bavard_constant() -> float:
-    """Limit constant 2 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3)) = 5.1067..."""
-    return 2.0 * math.log(_HYPER_INNER)
-
-
-def bavard_bound(g: int) -> float:
-    """4 arccosh(1 / (2 sin(pi (g+1) / 12g))): hyperelliptic systole bound,
-    increasing toward :func:`bavard_constant`."""
-    _check_genus(g)
-    return 4.0 * math.acosh(1.0 / (2.0 * math.sin(math.pi * (g + 1) / (12.0 * g))))
 
 
 def naive_disk_bound() -> float:
@@ -212,7 +237,8 @@ def jacobian_exclusion(gram) -> ExclusionVerdict:
 
     NotJacobian when m_1^2 exceeds the (3/pi) log(4g-2) ceiling or m_2^2
     exceeds 3.1 log(8g-7); otherwise NotHyperellipticJacobian when m_1^2
-    exceeds the hyperelliptic constant; otherwise Inconclusive.
+    exceeds the hyperelliptic constant; otherwise Inconclusive.  Each
+    ceiling is the midpoint of its enclosure, the value ``bounds`` prints.
     """
     if gram.mode is not lattice.Mode.PPAV:
         raise DomainError("exclusion test requires a PPAV-mode Gram matrix")
@@ -220,28 +246,19 @@ def jacobian_exclusion(gram) -> ExclusionVerdict:
     _check_genus(g)
     minima = lattice.successive_minima(gram, 2)
     m1_sq, m2_sq = minima.values[0], minima.values[1]
-    thr_bs = thm_bs_upper(g)
-    thr_m1, thr_m2 = thm_main_bounds(g)
-    thr_hyp = hyperelliptic_bound()
+    genus = Interval.point(float(g))
+    thr_bs, thr_m1 = thm_bs_upper(genus).mid, thm_main_m1(genus).mid
+    thr_m2, thr_hyp = thm_main_m2(genus).mid, HYPERELLIPTIC.mid
     if m1_sq > thr_bs or m2_sq > thr_m2:
         verdict = Verdict.NOT_JACOBIAN
     elif m1_sq > thr_hyp:
         verdict = Verdict.NOT_HYPERELLIPTIC_JACOBIAN
     else:
         verdict = Verdict.INCONCLUSIVE
-    margins = {
-        "margin_m1_vs_bs": thr_bs - m1_sq,
-        "margin_m1_vs_main": thr_m1 - m1_sq,
-        "margin_m2_vs_main": thr_m2 - m2_sq,
-        "margin_m1_vs_hyperelliptic": thr_hyp - m1_sq,
-    }
     return ExclusionVerdict(
-        m1_sq=m1_sq,
-        m2_sq=m2_sq,
-        thm_bs_threshold=thr_bs,
-        thm_main_m1_threshold=thr_m1,
-        thm_main_m2_threshold=thr_m2,
-        hyperelliptic_threshold=thr_hyp,
-        verdict=verdict,
-        margins=margins,
+        verdict, m1_sq, m2_sq, thr_bs, thr_m2, thr_hyp,
+        margin_m1_vs_bs=thr_bs - m1_sq,
+        margin_m1_vs_main=thr_m1 - m1_sq,
+        margin_m2_vs_main=thr_m2 - m2_sq,
+        margin_m1_vs_hyperelliptic=thr_hyp - m1_sq,
     )

@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from . import collar
+from . import bounds, collar
 from .errors import DomainError
 from .interval import IPI, IW, IWP, Interval
 
@@ -31,18 +31,12 @@ DEFAULT_TOL = 1e-4
 
 
 # Interval constants, each enclosed once at import.
-_LOG6 = Interval.point(6.0).log()
-_R31 = Interval.ratio(31.0, 10.0)           # 3.1
 _C22 = Interval.ratio(22.0, 10.0)           # 2.2
 _C3_31 = Interval.ratio(3.0, 3.1)           # 3/3.1
 _C96 = Interval.ratio(96.0, 100.0)
 _C73 = Interval.ratio(73.0, 100.0)
 _DCAP_W = collar.dcap(IW)
 _DCAP_WP = collar.dcap(IWP)
-
-
-def _log8(g: Interval) -> Interval:
-    return (g * 8.0 - 7.0).log()
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +298,7 @@ _GDIM = Dim("g", 2.0, Interval.point, log_scale=True)
 
 def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
     a = IPI * (g - 1.0) * (y * 0.5).sinhc()
-    return (_log8(g) - a.acosh()) * 4.0
+    return (bounds.log8(g) - a.acosh()) * 4.0
 
 
 def _cfa_tail(_g_from: float) -> TailProof:
@@ -321,7 +315,7 @@ def _cfa_tail(_g_from: float) -> TailProof:
 
 def _cfb_slack_iv(g: Interval, y: Interval) -> Interval:
     arg = IPI * 0.5 * (g - 1.0) * (y * 0.25).sinhc()
-    return _log8(g) * 3.0 - arg.acosh() * 2.0
+    return bounds.systole_gamma2(g) - arg.acosh() * 2.0
 
 
 def _cfb_tail(_g_from: float) -> TailProof:
@@ -357,17 +351,19 @@ def _cfc_tail(_g_from: float) -> TailProof:
 
 def _cfd_slack_iv(g: Interval) -> Interval:
     lhs = collar.capacity((g * 24.0 - 23.0).log() * 2.0 + _C22, IWP)
-    return _log8(g) * _R31 - lhs
+    return bounds.thm_main_m2(g) - lhs
 
 
 def _cfd_tail(g_from: float) -> TailProof:
-    # 24g-23 <= 3(8g-7), so slack >= (3.1 - 2/D) log(8g-7) - (2 log 3 + 2.2)/D,
-    # increasing in g once the leading coefficient is positive.
-    coeff = _R31 - 2.0 / _DCAP_WP
-    if coeff.lo <= 0:
+    # 24g-23 <= 3(8g-7), so with L = log(8g-7) the slack is at least
+    # (3.1 - 2/D) L - (2 log 3 + 2.2)/D.  L > 0, so the first term is
+    # positive exactly when its coefficient is, and then increases in g.
+    g = Interval.point(g_from)
+    lead = bounds.thm_main_m2(g) - bounds.log8(g) * 2.0 / _DCAP_WP
+    if lead.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
     const = (Interval.point(3.0).log() * 2.0 + _C22) / _DCAP_WP
-    return TailProof((coeff * _log8(Interval.point(g_from)) - const).lo,
+    return TailProof((lead - const).lo,
                      "log-coefficient comparison, increasing in g")
 
 
@@ -380,17 +376,13 @@ def _cfd_tail(g_from: float) -> TailProof:
 _GAMMA2_LO = Interval.ratio(21.0, 10.0).lo
 
 
-def _gamma2_cap(g: float) -> Interval:
-    return _log8(Interval.point(g)) * 3.0
-
-
 def _cfe_numerator_iv(y: Interval) -> Interval:
     return ((y * 0.25).cosh() * collar.COSH_WP).acosh() * 4.0
 
 
 def _cfe_slack_iv(g: Interval, y: Interval) -> Interval:
     lhs = _cfe_numerator_iv(y) / collar.dcap(collar.config2_width(y))
-    return _log8(g) * _R31 - lhs
+    return bounds.thm_main_m2(g) - lhs
 
 
 def _cfe_tail(g_from: float) -> TailProof:
@@ -399,39 +391,38 @@ def _cfe_tail(g_from: float) -> TailProof:
     # pinned at 0.66 (cosh(gamma2/2)/(cosh(gamma2/4) cosh W') >=
     # cosh(gamma2/4)/cosh W' >= cosh(2.5)/cosh W' > cosh 0.66) and
     # arccosh x <= log 2x, cosh x <= e^x give
-    # N <= gamma2 + 4 log(2 cosh W').
+    # N <= gamma2 + 4 log(2 cosh W'), and gamma2 is at most its ceiling.
     cap = collar.WIDTH_CAP
     if (Interval.point(2.5).cosh() / collar.COSH_WP).lo < cap.cosh().hi:
         return TailProof(-math.inf, "regime split invalid")
     d21 = collar.dcap(collar.config2_width(Interval.point(_GAMMA2_LO)))
     c10 = (_cfe_numerator_iv(Interval.point(10.0)) / d21).hi
     d66 = collar.dcap(cap)
-    coeff = _R31 - 3.0 / d66
-    if coeff.lo <= 0:
+    g = Interval.point(g_from)
+    lead = bounds.thm_main_m2(g) - bounds.systole_gamma2(g) / d66
+    if lead.lo <= 0:
         return TailProof(-math.inf, "leading coefficient not positive")
     ce = (collar.COSH_WP * 2.0).log() * 4.0
-    lf = _log8(Interval.point(g_from))
-    t1 = (lf * _R31 - c10).lo
-    t2 = (coeff * lf - ce / d66).lo
+    t1 = (bounds.thm_main_m2(g) - c10).lo
+    t2 = (lead - ce / d66).lo
     return TailProof(min(t1, t2),
                      "two-regime split at gamma2 = 10, increasing in g")
 
 
 # -- CF-F and CF-F' -----------------------------------------------------
-# capacity(gamma, w(gamma)) <= weight(log(4g-2)) on gamma in
-# (0, 2 log(4g-2)], with w(gamma) the configuration-1 width floor below K
-# and W above.  Split at K: below, log(4g-2) >= log 6 removes the genus
-# (weight is increasing); above, the width is the constant W and the
-# domain ceiling couples gamma to g.  CF-F uses weight = identity; CF-F'
-# uses the sharper (3/pi) log(4g-2).
+# capacity(gamma, w(gamma)) <= ceiling(g) on gamma in (0, 2 log(4g-2)],
+# with w(gamma) the configuration-1 width floor below K and W above.
+# Split at K: below, the ceiling's value at g = 2 removes the genus (it
+# is increasing); above, the width is the constant W and the domain
+# ceiling couples gamma to g.  CF-F's ceiling is log(4g-2); CF-F' uses
+# the sharper (3/pi) log(4g-2).
 
-def _cff_long_cap(g: float) -> Interval:
-    return (Interval.point(g) * 4.0 - 2.0).log() * 2.0
+_G2 = Interval.point(2.0)
 
 
-def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
-    """Short-core and long-core tasks for the ceiling weight(log(4g-2))."""
-    rhs6 = weight(_LOG6)
+def _cff_tasks(ceiling: Callable[[Interval], Interval]) -> tuple[Task, Task]:
+    """Short-core and long-core tasks for a ceiling of g."""
+    rhs6 = ceiling(_G2)
 
     def short(y: Interval) -> Interval:
         if y.lo <= 0.0:
@@ -446,11 +437,13 @@ def _cff_tasks(weight: Callable[[Interval], Interval]) -> tuple[Task, Task]:
         return rhs6 - collar.capacity(y, collar.config1_width(y))
 
     def long(g: Interval, y: Interval) -> Interval:
-        return weight((g * 4.0 - 2.0).log()) - collar.capacity(y, IW)
+        return ceiling(g) - collar.capacity(y, IW)
 
     return (
         Task("short-core", (Dim("gamma", 0.0, collar.K),), short),
-        Task("long-core", (_GDIM, Dim("gamma", collar.K, _cff_long_cap)), long),
+        Task("long-core", (_GDIM, Dim(
+            "gamma", collar.K, lambda g: bounds.systole_gamma1(Interval.point(g)))),
+            long),
     )
 
 
@@ -458,7 +451,7 @@ def _cff_tail(_g_from: float) -> TailProof:
     # Above K the capacity is at most 2 log(4g-2)/D(W) with 2/D(W) = 3/pi,
     # so the slack is at least (1 - 3/pi) log 6 for every g; below K the
     # short-core task is already genus-free.
-    floor = (_LOG6 * (1.0 - 2.0 / _DCAP_W)).lo
+    floor = (bounds.thm_main_m1(_G2) * (1.0 - 2.0 / _DCAP_W)).lo
     return TailProof(floor, "capacity ceiling 3 gamma/(2 pi) above K, g-free")
 
 
@@ -487,14 +480,8 @@ def _cfh_tail(_g_from: float) -> TailProof:
 # -- CF-I --------------------------------------------------------------
 # 4 arccosh(1/(2 sin(pi (g+1)/12g))) < limit = 4 arccosh(1/(2 sin(pi/12))).
 
-_BAVARD_LIMIT_IV = (1.0 / ((IPI / 12.0).sin() * 2.0)).acosh() * 4.0
-
-
 def _cfi_slack_iv(g: Interval) -> Interval:
-    # (g+1)/g written as 1 + 1/g so a wide genus cell still yields a tight
-    # enclosure inside (pi/12, pi/8]
-    theta = IPI / 12.0 * (1.0 + 1.0 / g)
-    return _BAVARD_LIMIT_IV - (1.0 / (theta.sin() * 2.0)).acosh() * 4.0
+    return bounds.BAVARD_LIMIT - bounds.bavard_bound(g)
 
 
 def _cfi_tail(_g_from: float) -> TailProof:
@@ -552,13 +539,14 @@ FAMILIES: tuple[CertFamily, ...] = (
         id="CF-E", title="second-collar capacity vs 3.1 log(8g-7)",
         tasks=(Task(
             "main",
-            (_GDIM, Dim("gamma2", _GAMMA2_LO, _gamma2_cap)),
+            (_GDIM, Dim("gamma2", _GAMMA2_LO,
+                        lambda g: bounds.systole_gamma2(Interval.point(g)))),
             _cfe_slack_iv),),
         tail=_cfe_tail,
     ),
     CertFamily(
         id="CF-F", title="collar capacity vs log(4g-2)",
-        tasks=_cff_tasks(lambda log: log),
+        tasks=_cff_tasks(bounds.thm_main_m1),
         tail=_cff_tail,
     ),
     CertFamily(
@@ -590,7 +578,7 @@ FAMILIES: tuple[CertFamily, ...] = (
 CF_F_PRIME = CertFamily(
     id="CF-F-prime", title="collar capacity vs (3/pi) log(4g-2)",
     aliases=("CF-F'",),
-    tasks=_cff_tasks(lambda log: log * 3.0 / IPI),
+    tasks=_cff_tasks(bounds.thm_bs_upper),
     exempt=True,
 )
 

@@ -89,13 +89,16 @@ def _named(**values) -> list[dict]:
 
 def cmd_bounds(args, parser) -> int:
     g = args.g
-    m1, m2 = bounds.thm_main_bounds(g)
-    s1, s2 = bounds.systole_bounds(g)
+    genus = Interval.point(float(g))
     her_lo, her_hi = bounds.hermite_ppav_bounds(g)
     render(_named(
-        thm_bs_upper=bounds.thm_bs_upper(g), thm_main_m1=m1, thm_main_m2=m2,
-        systole_gamma1=s1, systole_gamma2=s2,
-        hyperelliptic=bounds.hyperelliptic_bound(), bavard=bounds.bavard_bound(g),
+        thm_bs_upper=bounds.thm_bs_upper(genus).mid,
+        thm_main_m1=bounds.thm_main_m1(genus).mid,
+        thm_main_m2=bounds.thm_main_m2(genus).mid,
+        systole_gamma1=bounds.systole_gamma1(genus).mid,
+        systole_gamma2=bounds.systole_gamma2(genus).mid,
+        hyperelliptic=bounds.HYPERELLIPTIC.mid,
+        bavard=bounds.bavard_bound(genus).mid,
         hermite_lower=her_lo, hermite_upper=her_hi,
         minkowski_product_log=bounds.minkowski_product_log_bound(g),
     ), args.format)
@@ -116,17 +119,7 @@ def cmd_minima(args, parser) -> int:
 
 def cmd_exclude(args, parser) -> int:
     gram = lattice.load_gram(args.file, mode=lattice.Mode.PPAV)
-    verdict = bounds.jacobian_exclusion(gram)
-    rows = [{
-        "verdict": verdict.verdict.value,
-        "m1_sq": verdict.m1_sq,
-        "m2_sq": verdict.m2_sq,
-        "thm_bs_threshold": verdict.thm_bs_threshold,
-        "thm_main_m2_threshold": verdict.thm_main_m2_threshold,
-        "hyperelliptic_threshold": verdict.hyperelliptic_threshold,
-        **verdict.margins,
-    }]
-    render(rows, args.format)
+    render([bounds.jacobian_exclusion(gram).as_dict()], args.format)
     return EXIT_OK
 
 

@@ -39,8 +39,8 @@ def test_criterion_1_constants():
 def test_criterion_2_hyperelliptic_constants():
     t0 = time.monotonic()
     # 2.43829...: agrees with 2.4382 in the first four decimal places
-    assert bounds.hyperelliptic_bound() == pytest.approx(2.4382, abs=1e-4)
-    assert bounds.bavard_constant() == pytest.approx(5.1067, abs=5e-5)
+    assert bounds.HYPERELLIPTIC.mid == pytest.approx(2.4382, abs=1e-4)
+    assert bounds.BAVARD_LIMIT.mid == pytest.approx(5.1067, abs=5e-5)
     assert bounds.naive_disk_bound() == pytest.approx(5.2678, abs=5e-5)
     assert bounds.naive_disk_bound() == pytest.approx(
         4.0 * math.acosh(2.0), rel=1e-12)
@@ -146,7 +146,7 @@ def test_criterion_8_exclusion_pipeline():
     gram = lattice.validate(np.eye(4), lattice.Mode.PPAV)
     verdict = bounds.jacobian_exclusion(gram)
     assert verdict.verdict is bounds.Verdict.INCONCLUSIVE
-    assert verdict.margins["margin_m1_vs_bs"] == pytest.approx(
+    assert verdict.margin_m1_vs_bs == pytest.approx(
         0.7110042581561341, rel=1e-9)
 
     hexagonal = (2.0 / math.sqrt(3.0)) * np.array([[1.0, 0.5], [0.5, 1.0]])

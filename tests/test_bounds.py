@@ -1,59 +1,81 @@
-"""Named bound evaluators.  Frozen values come from a 40-digit mpmath oracle."""
+"""Named bound evaluators.  Frozen values come from a 40-digit mpmath
+oracle, and every interval form of a genus ceiling is checked against the
+same oracle of its source formula by containment."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
-from schottky_gauge import bounds, lattice
+from schottky_gauge import bounds, cli, lattice
 from schottky_gauge.bounds import Decomposition, Signature, Verdict
 from schottky_gauge.errors import DomainError
+from schottky_gauge.interval import Interval
 
 REL = 1e-12
+P = Interval.point
+G2 = P(2.0)
+
+# a private 40-digit context, so no other test's precision changes
+mp = mpmath.MPContext()
+mp.dps = 40
+
+
+def _encloses(enc: Interval, value) -> bool:
+    return mp.mpf(enc.lo) <= value <= mp.mpf(enc.hi)
 
 
 def test_thm_bs_upper():
-    assert bounds.thm_bs_upper(2) == pytest.approx(1.7110042581561341, rel=REL)
+    assert bounds.thm_bs_upper(G2).mid == pytest.approx(1.7110042581561341, rel=REL)
 
 
 def test_thm_main_bounds():
-    m1, m2 = bounds.thm_main_bounds(2)
-    assert m1 == pytest.approx(1.7917594692280550, rel=REL)
-    assert m2 == pytest.approx(6.8113961897422801, rel=REL)
+    assert bounds.thm_main_m1(G2).mid == pytest.approx(1.7917594692280550, rel=REL)
+    assert bounds.thm_main_m2(G2).mid == pytest.approx(6.8113961897422801, rel=REL)
 
 
 def test_systole_bounds():
-    s1, s2 = bounds.systole_bounds(2)
-    assert s1 == pytest.approx(3.5835189384561100, rel=REL)
-    assert s2 == pytest.approx(6.5916737320086581, rel=REL)
+    assert bounds.systole_gamma1(G2).mid == pytest.approx(3.5835189384561100, rel=REL)
+    assert bounds.systole_gamma2(G2).mid == pytest.approx(6.5916737320086581, rel=REL)
 
 
-def test_genus_guard():
-    for fn in (bounds.thm_bs_upper, bounds.systole_bounds, bounds.bavard_bound):
+def test_genus_guard(tmp_path):
+    # the entry points that take an integer genus reject g = 1
+    gram = lattice.validate(np.eye(2), lattice.Mode.PPAV)
+    for call in (lambda: bounds.jacobian_exclusion(gram),
+                 lambda: bounds.hermite_ppav_bounds(1),
+                 lambda: bounds.minkowski_product_log_bound(0)):
         with pytest.raises(DomainError):
-            fn(1)
+            call()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--g", "1"])
+    assert exc.value.code == 2
 
 
 def test_hyperelliptic_constants():
-    assert bounds.hyperelliptic_bound() == pytest.approx(
-        2.4382923105989274, rel=REL)
-    assert bounds.bavard_constant() == pytest.approx(5.1067474735213817, rel=REL)
+    assert bounds.HYPERELLIPTIC.mid == pytest.approx(2.4382923105989274, rel=REL)
+    assert bounds.BAVARD_LIMIT.mid == pytest.approx(5.1067474735213817, rel=REL)
     assert bounds.naive_disk_bound() == pytest.approx(5.2678315876992668, rel=REL)
 
 
 def test_bavard_constant_is_arccosh_form():
     # 2 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3)) = 4 arccosh(1/(2 sin(pi/12)))
-    alt = 4.0 * math.acosh(1.0 / (2.0 * math.sin(math.pi / 12.0)))
-    assert bounds.bavard_constant() == pytest.approx(alt, rel=REL)
+    log_form = 2.0 * math.log(3.0 + 2.0 * math.sqrt(3.0)
+                              + 2.0 * math.sqrt(5.0 + 3.0 * math.sqrt(3.0)))
+    assert bounds.BAVARD_LIMIT.contains(log_form)
+    assert _encloses(bounds.BAVARD_LIMIT, 2 * mp.log(
+        3 + 2 * mp.sqrt(3) + 2 * mp.sqrt(5 + 3 * mp.sqrt(3))))
 
 
 def test_bavard_bound_values_and_monotonicity():
-    assert bounds.bavard_bound(2) == pytest.approx(3.0571418389619963, rel=REL)
+    assert bounds.bavard_bound(G2).mid == pytest.approx(3.0571418389619963, rel=REL)
     prev = 0.0
     for g in (2, 3, 5, 10, 100, 10**5):
-        cur = bounds.bavard_bound(g)
-        assert prev < cur < bounds.bavard_constant()
-        prev = cur
+        cur = bounds.bavard_bound(P(float(g)))
+        assert prev < cur.lo and cur.hi < bounds.BAVARD_LIMIT.lo
+        prev = cur.hi
 
 
 def test_minkowski_product_log_bound():
@@ -135,7 +157,7 @@ class TestExclusion:
         verdict = bounds.jacobian_exclusion(gram)
         assert verdict.verdict is Verdict.INCONCLUSIVE
         assert verdict.m1_sq == pytest.approx(1.0, rel=1e-9)
-        assert verdict.margins["margin_m1_vs_bs"] == pytest.approx(
+        assert verdict.margin_m1_vs_bs == pytest.approx(
             0.7110042581561341, rel=1e-9)
 
     def test_plain_mode_rejected(self):

@@ -18,6 +18,7 @@ import pytest
 
 from schottky_gauge import bounds, lattice
 from schottky_gauge.bounds import Verdict
+from schottky_gauge.interval import Interval
 
 
 def _e8_cartan():
@@ -113,8 +114,9 @@ def test_bw16_lies_in_the_hyperelliptic_band():
     # ceiling (3/pi) log 30, far below the 3.1 log 57 ceiling on m2^2
     m = _det_one_minimum("BW16")
     assert m == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-    assert bounds.hyperelliptic_bound() < m < bounds.thm_bs_upper(8)
-    assert m < bounds.thm_main_bounds(8)[1]
+    g8 = Interval.point(8.0)
+    assert bounds.HYPERELLIPTIC.mid < m < bounds.thm_bs_upper(g8).mid
+    assert m < bounds.thm_main_m2(g8).mid
 
 
 @pytest.mark.parametrize("name", CASES)
