@@ -25,7 +25,7 @@ from . import bounds, collar
 from .errors import DomainError
 from .interval import IPI, IW, IWP, Interval
 
-DEFAULT_G_MAX = 10**6
+DEFAULT_G_MAX = 1e6
 DEFAULT_BUDGET = 10**7
 DEFAULT_TOL = 1e-4
 

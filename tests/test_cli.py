@@ -178,6 +178,13 @@ class TestCertify:
         assert [r["status"] for r in rows] == ["Violated"]
         assert rows[0]["min_slack_hi"] < 0.0
 
+    def test_default_gmax_prints_as_given(self, capsys):
+        # the default g_max is the float that --gmax 1000000 parses to, so
+        # both runs print the same bytes
+        default = run(capsys, "certify", "--format", "json")
+        given = run(capsys, "certify", "--gmax", "1000000", "--format", "json")
+        assert default == given
+
     def test_budget_flag(self, capsys):
         assert cli.build_parser().parse_args(["certify"]).budget == \
             certify.DEFAULT_BUDGET
