@@ -169,32 +169,28 @@ def corollary_mixing(t: float) -> float:
     return min(s / math.sqrt(s * s + 1.0), 0.5)
 
 
-def corollary_report(d: Decomposition) -> dict:
-    """Full decomposition report.
+def corollary_report(d: Decomposition) -> list[dict]:
+    """The rows ``corollary`` prints, one per piece, each with M and the
+    denominator.
 
-    Includes M, the literal per-piece vector-norm bounds
-    (n_i + 1) max{4 log(4 g_i + 2 n_i - 3), t} / (pi - 2 arcsin(M)), and
-    the companion values with +3 in the log argument (the form the
+    Each piece gets the literal vector-norm bound
+    (n_i + 1) max{4 log(4 g_i + 2 n_i - 3), t} / (pi - 2 arcsin(M)) and
+    the companion value with +3 in the log argument (the form the
     underlying bordered-systole bound produces); a flag marks the
     discrepancy rather than silently adopting either reading.
     """
     m_mix = corollary_mixing(d.t)
     denom = math.pi - 2.0 * math.asin(m_mix)
-    pieces = []
+    rows = []
     for sig in d.pieces:
         # log argument >= 3: each piece is hyperbolic with positive genus
         literal, variant = ((sig.n + 1) * max(4.0 * math.log(4 * sig.g + 2 * sig.n + s), d.t)
                             / denom for s in (-3, 3))
-        pieces.append(
-            {
-                "g": sig.g,
-                "n": sig.n,
-                "bound": literal,
-                "bound_plus3_variant": variant,
-                "log_argument_discrepancy": True,
-            }
-        )
-    return {"t": d.t, "M": m_mix, "denominator": denom, "pieces": pieces}
+        rows.append({"g": sig.g, "n": sig.n, "bound": literal,
+                     "bound_plus3_variant": variant,
+                     "log_argument_discrepancy": True,
+                     "M": m_mix, "denominator": denom})
+    return rows
 
 
 def naive_disk_bound() -> float:

@@ -183,9 +183,7 @@ def cmd_corollary(args, parser) -> int:
         parser.error("corollary needs --t and at least one --piece, or --file")
     else:
         decomp = bounds.Decomposition(t=args.t, pieces=tuple(args.piece))
-    report = bounds.corollary_report(decomp)
-    render([{**piece, "M": report["M"], "denominator": report["denominator"]}
-            for piece in report["pieces"]], args.format)
+    render(bounds.corollary_report(decomp), args.format)
     return EXIT_OK
 
 

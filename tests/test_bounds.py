@@ -102,15 +102,14 @@ def test_hermite_asymptote():
 class TestCorollary:
     def test_single_piece(self):
         d = Decomposition(t=1.0, pieces=(Signature(2, 1),))
-        (piece,) = bounds.corollary_report(d)["pieces"]
+        (piece,) = bounds.corollary_report(d)
         assert piece["bound"] == pytest.approx(7.1382352850589647, rel=REL)
 
     def test_report_fields(self):
         d = Decomposition(t=1.0, pieces=(Signature(2, 1),))
-        rep = bounds.corollary_report(d)
-        assert rep["M"] == pytest.approx(0.4621171572600098, rel=REL)
-        assert rep["denominator"] == pytest.approx(2.1808304953223343, rel=REL)
-        piece = rep["pieces"][0]
+        (piece,) = bounds.corollary_report(d)
+        assert piece["M"] == pytest.approx(0.4621171572600098, rel=REL)
+        assert piece["denominator"] == pytest.approx(2.1808304953223343, rel=REL)
         assert piece["log_argument_discrepancy"] is True
         assert piece["bound_plus3_variant"] == pytest.approx(
             9.4090737009156809, rel=REL)
