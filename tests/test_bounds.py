@@ -2,6 +2,7 @@
 oracle, and every interval form of a genus ceiling is checked against the
 same oracle of its source formula by containment."""
 
+import json
 import math
 import random
 
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from schottky_gauge import bounds, cli, lattice
+from schottky_gauge import bounds, cli, interval, lattice
 from schottky_gauge.bounds import Decomposition, Signature, Verdict
 from schottky_gauge.errors import DomainError
 from schottky_gauge.interval import Interval
@@ -76,6 +77,81 @@ def test_bavard_bound_values_and_monotonicity():
         cur = bounds.bavard_bound(P(float(g)))
         assert prev < cur.lo and cur.hi < bounds.BAVARD_LIMIT.lo
         prev = cur.hi
+
+
+# -- genus ceilings against a 40-digit oracle -----------------------------
+
+def _log8(g):
+    return mp.log(8 * g - 7)
+
+
+def _log4(g):
+    return mp.log(4 * g - 2)
+
+
+def _bavard(theta):
+    return 4 * mp.acosh(1 / (2 * mp.sin(theta)))
+
+
+# form name -> source formula of g
+_ORACLES = {
+    "log8": _log8,
+    "thm_main_m1": _log4,
+    "thm_main_m2": lambda g: mp.mpf(31) / 10 * _log8(g),
+    "thm_bs_upper": lambda g: 3 / mp.pi * _log4(g),
+    "systole_gamma1": lambda g: 2 * _log4(g),
+    "systole_gamma2": lambda g: 3 * _log8(g),
+    "bavard_bound": lambda g: _bavard(mp.pi * (g + 1) / (12 * g)),
+}
+_CONSTANTS = {
+    "BAVARD_LIMIT": _bavard(mp.pi / 12),
+    "HYPERELLIPTIC": 3 / mp.pi * mp.log(
+        3 + 2 * mp.sqrt(3) + 2 * mp.sqrt(5 + 3 * mp.sqrt(3))),
+}
+
+
+def test_every_public_form_has_an_oracle():
+    # public Interval constants and functions returning an Interval that
+    # bounds defines, not those it imports from the interval layer
+    forms = {name for name, value in vars(bounds).items()
+             if not name.startswith("_") and name not in vars(interval)
+             and (isinstance(value, Interval)
+                  or getattr(value, "__annotations__", {}).get("return")
+                  == "Interval")}
+    assert forms == set(_ORACLES) | set(_CONSTANTS)
+
+
+_rng = random.Random("genus ceilings")
+_GENERA = ([2.0 * 5e5 ** _rng.random() for _ in range(300)]
+           + [float(g) for g in range(2, 11)] + [1e20])
+
+
+@pytest.mark.parametrize("name", list(_ORACLES))
+def test_point_enclosure_contains_source_formula(name):
+    form, source = getattr(bounds, name), _ORACLES[name]
+    for g in _GENERA:
+        enc = form(P(g))
+        assert _encloses(enc, source(mp.mpf(g))), (g, enc)
+
+
+@pytest.mark.parametrize("name", list(_CONSTANTS))
+def test_constant_encloses_source_formula(name):
+    assert _encloses(getattr(bounds, name), _CONSTANTS[name])
+
+
+@pytest.mark.parametrize("g", [2, 3, 5, 10])
+def test_exclude_thresholds_are_bounds_rows(capsys, tmp_path, g):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 2 * g, "mode": "ppav",
+                                "entries": np.eye(2 * g).ravel().tolist()}))
+    assert cli.main(["exclude", str(path), "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert cli.main(["bounds", "--g", str(g), "--format", "json"]) == 0
+    ceilings = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)}
+    assert row["thm_bs_threshold"] == ceilings["thm_bs_upper"]
+    assert row["thm_main_m2_threshold"] == ceilings["thm_main_m2"]
+    assert row["hyperelliptic_threshold"] == ceilings["hyperelliptic"]
+    assert row["margin_m1_vs_main"] == ceilings["thm_main_m1"] - row["m1_sq"]
 
 
 def test_minkowski_product_log_bound():
