@@ -156,6 +156,7 @@ def bavard_bound(g: Interval) -> Interval:
 
 # 4 arccosh(1/(2 sin(pi/12))) = 2 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3))
 BAVARD_LIMIT = _bavard(IPI / 12.0)
+# 3 log(3 + 2 sqrt 3 + 2 sqrt(5 + 3 sqrt 3))/pi, the limit times 3/(2 pi):
 # the genus-free ceiling for m_1^2 of a hyperelliptic Jacobian
 HYPERELLIPTIC = BAVARD_LIMIT * 1.5 / IPI
 
