@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import lattice
 from .errors import DomainError, IncompleteMinima
@@ -108,7 +108,7 @@ class ExclusionVerdict:
     margin_m1_vs_hyperelliptic: float
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict.value}
+        return {**vars(self), "verdict": self.verdict.value}
 
 
 def log8(g: Interval) -> Interval:

@@ -42,8 +42,9 @@ def test_systole_bounds():
     assert bounds.systole_gamma2(G2).mid == pytest.approx(6.5916737320086581, rel=REL)
 
 
-def test_genus_guard(tmp_path):
-    # the entry points that take an integer genus reject g = 1
+def test_genus_guard():
+    # the entry points that take an integer genus reject one below their
+    # floor: 2, or 1 for the Minkowski product bound
     gram = lattice.validate(np.eye(2), lattice.Mode.PPAV)
     for call in (lambda: bounds.jacobian_exclusion(gram),
                  lambda: bounds.hermite_ppav_bounds(1),
