@@ -47,22 +47,24 @@ _DCAP_WP = collar.dcap(IWP)
 class Dim:
     """One continuous axis of a task domain.
 
-    ``hi`` is a fixed ceiling or a ceiling coupled to the genus: a callable
-    mapping a genus value to an outward-rounded Interval.  The engine takes
-    its ``.hi`` at ``g_max`` for the initial box and, on a task with a genus
-    axis ``g``, at each cell's largest genus, clipping the axis there or
-    counting the cell vacuous when it lies wholly above.  ``log_scale``
-    selects geometric bisection, suited to axes spanning several orders of
-    magnitude.
+    ``hi`` is a fixed ceiling or a ceiling coupled to the genus: a function
+    of an Interval genus returning an outward-rounded Interval, such as a
+    ``bounds`` form.  The engine takes its ``.hi`` at ``g_max`` for the
+    initial box and, on a task with the ``GENUS`` axis, at each cell's
+    largest genus, clipping the axis there or counting the cell vacuous
+    when it lies wholly above.
     """
 
     name: str
     lo: float
-    hi: float | Callable[[float], Interval]
-    log_scale: bool = False
+    hi: float | Callable[[Interval], Interval]
 
-    def hi_at(self, g: float) -> float:
-        return self.hi(g).hi if callable(self.hi) else self.hi
+
+# The genus axis: the integers relaxed to the real interval [2, g_max],
+# so certifying the relaxation certifies every genus.  Its ceiling is the
+# genus itself.  It is the only axis bisected geometrically, which keeps
+# the cell count near-logarithmic in g_max.
+GENUS = Dim("g", 2.0, lambda g: g)
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,8 @@ class TailProof:
 @dataclass(frozen=True)
 class CertFamily:
     id: str
-    title: str
     tasks: tuple[Task, ...]
     tail: Callable[[float], TailProof] | None = None
-    aliases: tuple[str, ...] = ()
     exempt: bool = False          # may stay Undecided without failing a suite
 
 
@@ -119,11 +119,11 @@ class CertReport:
 # Branch and bound
 # ----------------------------------------------------------------------
 
-def _bisect(cell: Interval, log_scale: bool) -> float | None:
-    """The split point of ``cell``: its geometric mean on a log-scale axis
+def _bisect(cell: Interval, geometric: bool) -> float | None:
+    """The split point of ``cell``: its geometric mean on the genus axis
     when that lies strictly inside, else its midpoint; None when that
     rounds onto an endpoint, so no split makes progress."""
-    if log_scale and cell.lo > 0:
+    if geometric and cell.lo > 0:
         m = math.sqrt(cell.lo * cell.hi)
         if cell.lo < m < cell.hi:
             return m
@@ -152,19 +152,20 @@ class _Sweep:
         ``(reason, witness, slack)`` for the cell that stopped the sweep."""
         dims = task.dims
         names = [d.name for d in dims]
-        logs = [d.log_scale for d in dims]
+        geometric = [d is GENUS for d in dims]
+        top = Interval.point(self.g_max)
         init, spans = [], []
-        for d in dims:
-            hi = d.hi_at(self.g_max)
+        for d, geo in zip(dims, geometric):
+            hi = d.hi(top).hi if callable(d.hi) else d.hi
             if d.lo >= hi:
                 return None  # empty axis: vacuous domain
             init.append(Interval(d.lo, hi))
-            spans.append(math.log(hi / d.lo) if d.log_scale else hi - d.lo)
-        # Axes whose ceiling follows the genus axis "g"; only tasks that
-        # have some pay for the per-cell clip.
+            spans.append(math.log(hi / d.lo) if geo else hi - d.lo)
+        # Axes whose ceiling follows the genus axis; only tasks that have
+        # some pay for the per-cell clip.
+        genus = geometric.index(True) if True in geometric else -1
         coupled = [i for i, d in enumerate(dims)
-                   if callable(d.hi) and d.name != "g"] if "g" in names else []
-        genus = names.index("g") if coupled else -1
+                   if callable(d.hi) and i != genus] if genus >= 0 else []
 
         def mid(cell):
             return {n: c.mid for n, c in zip(names, cell)}
@@ -173,8 +174,9 @@ class _Sweep:
             """Cap each coupled axis at its ceiling for the cell's largest
             genus; None when the cell lies wholly above a ceiling."""
             cell = list(cell)
+            g = Interval.point(cell[genus].hi)
             for i in coupled:
-                cap = dims[i].hi(cell[genus].hi).hi
+                cap = dims[i].hi(g).hi
                 if cell[i].lo > cap:
                     return None
                 if cell[i].hi > cap:
@@ -213,9 +215,10 @@ class _Sweep:
             # the widest axis, relative to its initial span, that can split
             axis, widest, m = -1, -1.0, None
             for i, c in enumerate(cell):
-                w = (math.log(c.hi / c.lo) if logs[i] else c.hi - c.lo) / spans[i]
+                w = (math.log(c.hi / c.lo) if geometric[i]
+                     else c.hi - c.lo) / spans[i]
                 if w > widest:
-                    split = _bisect(c, logs[i])
+                    split = _bisect(c, geometric[i])
                     if split is not None:
                         axis, widest, m = i, w, split
             if m is None or widest < self.tol:
@@ -278,15 +281,6 @@ def certify(
 # ----------------------------------------------------------------------
 # Family definitions
 # ----------------------------------------------------------------------
-#
-# The genus axis is treated as the continuous interval [2, g_max]; since
-# the integers are a subset, certifying the relaxation certifies every
-# genus.  Geometric bisection keeps the cell count near-logarithmic in
-# g_max.
-
-
-_GDIM = Dim("g", 2.0, Interval.point, log_scale=True)
-
 
 # -- CF-A --------------------------------------------------------------
 # 2 arccosh(sinh^2(g/2)(cosh(2 arcsinh(2 pi (g-1)/gamma)) - 1) - 1)
@@ -441,9 +435,8 @@ def _cff_tasks(ceiling: Callable[[Interval], Interval]) -> tuple[Task, Task]:
 
     return (
         Task("short-core", (Dim("gamma", 0.0, collar.K),), short),
-        Task("long-core", (_GDIM, Dim(
-            "gamma", collar.K, lambda g: bounds.systole_gamma1(Interval.point(g)))),
-            long),
+        Task("long-core", (GENUS, Dim("gamma", collar.K, bounds.systole_gamma1)),
+             long),
     )
 
 
@@ -512,81 +505,37 @@ def _cfj_tail(_g_from: float) -> TailProof:
 _GAMMA_HALF_PI = Dim("gamma", 0.0, (IPI * 0.5).hi)
 
 FAMILIES: tuple[CertFamily, ...] = (
-    CertFamily(
-        id="CF-A", title="config-1 boundary length vs 4 log(8g-7)",
-        tasks=(Task("main", (_GDIM, _GAMMA_HALF_PI),
-                    _cfa_slack_iv),),
-        tail=_cfa_tail,
-    ),
-    CertFamily(
-        id="CF-B", title="config-2 boundary length vs 3 log(8g-7)",
-        tasks=(Task("main", (_GDIM, _GAMMA_HALF_PI),
-                    _cfb_slack_iv),),
-        tail=_cfb_tail,
-    ),
-    CertFamily(
-        id="CF-C", title="crossing-width denominator vs 3/3.1",
-        tasks=(Task("main", (Dim("alpha1", Interval.ratio(11.0, 10.0).lo, _ALPHA1_CAP),),
-                    _cfc_slack_iv),),
-        tail=_cfc_tail,
-    ),
-    CertFamily(
-        id="CF-D", title="two-collar capacity sum vs 3.1 log(8g-7)",
-        tasks=(Task("main", (_GDIM,), _cfd_slack_iv),),
-        tail=_cfd_tail,
-    ),
-    CertFamily(
-        id="CF-E", title="second-collar capacity vs 3.1 log(8g-7)",
-        tasks=(Task(
-            "main",
-            (_GDIM, Dim("gamma2", _GAMMA2_LO,
-                        lambda g: bounds.systole_gamma2(Interval.point(g)))),
-            _cfe_slack_iv),),
-        tail=_cfe_tail,
-    ),
-    CertFamily(
-        id="CF-F", title="collar capacity vs log(4g-2)",
-        tasks=_cff_tasks(bounds.thm_main_m1),
-        tail=_cff_tail,
-    ),
-    CertFamily(
-        id="CF-G", title="separation floor 0.73",
-        tasks=(Task("point", (), _cfg_slack_iv),),
-    ),
-    CertFamily(
-        id="CF-H", title="config-2 second-collar width floor 0.96",
-        tasks=(Task("main", (Dim("gamma2", _GAMMA2_LO, 60.0),),
-                    _cfh_slack_iv),),
-        tail=_cfh_tail,
-    ),
-    CertFamily(
-        id="CF-I", title="hyperelliptic systole limit",
-        tasks=(Task("main", (_GDIM,), _cfi_slack_iv),),
-        tail=_cfi_tail,
-    ),
-    CertFamily(
-        id="CF-J", title="crossing width floor 0.66",
-        tasks=(Task("main", (Dim("alpha1", 1.5, _ALPHA1_CAP),),
-                    _cfj_slack_iv),),
-        tail=_cfj_tail,
-    ),
+    CertFamily(id="CF-A", tail=_cfa_tail,
+               tasks=(Task("main", (GENUS, _GAMMA_HALF_PI), _cfa_slack_iv),)),
+    CertFamily(id="CF-B", tail=_cfb_tail,
+               tasks=(Task("main", (GENUS, _GAMMA_HALF_PI), _cfb_slack_iv),)),
+    CertFamily(id="CF-C", tail=_cfc_tail, tasks=(Task(
+        "main", (Dim("alpha1", Interval.ratio(11.0, 10.0).lo, _ALPHA1_CAP),),
+        _cfc_slack_iv),)),
+    CertFamily(id="CF-D", tail=_cfd_tail,
+               tasks=(Task("main", (GENUS,), _cfd_slack_iv),)),
+    CertFamily(id="CF-E", tail=_cfe_tail, tasks=(Task(
+        "main", (GENUS, Dim("gamma2", _GAMMA2_LO, bounds.systole_gamma2)),
+        _cfe_slack_iv),)),
+    CertFamily(id="CF-F", tail=_cff_tail,
+               tasks=_cff_tasks(bounds.thm_main_m1)),
+    CertFamily(id="CF-G", tasks=(Task("point", (), _cfg_slack_iv),)),
+    CertFamily(id="CF-H", tail=_cfh_tail, tasks=(Task(
+        "main", (Dim("gamma2", _GAMMA2_LO, 60.0),), _cfh_slack_iv),)),
+    CertFamily(id="CF-I", tail=_cfi_tail,
+               tasks=(Task("main", (GENUS,), _cfi_slack_iv),)),
+    CertFamily(id="CF-J", tail=_cfj_tail, tasks=(Task(
+        "main", (Dim("alpha1", 1.5, _ALPHA1_CAP),), _cfj_slack_iv),)),
 )
 
 # Sharpened m1 variant: at gamma = 2 log(4g-2) with w = W the two sides
 # agree exactly, so no strictly-positive certificate exists and the family
 # is expected Undecided; opt-in only, never part of the default registry.
 CF_F_PRIME = CertFamily(
-    id="CF-F-prime", title="collar capacity vs (3/pi) log(4g-2)",
-    aliases=("CF-F'",),
-    tasks=_cff_tasks(bounds.thm_bs_upper),
-    exempt=True,
-)
+    id="CF-F-prime", tasks=_cff_tasks(bounds.thm_bs_upper), exempt=True)
 
-_ALL = {f.id: f for f in FAMILIES}
-_ALL[CF_F_PRIME.id] = CF_F_PRIME
-for _f in list(_ALL.values()):
-    for _a in _f.aliases:
-        _ALL[_a] = _f
+_ALL = {f.id: f for f in (*FAMILIES, CF_F_PRIME)}
+_ALL["CF-F'"] = CF_F_PRIME
 
 
 def lookup(identifier: str) -> CertFamily:
@@ -594,18 +543,6 @@ def lookup(identifier: str) -> CertFamily:
         return _ALL[identifier]
     except KeyError:
         raise DomainError(f"unknown certification family {identifier!r}") from None
-
-
-def run_all(
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    g_max: float = DEFAULT_G_MAX,
-    families: tuple[CertFamily, ...] | None = None,
-) -> list[CertReport]:
-    """Certify every registered family (or the given subset) in order."""
-    if families is None:
-        families = FAMILIES
-    return [certify(f, tol=tol, budget=budget, g_max=g_max) for f in families]
 
 
 __all__ = [
@@ -617,9 +554,9 @@ __all__ = [
     "DEFAULT_TOL",
     "Dim",
     "FAMILIES",
+    "GENUS",
     "TailProof",
     "Task",
     "certify",
     "lookup",
-    "run_all",
 ]

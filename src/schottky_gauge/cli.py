@@ -131,8 +131,8 @@ def cmd_certify(args, parser) -> int:
             fams = tuple(certify.lookup(f) for f in args.families)
         except DomainError as exc:
             parser.error(str(exc))
-    reports = certify.run_all(tol=args.tol, budget=args.budget,
-                              g_max=args.gmax, families=fams)
+    reports = [certify.certify(f, tol=args.tol, budget=args.budget,
+                               g_max=args.gmax) for f in fams]
     render([r.as_dict() for r in reports], args.format)
     if any(r.status == "Violated" for r in reports):
         return EXIT_VIOLATED

@@ -15,11 +15,11 @@ from schottky_gauge.certify import (
     CertFamily,
     Dim,
     DEFAULT_G_MAX,
+    GENUS,
     TailProof,
     Task,
     certify as run_one,
     lookup,
-    run_all,
 )
 from schottky_gauge.errors import DomainError
 from schottky_gauge.interval import IndeterminateCell, Interval
@@ -27,10 +27,10 @@ from schottky_gauge.interval import IndeterminateCell, Interval
 
 @pytest.fixture(scope="module")
 def reports():
-    return {r.family: r for r in run_all()}
+    return {f.id: run_one(f) for f in FAMILIES}
 
 
-# The default report of ``run_all()`` (tol 1e-4, g_max 1e6), family by
+# The default report of every family (tol 1e-4, g_max 1e6), family by
 # family: status, tail status, cells, vacuous cells, depth, min_slack_lo.
 # A speedup must leave all of it unchanged, min_slack_lo to 1e-12
 # relative. A soundness change (wider enclosures in the interval layer,
@@ -95,7 +95,7 @@ class TestFamilies:
 
     def test_lookup_and_aliases(self):
         assert lookup("CF-A") is FAMILIES[0]
-        assert lookup("CF-F'") is CF_F_PRIME
+        assert lookup("CF-F'") is lookup("CF-F-prime") is CF_F_PRIME
         with pytest.raises(DomainError):
             lookup("CF-Z")
 
@@ -127,7 +127,7 @@ class TestFamilies:
 class TestEngine:
     def test_empty_domain_certifies_vacuously(self):
         fam = CertFamily(
-            id="T-EMPTY", title="empty domain",
+            id="T-EMPTY",
             tasks=(Task(
                 name="empty",
                 dims=(Dim("x", 2.0, 1.0),),
@@ -139,7 +139,7 @@ class TestEngine:
 
     def test_violation_detected_with_witness(self):
         fam = CertFamily(
-            id="T-NEG", title="x - 2 on [0, 1]",
+            id="T-NEG",
             tasks=(Task(
                 name="neg",
                 dims=(Dim("x", 0.0, 1.0),),
@@ -168,7 +168,7 @@ class TestEngine:
             return at_point
 
         fam = CertFamily(
-            id="T-STRADDLE", title="negative cells, inconclusive points",
+            id="T-STRADDLE",
             tasks=(Task(name="straddle", dims=(Dim("x", 0.0, 1.0),),
                         slack_iv=slack),),
         )
@@ -181,11 +181,10 @@ class TestEngine:
         # y = g + 1/2, so certifying needs every cell clipped at its own
         # largest genus; cells wholly above the ceiling count as vacuous
         fam = CertFamily(
-            id="T-COUPLED", title="g - y + 1/2 on y <= g",
+            id="T-COUPLED",
             tasks=(Task(
                 name="coupled",
-                dims=(Dim("g", 2.0, Interval.point, log_scale=True),
-                      Dim("y", 0.0, Interval.point)),
+                dims=(GENUS, Dim("y", 0.0, lambda g: g)),
                 slack_iv=lambda g, y: g - y + 0.5),),
         )
         rep = run_one(fam, g_max=100.0)
@@ -197,10 +196,10 @@ class TestEngine:
         # violates; the box [2, 2.5] certifies, and the honest tail floor
         # is negative from every g_from below 3.15
         fam = CertFamily(
-            id="T-TAIL", title="a violation just above g_max",
+            id="T-TAIL",
             tasks=(Task(
                 name="genus",
-                dims=(Dim("g", 2.0, Interval.point, log_scale=True),),
+                dims=(GENUS,),
                 slack_iv=lambda g: (g - 2.9).sq() * 4.0 - 0.25),),
             tail=lambda g_from: TailProof(
                 4.0 * max(g_from - 2.9, 0.0) ** 2 - 0.25,
@@ -215,7 +214,7 @@ class TestEngine:
         # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
         # positive but too tight to resolve at tol=0.5
         fam = CertFamily(
-            id="T-PINCH", title="near-tangent slack",
+            id="T-PINCH",
             tasks=(Task(
                 name="pinch",
                 dims=(Dim("x", 0.0, 2.0),),
@@ -227,16 +226,18 @@ class TestEngine:
     @pytest.mark.parametrize("axis", [
         (1.0, math.nextafter(1.0, 2.0)), (math.nextafter(1.0, 0.0), 1.0),
     ], ids=["mid-on-lo", "mid-on-hi"])
-    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
-    def test_unsplittable_axis_is_width_floor(self, axis, log_scale):
+    @pytest.mark.parametrize("genus", [False, True], ids=["linear", "log"])
+    def test_unsplittable_axis_is_width_floor(self, axis, genus):
         # an axis one ulp wide has no split point strictly inside: a half
-        # equal to the cell would be pushed again until the budget ran out
+        # equal to the cell would be pushed again until the budget ran out;
+        # the log cases add the genus axis, one ulp wide at g_max one ulp
+        # above 2, whose geometric mean has no split point inside either
+        dims = (GENUS,) * genus + (Dim("x", *axis),)
         fam = CertFamily(
-            id="T-ULP", title="straddling slack on a one-ulp axis",
-            tasks=(Task("ulp", (Dim("x", *axis, log_scale=log_scale),),
-                        lambda x: Interval(-1.0, 1.0)),),
+            id="T-ULP",
+            tasks=(Task("ulp", dims, lambda *cell: Interval(-1.0, 1.0)),),
         )
-        rep = run_one(fam, budget=10**5)
+        rep = run_one(fam, budget=10**5, g_max=math.nextafter(2.0, 3.0))
         assert rep.note == "cell width floor reached in task ulp"
         assert rep.cells_processed <= 2
 
@@ -245,7 +246,7 @@ class TestEngine:
         # ties for widest but cannot split; y must be split instead until
         # its cells are 1/4 wide: 1 + 2 + 4 cells
         fam = CertFamily(
-            id="T-ULP-PAIR", title="a one-ulp axis beside a splittable one",
+            id="T-ULP-PAIR",
             tasks=(Task("pair", (Dim("x", 1.0, math.nextafter(1.0, 2.0)),
                                  Dim("y", 0.0, 1.0)),
                         lambda x, y: Interval.point(1.0) if y.hi - y.lo <= 0.25
@@ -263,7 +264,7 @@ class TestEngine:
     def test_task_without_axes(self, slack, status, note):
         # a task with no axes is one cell that cannot split: its form takes
         # no arguments, and its witness is the empty midpoint
-        fam = CertFamily(id="T-POINT", title="a constant slack",
+        fam = CertFamily(id="T-POINT",
                          tasks=(Task("point", (), lambda: slack),))
         rep = run_one(fam)
         assert (rep.status, rep.note) == (status, f"{note} in task point")
@@ -280,7 +281,7 @@ class TestEngine:
         # the first task certifies in 7 cells (widths 1, 1/2, 1/4); the
         # second never does, so it gets only what the first left over
         fam = CertFamily(
-            id="T-SHARED", title="budget across two tasks",
+            id="T-SHARED",
             tasks=(
                 Task("first", (Dim("x", 0.0, 1.0),),
                      lambda x: Interval.point(1.0) if x.hi - x.lo <= 0.25
@@ -300,7 +301,7 @@ class TestEngine:
             Task("a", (Dim("x", 0.0, 1.0),), lambda x: Interval(2.0, 3.0)),
             Task("b", (Dim("y", 0.0, 4.0),), lambda y: Interval(1.0, 3.0)),
         )
-        fam = CertFamily(id="T-MIN", title="smallest slack wins",
+        fam = CertFamily(id="T-MIN",
                          tasks=tuple(tasks[i] for i in order))
         rep = run_one(fam)
         assert rep.status == "Certified"
@@ -397,15 +398,16 @@ _TASKS = [(f, t) for f in FAMILIES + (CF_F_PRIME,) for t in f.tasks]
 
 def _sample(task, fractions):
     """A point of the task domain at g_max = DEFAULT_G_MAX; each fraction
-    places one axis, and coupled axes stop at their ceiling for the
-    sampled genus."""
+    places one axis, the genus log-uniformly, and coupled axes stop at
+    their ceiling for the sampled genus."""
     pt = {}
     for d, u in zip(task.dims, fractions):
-        hi = d.hi(pt["g"]).lo if callable(d.hi) and "g" in pt \
-            else d.hi_at(DEFAULT_G_MAX)
-        if d.log_scale:
+        if d is GENUS:
+            hi = DEFAULT_G_MAX
             v = d.lo * (hi / d.lo) ** u
         else:
+            hi = d.hi(Interval.point(pt.get("g", DEFAULT_G_MAX))).lo \
+                if callable(d.hi) else d.hi
             v = d.lo + u * (hi - d.lo)
         pt[d.name] = min(max(v, d.lo), hi)
     return pt
@@ -472,7 +474,7 @@ def test_tail_floor_below_sampled_slack(fam_id, task_name, lo, hi):
     for _ in range(3000):
         pt = [lo * (hi / lo) ** rng.random()]
         for d in task.dims[1:]:
-            top = d.hi(pt[0]).lo if callable(d.hi) else d.hi
+            top = d.hi(Interval.point(pt[0])).lo if callable(d.hi) else d.hi
             pt.append(d.lo + rng.random() * (top - d.lo))
         enc = task.slack_iv(*map(Interval.point, pt))
         assert enc.hi >= proof.infimum_lb, (pt, enc)

@@ -169,7 +169,7 @@ class TestCertify:
 
     def test_violated_family_exits_4(self, capsys, monkeypatch):
         neg = certify.CertFamily(
-            id="T-NEG", title="x - 2 on [0, 1]",
+            id="T-NEG",
             tasks=(certify.Task("neg", (certify.Dim("x", 0.0, 1.0),),
                                 lambda x: x - 2.0),))
         monkeypatch.setattr(certify, "FAMILIES", (neg,))
