@@ -262,7 +262,9 @@ def certify(
         if family.tail is not None:
             proof = family.tail(g_max)
             tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
-            if proof.infimum_lb > 0.0 or proof.strict:
+            lb = proof.infimum_lb
+            # strict: the slack exceeds lb, so a strict floor of 0 suffices
+            if lb > 0.0 or (proof.strict and lb >= 0.0):
                 tail_status = "Proven"
             else:
                 tail_status = "Checked-to-bound"
@@ -421,13 +423,13 @@ def _cff_tasks(ceiling: Callable[[Interval], Interval]) -> tuple[Task, Task]:
     def short(y: Interval) -> Interval:
         if y.lo <= 0.0:
             # b1 = arcsinh(1/sinh(gamma/2)) decreases, so its value at the
-            # right endpoint floors the width on the whole cell; the
-            # capacity ceiling that yields is enough for cells touching
-            # gamma = 0.
+            # right endpoint floors the width on the whole cell, and the
+            # capacity lies in [0, cap_hi] there; that is enough for cells
+            # touching gamma = 0.
             top = Interval.point(y.hi)
             b1_hi = collar.separation(top * 0.5)
             cap_hi = collar.capacity(top, Interval.point(b1_hi.lo)).hi
-            return Interval(rhs6.lo - cap_hi, rhs6.hi)
+            return rhs6 - Interval(0.0, cap_hi)
         return rhs6 - collar.capacity(y, collar.config1_width(y))
 
     def long(g: Interval, y: Interval) -> Interval:

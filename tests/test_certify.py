@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schottky_gauge import bounds, collar
 from schottky_gauge.certify import (
     CF_F_PRIME,
     FAMILIES,
@@ -209,6 +210,21 @@ class TestEngine:
         assert rep.status == "Undecided"
         assert rep.tail_status == "Checked-to-bound"
         assert rep.note == "tail floor not positive"
+
+    @pytest.mark.parametrize("floor, status, tail", [
+        (0.0, "Certified", "Proven"),
+        (-1.0, "Undecided", "Checked-to-bound"),
+    ], ids=["zero", "negative"])
+    def test_strict_tail_needs_nonnegative_floor(self, floor, status, tail):
+        # strict means the slack exceeds the floor at every finite genus,
+        # which proves it positive only from a floor of 0 up
+        fam = CertFamily(
+            id="T-STRICT",
+            tasks=(Task("one", (GENUS,), lambda g: Interval.point(1.0)),),
+            tail=lambda g_from: TailProof(floor, "toy floor", strict=True),
+        )
+        rep = run_one(fam, g_max=10.0)
+        assert (rep.status, rep.tail_status) == (status, tail)
 
     def test_coarse_tolerance_leaves_undecided(self):
         # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
@@ -437,6 +453,23 @@ class TestSoundness:
         assert enc.lo - pad <= ref <= enc.hi + pad, (pt, ref, enc)
         if fam.id in reports:
             assert ref >= reports[fam.id].min_slack_lo - 1e-9
+
+    @pytest.mark.parametrize("fam_id, ceiling", [
+        ("CF-F", bounds.thm_main_m1), ("CF-F-prime", bounds.thm_bs_upper),
+    ], ids=["CF-F", "CF-F-prime"])
+    def test_short_core_lower_end_below_exact_difference(self, fam_id, ceiling):
+        # on a cell [0, top] the capacity lies in [0, cap_hi], so the
+        # enclosure's lower end must lie at or below the exact rational
+        # rhs6.lo - cap_hi, not at its nearest float
+        short = lookup(fam_id).tasks[0]
+        rhs6 = ceiling(Interval.point(2.0))
+        for n in range(494):
+            top = Interval.point(collar.K * 0.97 ** n)
+            b1_hi = collar.separation(top * 0.5)
+            cap_hi = collar.capacity(top, Interval.point(b1_hi.lo)).hi
+            enc = short.slack_iv(Interval(0.0, top.hi))
+            assert Fraction(enc.lo) <= Fraction(rhs6.lo) - Fraction(cap_hi), n
+            assert enc.hi >= rhs6.hi, n
 
     def test_cfi_limit_is_zero(self):
         # the slack tends to 0 as g -> inf; the certified floor must be
