@@ -194,11 +194,6 @@ def corollary_report(d: Decomposition) -> list[dict]:
     return rows
 
 
-def naive_disk_bound() -> float:
-    """Coarse disk-packing constant 4 arccosh(2) = 5.2678..."""
-    return 4.0 * math.acosh(2.0)
-
-
 def minkowski_product_log_bound(g: int) -> float:
     """log((4/pi)^g (g!)^2): Minkowski second-theorem ceiling for the log of
     the product of all 2g squared minima of a PPAV."""

@@ -29,8 +29,8 @@ WIDTH_CAP = Interval.ratio(66.0, 100.0)           # 0.66
 
 
 def dcap(w: Interval) -> Interval:
-    """pi - 2 arcsin(1/cosh w): the capacity denominator, decreasing from
-    pi toward 0 as the width w grows."""
+    """pi - 2 arcsin(1/cosh w): the capacity denominator, increasing from
+    0 at w = 0 toward pi as the width w grows."""
     return IPI - (1.0 / w.cosh()).asin() * 2.0
 
 

