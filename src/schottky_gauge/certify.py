@@ -17,9 +17,10 @@ upper bound.  The engine never weakens a claim to force a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 from . import bounds, collar
 from .errors import DomainError
@@ -131,6 +132,22 @@ def _bisect(cell: Interval, geometric: bool) -> float | None:
     return m if cell.lo < m < cell.hi else None
 
 
+def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
+    """The initial cell of ``task`` at ``g_max`` and each axis's span (a log
+    span on the genus axis); None when an axis is empty, which makes the
+    domain vacuous.  A ceiling with no finite enclosure at ``g_max`` raises
+    ``IndeterminateCell``."""
+    top = Interval.point(g_max)
+    init, spans = [], []
+    for d in task.dims:
+        hi = d.hi(top).hi if callable(d.hi) else d.hi
+        if d.lo >= hi:
+            return None
+        init.append(Interval(d.lo, hi))
+        spans.append(math.log(hi / d.lo) if d is GENUS else hi - d.lo)
+    return init, spans
+
+
 _VIOLATED = "violation proven by point enclosure"
 
 
@@ -150,17 +167,13 @@ class _Sweep:
     def run(self, task: Task) -> tuple[str, dict | None, Interval | None] | None:
         """None when every cell of ``task`` certifies, else
         ``(reason, witness, slack)`` for the cell that stopped the sweep."""
+        box = _box(task, self.g_max)
+        if box is None:
+            return None  # empty axis: vacuous domain
+        init, spans = box
         dims = task.dims
         names = [d.name for d in dims]
         geometric = [d is GENUS for d in dims]
-        top = Interval.point(self.g_max)
-        init, spans = [], []
-        for d, geo in zip(dims, geometric):
-            hi = d.hi(top).hi if callable(d.hi) else d.hi
-            if d.lo >= hi:
-                return None  # empty axis: vacuous domain
-            init.append(Interval(d.lo, hi))
-            spans.append(math.log(hi / d.lo) if geo else hi - d.lo)
         # Axes whose ceiling follows the genus axis; only tasks that have
         # some pay for the per-cell clip.
         genus = geometric.index(True) if True in geometric else -1
@@ -229,6 +242,42 @@ class _Sweep:
         return None
 
 
+# ----------------------------------------------------------------------
+# Axis parts of a slack
+# ----------------------------------------------------------------------
+
+# A sweep meets the same axis interval in many cells: the default CF-A
+# sweep has 13,965 cells but only 255 distinct genus intervals and 203
+# distinct gamma intervals.  A slack form computes the part of it that
+# depends on one axis alone through an axis part, once per distinct
+# interval.  Each part keeps an LRU of at most _AXIS_PART_SIZE entries,
+# and certify() empties every part when it returns, so no entry outlives
+# one call.
+_AXIS_PART_SIZE = 256
+_AXIS_PARTS: list = []
+
+_T = TypeVar("_T")
+
+
+def _axis_part(fn: Callable[[Interval], _T]) -> Callable[[Interval], _T]:
+    """``fn``, a function of one Interval, memoised by the interval's
+    ``(lo, hi)``.  A call that raises stores nothing."""
+    cached = functools.lru_cache(maxsize=_AXIS_PART_SIZE)(
+        lambda lo, hi: fn(Interval(lo, hi)))
+    _AXIS_PARTS.append(cached)
+    return lambda x: cached(x.lo, x.hi)
+
+
+def check_g_max(family: CertFamily, g_max: float) -> TailProof | None:
+    """Evaluate every box ceiling of ``family`` and its tail floor at
+    ``g_max``, and return the tail proof.  A ``g_max`` at which one of them
+    has no finite enclosure raises ``IndeterminateCell`` here, before any
+    cell is swept."""
+    for task in family.tasks:
+        _box(task, g_max)
+    return None if family.tail is None else family.tail(g_max)
+
+
 def certify(
     family: CertFamily,
     tol: float = DEFAULT_TOL,
@@ -240,8 +289,9 @@ def certify(
     Subdivides until every cell's slack interval is strictly positive
     (Certified), a cell's midpoint has a strictly negative point enclosure
     (Violated), or the cell width floor ``tol`` / the cell ``budget`` is
-    reached (Undecided).  Raises ``IndeterminateCell`` when a box ceiling
-    or the tail floor has no finite enclosure at ``g_max``.
+    reached (Undecided).  Raises ``IndeterminateCell``, before any cell is
+    swept, when a box ceiling or the tail floor has no finite enclosure at
+    ``g_max``.  Empties every axis part's cache when it returns or raises.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
@@ -251,24 +301,27 @@ def certify(
         raise DomainError("g_max must be a finite genus cutoff >= 2")
     sweep = _Sweep(budget, g_max, tol)
     status, note, tail_status, tail_note = "Certified", "", "N/A", ""
-    for task in family.tasks:
-        stuck = sweep.run(task)
-        if stuck is not None:
-            reason, sweep.witness, sweep.min_slack = stuck
-            status = "Violated" if reason == _VIOLATED else "Undecided"
-            note = f"{reason} in task {task.name}"
-            break
-    else:
-        if family.tail is not None:
-            proof = family.tail(g_max)
-            tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
-            lb = proof.infimum_lb
-            # strict: the slack exceeds lb, so a strict floor of 0 suffices
-            if lb > 0.0 or (proof.strict and lb >= 0.0):
-                tail_status = "Proven"
-            else:
-                tail_status = "Checked-to-bound"
-                status, note = "Undecided", "tail floor not positive"
+    try:
+        proof = check_g_max(family, g_max)
+        for task in family.tasks:
+            stuck = sweep.run(task)
+            if stuck is not None:
+                reason, sweep.witness, sweep.min_slack = stuck
+                status = "Violated" if reason == _VIOLATED else "Undecided"
+                note = f"{reason} in task {task.name}"
+                break
+    finally:
+        for part in _AXIS_PARTS:
+            part.cache_clear()
+    if status == "Certified" and proof is not None:
+        tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
+        lb = proof.infimum_lb
+        # strict: the slack exceeds lb, so a strict floor of 0 suffices
+        if lb > 0.0 or (proof.strict and lb >= 0.0):
+            tail_status = "Proven"
+        else:
+            tail_status = "Checked-to-bound"
+            status, note = "Undecided", "tail floor not positive"
     slack = sweep.min_slack
     return CertReport(
         family=family.id, status=status,
@@ -292,9 +345,24 @@ def certify(
 # and arccosh(2 a^2 - 1) = 2 arccosh(a): the slack is
 # 4 (log(8g-7) - arccosh(a)), finite below g ~ 1e307 and never vacuous.
 
+# The genus part is (pi (g-1), log(8g-7)) and the gamma part sinhc(gamma/2);
+# the slack combines them in the order of the written-out form
+# (log8(g) - (pi (g-1) sinhc(gamma/2)).acosh()) * 4, so each enclosure is
+# the same to the bit.
+
+@_axis_part
+def _cfa_genus(g: Interval) -> tuple[Interval, Interval]:
+    return IPI * (g - 1.0), bounds.log8(g)
+
+
+@_axis_part
+def _cfa_gamma(y: Interval) -> Interval:
+    return (y * 0.5).sinhc()
+
+
 def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
-    a = IPI * (g - 1.0) * (y * 0.5).sinhc()
-    return (bounds.log8(g) - a.acosh()) * 4.0
+    pi_g1, log8 = _cfa_genus(g)
+    return (log8 - (pi_g1 * _cfa_gamma(y)).acosh()) * 4.0
 
 
 def _cfa_tail(_g_from: float) -> TailProof:
@@ -560,5 +628,6 @@ __all__ = [
     "TailProof",
     "Task",
     "certify",
+    "check_g_max",
     "lookup",
 ]

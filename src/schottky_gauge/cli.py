@@ -131,6 +131,10 @@ def cmd_certify(args, parser) -> int:
             fams = tuple(certify.lookup(f) for f in args.families)
         except DomainError as exc:
             parser.error(str(exc))
+    # a g_max that a box ceiling or tail floor cannot take fails at once,
+    # not after the families before it have swept
+    for f in fams:
+        certify.check_g_max(f, args.gmax)
     reports = [certify.certify(f, tol=args.tol, budget=args.budget,
                                g_max=args.gmax) for f in fams]
     render([r.as_dict() for r in reports], args.format)

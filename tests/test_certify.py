@@ -1,5 +1,6 @@
 """Certification engine: family verdicts, tails, and engine behavior."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schottky_gauge import bounds, collar
+from schottky_gauge import bounds, certify, collar
 from schottky_gauge.certify import (
     CF_F_PRIME,
     FAMILIES,
@@ -23,7 +24,7 @@ from schottky_gauge.certify import (
     lookup,
 )
 from schottky_gauge.errors import DomainError
-from schottky_gauge.interval import IndeterminateCell, Interval
+from schottky_gauge.interval import IPI, IndeterminateCell, Interval
 
 
 @pytest.fixture(scope="module")
@@ -531,3 +532,130 @@ def test_report_fields_are_the_output_row():
         "family", "status", "min_slack_lo", "min_slack_hi", "witness",
         "cells_processed", "max_depth", "tail_status", "tail_note",
         "vacuous_cells", "g_max", "note"]
+
+
+class TestAxisParts:
+    """Each axis part of a slack is computed once per distinct axis
+    interval within one certify() call, and nothing of it outlives the
+    call."""
+
+    @staticmethod
+    def _sizes():
+        return [p.cache_info().currsize for p in certify._AXIS_PARTS]
+
+    @staticmethod
+    def _boom(g):
+        raise RuntimeError("slack failed")
+
+    @pytest.mark.parametrize("case", [
+        "certified", "undecided", "box raises", "slack raises"])
+    def test_every_part_empty_after_the_call(self, case):
+        # fill every part first, so an entry that outlived a call would show
+        certify._cfa_genus(Interval(2.0, 3.0))
+        certify._cfa_gamma(Interval(0.25, 0.5))
+        assert self._sizes() and all(self._sizes())
+        cfa = lookup("CF-A")
+        if case == "certified":
+            assert run_one(cfa, g_max=100.0).status == "Certified"
+        elif case == "undecided":
+            assert run_one(cfa, budget=50).status == "Undecided"
+        elif case == "box raises":
+            with pytest.raises(IndeterminateCell):
+                run_one(lookup("CF-E"), g_max=1.7e308)
+        else:
+            fam = dataclasses.replace(cfa, tasks=(
+                *cfa.tasks, Task("boom", (GENUS,), self._boom)))
+            with pytest.raises(RuntimeError):
+                run_one(fam, g_max=100.0)
+        assert not any(self._sizes())
+
+    def test_genus_part_once_per_distinct_interval(self, monkeypatch):
+        # CF-A's genus part is the only caller of log8 in its sweep
+        calls = []
+        log8 = bounds.log8
+        monkeypatch.setattr(bounds, "log8",
+                            lambda g: calls.append((g.lo, g.hi)) or log8(g))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            rep = run_one(lookup("CF-A"))
+            assert rep.status == "Certified"
+            assert len(set(calls)) == len(calls)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert 0 < counts[0] < rep.cells_processed / 10
+
+    def test_parts_never_exceed_their_size(self):
+        # at g_max 1e300 the sweep meets more distinct genus intervals than
+        # a part holds, so its LRU runs full and evicts
+        sizes = []
+        cfa = lookup("CF-A")
+        task = cfa.tasks[0]
+
+        def spy(g, y):
+            try:
+                return task.slack_iv(g, y)
+            finally:
+                sizes.append(max(self._sizes()))
+
+        fam = dataclasses.replace(
+            cfa, tasks=(dataclasses.replace(task, slack_iv=spy),))
+        rep = run_one(fam, g_max=1e300, budget=20000)
+        assert rep.status == "Undecided"
+        assert max(sizes) == certify._AXIS_PART_SIZE
+        assert not any(self._sizes())
+
+    def test_part_that_raises_raises_again(self, monkeypatch):
+        # pi (g - 1) is finite on the first cell but 8g - 7 overflows; a
+        # value is stored, an exception is not
+        calls = []
+        log8 = bounds.log8
+        monkeypatch.setattr(bounds, "log8",
+                            lambda g: calls.append(g) or log8(g))
+        for g, computed in ((Interval(2.0, 3e307), 2), (Interval(2.0, 3.0), 1)):
+            calls.clear()
+            for _ in range(2):
+                if computed == 2:
+                    with pytest.raises(DomainError):
+                        certify._cfa_genus(g)
+                else:
+                    certify._cfa_genus(g)
+            assert len(calls) == computed
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                certify._cfa_gamma(Interval(0.0, 2000.0))
+
+
+def _cfa_written_out(g, y):
+    return (bounds.log8(g) - (IPI * (g - 1.0) * (y * 0.5).sinhc()).acosh()) * 4.0
+
+
+def test_cfa_slack_bit_identical_to_written_out_form():
+    # 50 genus intervals times 40 gamma intervals, each pair evaluated
+    # twice, so most parts come from the cache; g = 2, gamma near 0 and
+    # gamma = pi/2 are among them
+    rng = random.Random(19)
+    top = (IPI * 0.5).hi
+    gs = [Interval(2.0, 2.0), Interval(2.0, 2.5), Interval(2.0, DEFAULT_G_MAX),
+          Interval(DEFAULT_G_MAX, DEFAULT_G_MAX)]
+    while len(gs) < 50:
+        lo = 2.0 * (DEFAULT_G_MAX / 2.0) ** rng.random()
+        gs.append(Interval(lo, min(lo * (1.0 + rng.random() ** 4), DEFAULT_G_MAX)))
+    ys = [Interval(0.0, 0.0), Interval(0.0, 5e-324), Interval(0.0, 1e-5),
+          Interval(1e-9, 2e-9), Interval(top, top), Interval(1.5, top),
+          Interval(0.0, top)]
+    while len(ys) < 40:
+        lo = top * rng.random()
+        ys.append(Interval(lo, lo + (top - lo) * rng.random() ** 3))
+    slack = lookup("CF-A").tasks[0].slack_iv
+    for _ in range(2):
+        for g in gs:
+            for y in ys:
+                try:
+                    want = _cfa_written_out(g, y)
+                except DomainError as exc:
+                    with pytest.raises(type(exc)):
+                        slack(g, y)
+                    continue
+                got = slack(g, y)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (g, y)

@@ -3,6 +3,7 @@
 import importlib.metadata as md
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,16 @@ class TestCertify:
         assert got == code
         assert "Traceback" not in err
 
+
+    def test_huge_gmax_fails_before_any_sweep(self, capsys):
+        # at the default budget CF-A would spend 10^7 cells before CF-D's
+        # tail and CF-E's box ceiling meet 8g - 7 = inf; every ceiling and
+        # tail is evaluated at g_max before the first family sweeps
+        start = time.perf_counter()
+        got, out, err = run(capsys, "certify", "--gmax", "1.7e308")
+        assert time.perf_counter() - start < 2.0
+        assert (got, out) == (3, "")
+        assert err == "no finite enclosure: [1.7976931348623157e+308, inf]\n"
 
     def test_gmax_one_ulp_above_two_splits_the_other_axis(self, capsys):
         # the genus axis [2, 2 + ulp] cannot be split, so the sweep splits
