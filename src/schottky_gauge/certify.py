@@ -253,7 +253,7 @@ class _Sweep:
 # interval.  Each part keeps an LRU of at most _AXIS_PART_SIZE entries,
 # and certify() empties every part when it returns, so no entry outlives
 # one call.
-_AXIS_PART_SIZE = 256
+_AXIS_PART_SIZE = 128
 _AXIS_PARTS: list = []
 
 _T = TypeVar("_T")
