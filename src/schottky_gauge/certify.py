@@ -251,8 +251,8 @@ class _Sweep:
 # distinct gamma intervals.  A slack form computes the part of it that
 # depends on one axis alone through an axis part, once per distinct
 # interval.  Each part keeps an LRU of at most _AXIS_PART_SIZE entries,
-# and certify() empties every part when it returns, so no entry outlives
-# one call.
+# and certify() empties every part when it returns or raises, so no entry
+# outlives one call.
 _AXIS_PART_SIZE = 128
 _AXIS_PARTS: list = []
 
