@@ -1,11 +1,14 @@
 """Successive minima of positive-definite quadratic forms, in plain Python.
 
 Each form carries one upper-triangular Cholesky factor R (G = R^T R,
-positive diagonal), computed once by ``validate``. LLL works on its columns
+positive diagonal), computed by ``validate`` in the basis's given order.
+LLL starts from a second, sorted-pivot factor of G, works on its columns
 with an exact integer unimodular transform and hands the reduced factor on
-to Fincke-Pohst enumeration, which searches the form as given. Minima come
-from one LLL per call at a radius capped by the k-th reduced diagonal
-entry, with witnesses chosen by exact integer (fraction-free) elimination.
+to Fincke-Pohst enumeration, which searches the form as given, one vector
+of each +/- pair. Minima come from one LLL per call at a radius capped by
+the k-th reduced diagonal entry, with witnesses chosen by exact integer
+(fraction-free) elimination. PPAV mode's unit determinant is decided on
+the float factor, and exactly when that misses.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, zip_longest
 from operator import add, mul, sub
 
@@ -74,20 +78,57 @@ class SuccessiveMinima:
     witnesses: tuple[ShortVector, ...]
 
 
-def _cholesky(g) -> tuple[tuple[float, ...], ...]:
-    """Rows of the upper-triangular R with G = R^T R; a pivot that is not
-    positive is NotPositiveDefinite."""
-    cols: list[list[float]] = []
-    for k, gk in enumerate(g):
-        c = []
-        for i, ci in enumerate(cols):  # ci = R[0..i][i]; c = R[0..i-1][k]
-            c.append((gk[i] - sum(map(mul, ci, c))) / ci[i])
-        p = gk[k] - sum(map(mul, c, c))
+def _cholesky(g, pivot: bool = False
+              ) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
+    """Rows of the upper-triangular R with R^T R = G taken in the returned
+    order of the basis: as given, or with ``pivot`` the remaining basis
+    vector of smallest Schur-complement diagonal (squared distance to the
+    span of those taken) at each step, as in sorted QR (Wuebben et al.,
+    Electron. Lett. 2001). A pivot that is not positive is
+    NotPositiveDefinite."""
+    d = len(g)
+    order = list(range(d))
+    cols: list[list[float]] = [[] for _ in g]  # cols[j] = R[0..k-1][j] at step k
+    schur = [row[j] for j, row in enumerate(g)]  # G[j][j] - |cols[j]|^2
+    for k in range(d):
+        if pivot:
+            m = min(range(k, d), key=schur.__getitem__)
+            order[k], order[m] = order[m], order[k]
+            cols[k], cols[m] = cols[m], cols[k]
+            schur[k], schur[m] = schur[m], schur[k]
+        ck, gk = cols[k], g[order[k]]
+        p = gk[order[k]] - sum(map(mul, ck, ck))
         if not p > 0.0:
             raise NotPositiveDefinite("matrix is not positive definite")
-        c.append(math.sqrt(p))
-        cols.append(c)
-    return tuple(zip_longest(*cols, fillvalue=0.0))
+        ck.append(math.sqrt(p))
+        for j in range(k + 1, d):
+            v = (gk[order[j]] - sum(map(mul, ck, cols[j]))) / ck[k]
+            cols[j].append(v)
+            schur[j] -= v * v
+    return tuple(zip_longest(*cols, fillvalue=0.0)), order
+
+
+def _exact_det(g) -> Fraction:
+    """The determinant of a float matrix, exactly. Float entries are dyadic
+    rationals, so one power of two scales them all to integers, and
+    fraction-free (Bareiss) elimination keeps every step in integers."""
+    d = len(g)
+    ratios = [v.as_integer_ratio() for v in chain.from_iterable(g)]
+    scale = max(den for _, den in ratios)  # every denominator divides it
+    m = [[n * (scale // den) for n, den in ratios[i * d:(i + 1) * d]] for i in range(d)]
+    sign, prev = 1, 1
+    for k in range(d):
+        p = next((i for i in range(k, d) if m[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        piv = m[k]
+        for i in range(k + 1, d):
+            f = m[i][k]
+            m[i] = [(piv[k] * a - f * b) // prev for a, b in zip(m[i], piv)]
+        prev = piv[k]
+    return Fraction(sign * prev, scale ** d)
 
 
 def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
@@ -112,27 +153,34 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
-    r = _cholesky(g)
+    r, _ = _cholesky(g)
     if mode is Mode.PPAV:
         det = math.prod(r[i][i] for i in range(d)) ** 2
-        if abs(det - 1.0) > _DET_ONE_TOL:
+        # the float det of an ill-conditioned form can miss 1 by more than
+        # the tolerance while its exact det does not
+        if abs(det - 1.0) > _DET_ONE_TOL and abs(_exact_det(g) - 1) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
     return GramMatrix(tuple(map(tuple, g)), mode, r)
 
 
-def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
-    """LLL reduction of the columns of the upper-triangular factor R of G
-    (rows given); returns the integer unimodular T with reduced Gram
-    T G T^T and the reduced factor's columns, column j cut to rows 0..j.
+def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
+    """LLL reduction of the columns of the upper-triangular factor R (rows
+    given) of the basis vectors ``order`` of G; returns the integer
+    unimodular T, which starts as that permutation, with reduced Gram
+    T G T^T, and the reduced factor's columns, column j cut to rows 0..j.
 
     Column j of R is basis vector j in its Gram-Schmidt frame: mu[k, j] =
-    R[j, k] / R[j, j], squared Gram-Schmidt norms R[j, j]^2. After a column
-    swap, a Givens rotation of rows k-1, k (columns >= k-1; row k negated,
-    so the diagonal stays positive) restores the triangle with an exact 0.
+    R[j, k] / R[j, j], squared Gram-Schmidt norms R[j, j]^2. Size reduction
+    is lazy (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.6.3): column k is reduced against column k-1, which is all the
+    Lovasz test reads, and against the others only once the test passes.
+    After a column swap, a Givens rotation of rows k-1, k (columns >= k-1;
+    row k negated, so the diagonal stays positive) restores the triangle
+    with an exact 0.
     """
     n = len(r)
     cols = [list(col[:j + 1]) for j, col in enumerate(zip(*r))]
-    t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    t = [[int(i == p) for i in range(n)] for p in order]
     swaps = 0
     k = 1
     while k < n:
@@ -142,9 +190,12 @@ def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
             if q:
                 ck[:j + 1] = [a - q * b for a, b in zip(ck, cols[j])]
                 tk[:] = [a - q * b for a, b in zip(tk, t[j])]
-        prev = cols[k - 1]
-        x, y, p = ck[k - 1], ck[k], prev[k - 1]
-        if y * y + x * x >= _LLL_DELTA * (p * p):
+            if j == k - 1:
+                prev = cols[j]
+                x, y, p = ck[j], ck[k], prev[j]
+                if y * y + x * x < _LLL_DELTA * (p * p):
+                    break
+        else:
             k += 1
             continue
         t[k - 1], t[k] = tk, t[k - 1]
@@ -166,8 +217,10 @@ def _lll(r) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
 def reduce(gram: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
     """LLL-reduce (delta = 0.99); returns the reduced Gram, whose factor is
     the one LLL ends with (no re-factorization), and the integer unimodular
-    T with reduced = T G T^T."""
-    t, cols = _lll(gram.factor)
+    T with reduced = T G T^T. LLL starts from a sorted-pivot Cholesky
+    factor of G, shortest projections first, which leaves it fewer swaps
+    than the basis in its given order."""
+    t, cols = _lll(*_cholesky(gram.entries, pivot=True))
     rows = []  # G[i][j] = col_i . col_j, mirrored below the diagonal
     for i, ci in enumerate(cols):
         rows.append([r[i] for r in rows] + [sum(map(mul, ci, c)) for c in cols[i:]])
@@ -185,29 +238,31 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 def enumerate_below(gram: GramMatrix, radius_sq: float,
                     budget: int = DEFAULT_NODE_BUDGET) -> list[ShortVector]:
     """All nonzero integer vectors with form value <= radius_sq (one
-    representative per +/- pair), in ascending (norm, coefficient) order.
+    representative per +/- pair, its first nonzero coefficient positive),
+    in ascending (norm, coefficient) order.
 
     Fincke-Pohst tree search on the form's triangular factor, which also
-    values the leaves. It does not reduce, so callers pass an LLL-reduced
-    form (see ``reduce``) for speed. A multiplicative slack keeps boundary
-    vectors whose float norm lands within tolerance of the radius.
+    values the leaves. The tree holds one vector of each +/- pair (Agrell,
+    Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002): while every
+    higher coordinate is 0, a coordinate runs from 0 up, and the zero
+    vector is no leaf. ``budget`` caps the nodes of this half tree, one per
+    coordinate value tried at any level; more raise BudgetExceeded. The
+    search does not reduce, so callers pass an LLL-reduced form (see
+    ``reduce``) for speed. A multiplicative slack keeps boundary vectors
+    whose float norm lands within tolerance of the radius.
     """
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
     d = gram.dim
     r = gram.factor
     limit = radius_sq * (1.0 + _RADIUS_SLACK)
-    found: dict[tuple[int, ...], float] = {}
+    found: list[tuple[float, tuple[int, ...]]] = []
     nodes = 0
 
     x = [0] * d
 
-    def descend(i: int, partial: float):
+    def descend(i: int, partial: float, zero: bool):
         nonlocal nodes
-        if i < 0:
-            if any(x) and partial <= limit:
-                found.setdefault(_canonical_sign(tuple(x)), partial)
-            return
         # offset contributed by already-fixed coordinates x[i+1:] (x[:i+1] is 0)
         off = sum(map(mul, r[i], x))
         room = limit - partial
@@ -216,22 +271,31 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         rii = r[i][i]
         half = math.sqrt(room) / rii
         center = -off / rii
-        lo = math.ceil(center - half - 1e-12)
+        # on the zero path (x[i+1:] all 0) the range is symmetric about 0:
+        # search its upper half, and at i = 0 without the zero vector
+        lo = int(i == 0) if zero else math.ceil(center - half - 1e-12)
         hi = math.floor(center + half + 1e-12)
-        for v in range(lo, hi + 1):
-            nodes += 1
+        if hi >= lo:
+            nodes += hi - lo + 1
             if nodes > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+        if i == 0:
+            rest = tuple(x[1:])
+            for v in range(lo, hi + 1):
+                term = (rii * v + off) ** 2
+                if term <= room + 1e-12 and partial + term <= limit:
+                    found.append((partial + term, _canonical_sign((v,) + rest)))
+            return
+        for v in range(lo, hi + 1):
             x[i] = v
             term = (rii * v + off) ** 2
             if term <= room + 1e-12:
-                descend(i - 1, partial + term)
+                descend(i - 1, partial + term, zero and not v)
         x[i] = 0
 
-    descend(d - 1, 0.0)
-    vecs = [ShortVector(c, n) for c, n in found.items()]
-    vecs.sort(key=lambda sv: (sv.norm_sq, sv.coeffs))
-    return vecs
+    descend(d - 1, 0.0, True)
+    found.sort()
+    return [ShortVector(c, n) for n, c in found]
 
 
 class _Echelon:
@@ -284,13 +348,11 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     while True:
         back = [_canonical_sign(tuple(sum(map(mul, sv.coeffs, col)) for col in t_cols))
                 for sv in enumerate_below(reduced, radius)]
-        vecs = sorted((ShortVector(c, gram.norm_sq(c)) for c in back),
-                      key=lambda sv: (sv.norm_sq, sv.coeffs))
         rank = _Echelon()
         witnesses = []
-        for sv in vecs:
-            if rank.admits(sv.coeffs):
-                witnesses.append(sv)
+        for norm, c in sorted((gram.norm_sq(c), c) for c in back):
+            if rank.admits(c):
+                witnesses.append(ShortVector(c, norm))
                 if len(witnesses) == k:
                     # the scan is in norm order, so nothing shorter was missed
                     return SuccessiveMinima(k, tuple(w.norm_sq for w in witnesses),
@@ -324,7 +386,9 @@ def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
             if not d.is_integer():
                 raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
             d = int(d)
-            flat = [json_float(v) for v in obj["entries"]]
+            flat = obj["entries"]
+            if set(map(type, flat)) != {float}:  # one type pass for the common case
+                flat = [json_float(v) for v in flat]
             file_mode = Mode(obj.get("mode", "plain"))
         else:
             tokens = text.split()

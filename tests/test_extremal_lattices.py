@@ -13,12 +13,19 @@ claimed here.
 
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from schottky_gauge import bounds, lattice
 from schottky_gauge.bounds import Verdict
+from schottky_gauge.errors import DeterminantNotOne
 from schottky_gauge.interval import Interval
+
+# E8 skewed by _skew with 48 steps from random.Random(39): entries up to
+# 3.1e7, exact det 1, float Cholesky det 0.99945
+E8_SKEW_FILE = Path(__file__).parent / "data" / "e8_skew48_seed39.json"
 
 
 def _e8_cartan():
@@ -64,12 +71,12 @@ def _bw16_gram():
     return [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
 
 
-def _skew(gram, rng):
-    """T^T G T for a seeded unimodular T of twelve integer row operations,
-    in exact integers."""
+def _skew(gram, rng, steps=12):
+    """T^T G T for a seeded unimodular T of ``steps`` integer row
+    operations, in exact integers."""
     d = len(gram)
     t = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(12):
+    for _ in range(steps):
         i, j = rng.sample(range(d), 2)
         m = rng.choice((-2, -1, 1, 2))
         t[i] = [a + m * b for a, b in zip(t[i], t[j])]
@@ -148,3 +155,46 @@ def test_invariant_under_unimodular_skews(name):
         assert v.verdict is verdict
         assert v.m1_sq == pytest.approx(_det_one_minimum(name), rel=1e-8)
         assert v.m2_sq == pytest.approx(_det_one_minimum(name), rel=1e-8)
+
+
+def _float_det(gram):
+    return math.prod(row[i] for i, row in enumerate(gram.factor)) ** 2
+
+
+def test_e8_skew_file_is_float_rejected_and_exactly_det_one():
+    gram = lattice.load_gram(str(E8_SKEW_FILE))
+    assert gram.mode is lattice.Mode.PPAV
+    skewed = _skew(_e8_cartan(), random.Random(39), 48)
+    assert [list(row) for row in gram.entries] == skewed
+    assert abs(_float_det(gram) - 1.0) > 1e-4
+    assert lattice._exact_det(gram.entries) == 1
+    v = bounds.jacobian_exclusion(gram)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert (v.m1_sq, v.m2_sq) == (2.0, 2.0)
+
+
+def test_float_rejected_e8_skews_validate():
+    """48 row operations push the entries of E8's exactly det-1 Cartan
+    matrix up to 10^7, and the float Cholesky det then misses 1 by more
+    than the 1e-6 tolerance on many seeds. validate decides those by the
+    exact det of the entries, so every seed validates in PPAV mode."""
+    float_misses = 0
+    for seed in range(40):
+        skewed = _skew(_e8_cartan(), random.Random(seed), 48)
+        gram = lattice.validate(skewed, lattice.Mode.PPAV)
+        float_misses += abs(_float_det(gram) - 1.0) > 1e-6
+        v = bounds.jacobian_exclusion(gram)
+        assert v.verdict is Verdict.INCONCLUSIVE
+        assert (v.m1_sq, v.m2_sq) == (2.0, 2.0)
+    assert float_misses > 0
+
+
+def test_exact_det_not_one_still_raises():
+    # every entry times 1 + 2^-16 is exact in floats (entries < 2^25), so
+    # the exact det is (1 + 2^-16)^8, 1.2e-4 above 1
+    gram = lattice.load_gram(str(E8_SKEW_FILE))
+    s = 1.0 + 2.0 ** -16
+    scaled = [[v * s for v in row] for row in gram.entries]
+    assert lattice._exact_det(scaled) == Fraction(s) ** 8
+    with pytest.raises(DeterminantNotOne):
+        lattice.validate(scaled, lattice.Mode.PPAV)

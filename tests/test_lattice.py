@@ -143,6 +143,18 @@ class TestEnumerate:
         with pytest.raises(BudgetExceeded):
             lattice.enumerate_below(g, 50.0, budget=10)
 
+    @pytest.mark.parametrize("d, nodes", [(2, 4), (3, 8)])
+    def test_budget_counts_half_tree_nodes(self, d, nodes):
+        """The identity at radius 1 holds the d unit vectors. The half tree
+        tries x[d-1] in {0, 1}, then each lower coordinate in {0, 1} on the
+        zero path ({1} at x[0]) and {0} off it: 2 + 1 + 1 nodes at d = 2,
+        2 + 2 + 1 + 1 + 1 + 1 at d = 3 (the full ± tree tries 8 and 15)."""
+        g = lattice.validate(np.eye(d), lattice.Mode.PLAIN)
+        vecs = lattice.enumerate_below(g, 1.0, budget=nodes)
+        assert len(vecs) == d
+        with pytest.raises(BudgetExceeded):
+            lattice.enumerate_below(g, 1.0, budget=nodes - 1)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -1,7 +1,8 @@
 """The triangular factor every Gram matrix carries.
 
-``validate`` computes R (G = R^T R) once; ``reduce`` hands on the factor
-LLL ends with, and ``enumerate_below`` and the minima search read it. A
+``validate`` computes R (G = R^T R) once, in the given order; ``reduce``
+starts LLL from a sorted-pivot factor and hands on the factor LLL ends
+with, and ``enumerate_below`` and the minima search read it. A
 factor with a negative diagonal entry still satisfies R^T R = G but makes
 the enumeration's coordinate ranges empty, so the search finds nothing and
 says nothing; these tests pin the invariants directly.
@@ -9,6 +10,7 @@ says nothing; these tests pin the invariants directly.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +68,48 @@ def test_validate_and_reduce_factors(d, raw):
         for j in range(d):
             want = sum(tg[c] * t[j][c] for c in range(d))
             assert abs(float(want) - reduced.entries[i][j]) <= 1e-10 * scale
+
+
+def _exact_det(m):
+    """Determinant of an integer matrix by elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@pytest.mark.parametrize("d, raw", _forms())
+def test_reduce_transform_is_unimodular(d, raw):
+    """T starts as the sorted-pivot permutation and changes only by integer
+    row operations and swaps, so |det T| = 1 exactly."""
+    _, t = lattice.reduce(lattice.validate(raw))
+    assert abs(_exact_det(t)) == 1
+
+
+@pytest.mark.parametrize("d, raw", _forms())
+def test_sorted_pivot_factor(d, raw):
+    """R^T R is G in the returned order, and each pivot is the smallest
+    remaining Schur-complement diagonal: at step k, basis vector j > k has
+    sum_{i >= k} R[i][j]^2 left, which is at least R[k][k]^2."""
+    g = lattice.validate(raw).entries
+    r, order = lattice._cholesky(g, pivot=True)
+    assert sorted(order) == list(range(d))
+    _check_factor(SimpleNamespace(
+        factor=r, dim=d, entries=[[g[i][j] for j in order] for i in order]))
+    for k in range(d):
+        for j in range(k + 1, d):
+            left = sum(r[i][j] ** 2 for i in range(k, j + 1))
+            assert r[k][k] ** 2 <= left * (1 + 1e-12)
 
 
 def test_non_positive_pivot_rejected():
