@@ -135,7 +135,9 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     """Check symmetry, positive definiteness and (PPAV mode) unit determinant.
 
     Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance;
-    a non-finite entry, or overflow there, is NotPositiveDefinite.
+    a non-finite entry, or overflow there, is NotPositiveDefinite. The
+    determinant is read off the float factor, and computed exactly from
+    the entries when that misses 1 by more than the tolerance.
     """
     try:
         a = [list(map(float, row)) for row in raw]

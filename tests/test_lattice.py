@@ -6,6 +6,7 @@ that admits exhaustive search.
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -96,6 +97,15 @@ class TestReduce:
             assert np.linalg.det(red.entries) == pytest.approx(
                 np.linalg.det(g.entries), rel=1e-9)
             assert abs(round(np.linalg.det(t))) == 1
+
+    def test_sorted_pivot_start(self):
+        """diag(1, s) with s = (255/256)^2 = 0.9922 is LLL-reduced as given
+        (s >= 0.99 * 1), so from the given order T = I; the sorted-pivot
+        start takes the shorter vector first."""
+        s = (255 / 256) ** 2
+        red, t = lattice.reduce(lattice.validate(np.diag([1.0, s])))
+        assert t == ((0, 1), (1, 0))
+        assert red.entries == ((s, 0.0), (0.0, 1.0))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_lll_conditions_on_skewed_forms(self, d):
@@ -346,6 +356,26 @@ class TestFileFormats:
         p.write_text("2 1 0 0\n")
         with pytest.raises(MalformedGram):
             lattice.load_gram(str(p))
+
+    @pytest.mark.parametrize("entries", [
+        "[2.0, 1.0, 1.0, 2.0]", "[2, 1, 1, 2]", "[2.0, 1, 1, 2.0]"])
+    def test_json_entries_floats_ints_and_mixed(self, entries):
+        g = lattice.parse_gram_text('{"dim": 2, "entries": %s}' % entries)
+        assert g.entries == ((2.0, 1.0), (1.0, 2.0))
+        assert all(type(v) is float for row in g.entries for v in row)
+
+    @pytest.mark.parametrize("entries, message", [
+        ("[1.0, true, 0.0, 1.0]", "expected a number, got True"),
+        ('[1.0, "0", 0.0, 1.0]', "expected a number, got '0'"),
+        ("[1.0, 1" + "0" * 400 + ", 0.0, 1.0]", "int too large to convert to float"),
+        ('"1001"', "expected a number, got '1'"),
+        ("5", "'int' object is not iterable"),
+    ], ids=["bool", "string", "huge-int", "string-entries", "number-entries"])
+    def test_json_entries_rejected_with_message(self, entries, message):
+        """Entries that are not all floats take the per-entry path, which
+        names the first bad entry."""
+        with pytest.raises(MalformedGram, match=re.escape(message)):
+            lattice.parse_gram_text('{"dim": 2, "entries": %s}' % entries)
 
 
 class TestProperties:
