@@ -7,7 +7,8 @@ them on genus cells; the ``bounds`` and ``exclude`` commands evaluate
 them on a point genus and use the midpoint of the enclosure, which
 contains the exact value.  The Minkowski/Hermite lattice bounds (they
 need lgamma, which has no interval form) and the decomposition corollary
-are floats.
+are floats; Minkowski's second theorem in dimension 2g gives both the
+product ceiling and the Hermite bracket's upper end.
 
 The checks that read computed minima (the Minkowski second-theorem check
 and the exclusion verdict) live here, on top of
@@ -194,21 +195,27 @@ def corollary_report(d: Decomposition) -> list[dict]:
     return rows
 
 
+def _log_ball_ratio(g: int) -> float:
+    """log((4/pi)(g!)^(1/g)): the log of (2^(2g)/vol B_2g)^(1/g), where
+    vol B_2g = pi^g/g! is the volume of the unit ball in dimension 2g."""
+    return math.log(4.0 / math.pi) + math.lgamma(g + 1) / g
+
+
 def minkowski_product_log_bound(g: int) -> float:
-    """log((4/pi)^g (g!)^2): Minkowski second-theorem ceiling for the log of
-    the product of all 2g squared minima of a PPAV."""
+    """log((4/pi)^(2g) (g!)^2): Minkowski's second theorem in dimension 2g,
+    prod m_k^2 <= (2^(2g)/vol B_2g)^2 det, as a ceiling for the log of the
+    product of all 2g squared minima of a det-1 PPAV."""
     _check_genus(g, 1)
-    return g * math.log(4.0 / math.pi) + 2.0 * math.lgamma(g + 1)
+    return 2.0 * g * _log_ball_ratio(g)
 
 
 def hermite_ppav_bounds(g: int) -> tuple[float, float]:
     """((1/pi)(2 g!)^(1/g), (4/pi)(g!)^(1/g)): Hermite-constant bracket over
-    dimension-g PPAVs; '2 g!' reads as 2*(g!), matching the g/(pi e) asymptote."""
+    dimension-g PPAVs; '2 g!' reads as 2*(g!), matching the g/(pi e) asymptote.
+    The upper end is the 2g-th root of Minkowski's product ceiling."""
     _check_genus(g)
-    lg = math.lgamma(g + 1)
-    lower = math.exp((math.log(2.0) + lg) / g) / math.pi
-    upper = 4.0 / math.pi * math.exp(lg / g)
-    return lower, upper
+    lower = math.exp((math.log(2.0) + math.lgamma(g + 1)) / g) / math.pi
+    return lower, math.exp(_log_ball_ratio(g))
 
 
 def check_minkowski(gram, minima) -> dict:

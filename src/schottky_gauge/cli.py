@@ -51,11 +51,11 @@ def _check_finite(value) -> None:
             _check_finite(v)
 
 
-def render(rows: list[dict], fmt: str, out=None) -> None:
-    """Render a homogeneous list of records as json, csv, or a table;
-    nothing is written when a record holds NaN or an infinity."""
+def render(rows: list[dict], fmt: str) -> None:
+    """Render a homogeneous list of records to stdout as json, csv, or a
+    table; nothing is written when a record holds NaN or an infinity."""
     _check_finite(rows)
-    out = out or sys.stdout
+    out = sys.stdout
     if fmt == "json":
         json.dump(rows, out, indent=2)
         out.write("\n")

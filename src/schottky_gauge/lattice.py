@@ -1,14 +1,14 @@
 """Successive minima of positive-definite quadratic forms, in plain Python.
 
-Each form carries one upper-triangular Cholesky factor R (G = R^T R,
-positive diagonal), computed by ``validate`` in the basis's given order.
-LLL starts from a second, sorted-pivot factor of G, works on its columns
-with an exact integer unimodular transform and hands the reduced factor on
-to Fincke-Pohst enumeration, which searches the form as given, one vector
-of each +/- pair. Minima come from one LLL per call at a radius capped by
-the k-th reduced diagonal entry, with witnesses chosen by exact integer
-(fraction-free) elimination. PPAV mode's unit determinant is decided on
-the float factor, and exactly when that misses.
+Each form carries one upper-triangular Cholesky factor R, computed once by
+``validate`` with sorted pivots, and the basis order it was taken in
+(R^T R = G[order][:, order], positive diagonal). LLL starts from that
+factor, works on its columns with an exact integer unimodular transform and
+hands the reduced factor on to Fincke-Pohst enumeration, which searches the
+form as given, one vector of each +/- pair. Minima come from one LLL per
+call at a radius capped by the k-th reduced diagonal entry, with witnesses
+chosen by exact integer (fraction-free) elimination. PPAV mode's unit
+determinant is decided on the float factor, and exactly when that misses.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: tuple[tuple[float, ...], ...]  # symmetrized rows
+    """Symmetrized rows, and rows of upper-triangular R: R^T R = G[order][:, order]."""
+    entries: tuple[tuple[float, ...], ...]
     mode: Mode
-    factor: tuple[tuple[float, ...], ...]   # rows of upper-triangular R, G = R^T R
+    factor: tuple[tuple[float, ...], ...]
+    order: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -78,24 +80,20 @@ class SuccessiveMinima:
     witnesses: tuple[ShortVector, ...]
 
 
-def _cholesky(g, pivot: bool = False
-              ) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
-    """Rows of the upper-triangular R with R^T R = G taken in the returned
-    order of the basis: as given, or with ``pivot`` the remaining basis
-    vector of smallest Schur-complement diagonal (squared distance to the
-    span of those taken) at each step, as in sorted QR (Wuebben et al.,
-    Electron. Lett. 2001). A pivot that is not positive is
-    NotPositiveDefinite."""
+def _cholesky(g) -> tuple[tuple[tuple[float, ...], ...], tuple[int, ...]]:
+    """Rows of the upper-triangular R with R^T R = G[order][:, order], and
+    that order of the basis: at each step the remaining basis vector of
+    smallest Schur-complement diagonal (squared distance to the span of
+    those taken), as in sorted QR (Wuebben et al., Electron. Lett. 2001). A
+    pivot that is not positive is NotPositiveDefinite."""
     d = len(g)
     order = list(range(d))
     cols: list[list[float]] = [[] for _ in g]  # cols[j] = R[0..k-1][j] at step k
     schur = [row[j] for j, row in enumerate(g)]  # G[j][j] - |cols[j]|^2
     for k in range(d):
-        if pivot:
-            m = min(range(k, d), key=schur.__getitem__)
-            order[k], order[m] = order[m], order[k]
-            cols[k], cols[m] = cols[m], cols[k]
-            schur[k], schur[m] = schur[m], schur[k]
+        m = min(range(k, d), key=schur.__getitem__)
+        for a in (order, cols, schur):
+            a[k], a[m] = a[m], a[k]
         ck, gk = cols[k], g[order[k]]
         p = gk[order[k]] - sum(map(mul, ck, ck))
         if not p > 0.0:
@@ -105,7 +103,7 @@ def _cholesky(g, pivot: bool = False
             v = (gk[order[j]] - sum(map(mul, ck, cols[j]))) / ck[k]
             cols[j].append(v)
             schur[j] -= v * v
-    return tuple(zip_longest(*cols, fillvalue=0.0)), order
+    return tuple(zip_longest(*cols, fillvalue=0.0)), tuple(order)
 
 
 def _exact_det(g) -> Fraction:
@@ -135,7 +133,8 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     """Check symmetry, positive definiteness and (PPAV mode) unit determinant.
 
     Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance;
-    a non-finite entry, or overflow there, is NotPositiveDefinite. The
+    a non-finite entry, or overflow there, is NotPositiveDefinite. The form
+    keeps its sorted-pivot factor and order (see ``_cholesky``). The
     determinant is read off the float factor, and computed exactly from
     the entries when that misses 1 by more than the tolerance.
     """
@@ -155,14 +154,14 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     if mode is Mode.PPAV and d % 2 != 0:
         raise OddDimension(f"PPAV Gram matrix must have even dimension, got {d}")
-    r, _ = _cholesky(g)
+    r, order = _cholesky(g)
     if mode is Mode.PPAV:
         det = math.prod(r[i][i] for i in range(d)) ** 2
         # the float det of an ill-conditioned form can miss 1 by more than
         # the tolerance while its exact det does not
         if abs(det - 1.0) > _DET_ONE_TOL and abs(_exact_det(g) - 1) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
-    return GramMatrix(tuple(map(tuple, g)), mode, r)
+    return GramMatrix(tuple(map(tuple, g)), mode, r, order)
 
 
 def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
@@ -217,17 +216,16 @@ def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
 
 
 def reduce(gram: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce (delta = 0.99); returns the reduced Gram, whose factor is
-    the one LLL ends with (no re-factorization), and the integer unimodular
-    T with reduced = T G T^T. LLL starts from a sorted-pivot Cholesky
-    factor of G, shortest projections first, which leaves it fewer swaps
-    than the basis in its given order."""
-    t, cols = _lll(*_cholesky(gram.entries, pivot=True))
+    """LLL-reduce (delta = 0.99) from the form's sorted-pivot factor, which
+    leaves fewer swaps than the given order; returns the reduced Gram, whose
+    factor (identity order) is the one LLL ends with, not a new one, and
+    the integer unimodular T with reduced = T G T^T."""
+    t, cols = _lll(gram.factor, gram.order)
     rows = []  # G[i][j] = col_i . col_j, mirrored below the diagonal
     for i, ci in enumerate(cols):
         rows.append([r[i] for r in rows] + [sum(map(mul, ci, c)) for c in cols[i:]])
     return GramMatrix(tuple(map(tuple, rows)), gram.mode,
-                      tuple(zip_longest(*cols, fillvalue=0.0))), t
+                      tuple(zip_longest(*cols, fillvalue=0.0)), tuple(range(len(t)))), t
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -244,14 +242,15 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     in ascending (norm, coefficient) order.
 
     Fincke-Pohst tree search on the form's triangular factor, which also
-    values the leaves. The tree holds one vector of each +/- pair (Agrell,
-    Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002): while every
-    higher coordinate is 0, a coordinate runs from 0 up, and the zero
-    vector is no leaf. ``budget`` caps the nodes of this half tree, one per
-    coordinate value tried at any level; more raise BudgetExceeded. The
-    search does not reduce, so callers pass an LLL-reduced form (see
-    ``reduce``) for speed. A multiplicative slack keeps boundary vectors
-    whose float norm lands within tolerance of the radius.
+    values the leaves; their coordinates, in the factor's basis order, are
+    mapped back to the given basis. The tree holds one vector of each +/-
+    pair (Agrell, Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002):
+    while every higher coordinate is 0, a coordinate runs from 0 up, and
+    the zero vector is no leaf. ``budget`` caps the nodes of this half
+    tree, one per coordinate value tried at any level; more raise
+    BudgetExceeded. The search does not reduce: callers pass a reduced
+    form (see ``reduce``) for speed. A multiplicative slack keeps
+    boundary vectors whose float norm is within tolerance of the radius.
     """
     if radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
@@ -296,6 +295,9 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         x[i] = 0
 
     descend(d - 1, 0.0, True)
+    if gram.order != tuple(range(d)):
+        inv = sorted(range(d), key=gram.order.__getitem__)
+        found = [(n, _canonical_sign(tuple(c[k] for k in inv))) for n, c in found]
     found.sort()
     return [ShortVector(c, n) for n, c in found]
 
@@ -388,9 +390,7 @@ def parse_gram_text(text: str, mode: Mode | None = None) -> GramMatrix:
             if not d.is_integer():
                 raise ValueError(f"dim must be an integer, got {obj['dim']!r}")
             d = int(d)
-            flat = obj["entries"]
-            if set(map(type, flat)) != {float}:  # one type pass for the common case
-                flat = [json_float(v) for v in flat]
+            flat = [v if type(v) is float else json_float(v) for v in obj["entries"]]
             file_mode = Mode(obj.get("mode", "plain"))
         else:
             tokens = text.split()

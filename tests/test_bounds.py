@@ -159,8 +159,13 @@ def test_exclude_thresholds_are_bounds_rows(capsys, tmp_path, g):
 
 
 def test_minkowski_product_log_bound():
+    # Minkowski's second theorem in dimension 2g: log((4/pi)^(2g) (g!)^2)
     assert bounds.minkowski_product_log_bound(2) == pytest.approx(
-        1.8694233116608715, rel=REL)
+        2.352552262201852, rel=REL)
+    for g in range(1, 11):
+        want = 2 * g * mp.log(4 / mp.pi) + 2 * mp.log(mp.factorial(g))
+        assert bounds.minkowski_product_log_bound(g) == pytest.approx(
+            float(want), rel=REL)
 
 
 def test_hermite_ppav_bounds():

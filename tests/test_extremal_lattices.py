@@ -1,4 +1,5 @@
-"""Extremal lattices through the exclusion pipeline: E8 and BW16.
+"""Extremal lattices through the exclusion pipeline: E8 and BW16; and
+Minkowski's second theorem on the det-1 root lattices A2, D4 and E8.
 
 Both are built from exact integer data (Conway & Sloane, *Sphere Packings,
 Lattices and Groups*, ch. 4-5) and scaled to determinant 1. They are dense
@@ -28,14 +29,19 @@ from schottky_gauge.interval import Interval
 E8_SKEW_FILE = Path(__file__).parent / "data" / "e8_skew48_seed39.json"
 
 
-def _e8_cartan():
-    """Cartan matrix of E8: a chain 0-1-...-6 with node 7 on node 4
-    (arms of lengths 4, 2 and 1 from the branch node); det 1, minimum 2."""
-    edges = [(i, i + 1) for i in range(6)] + [(4, 7)]
-    g = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+def _cartan(n, edges):
+    """The Cartan matrix of a simply-laced Dynkin diagram: 2 on the
+    diagonal, -1 on each edge; its root lattice has minimum 2."""
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
         g[i][j] = g[j][i] = -1
     return g
+
+
+def _e8_cartan():
+    """Cartan matrix of E8: a chain 0-1-...-6 with node 7 on node 4
+    (arms of lengths 4, 2 and 1 from the branch node); det 1, minimum 2."""
+    return _cartan(8, [(i, i + 1) for i in range(6)] + [(4, 7)])
 
 
 def _integer_basis(gens):
@@ -198,3 +204,29 @@ def test_exact_det_not_one_still_raises():
     assert lattice._exact_det(scaled) == Fraction(s) ** 8
     with pytest.raises(DeterminantNotOne):
         lattice.validate(scaled, lattice.Mode.PPAV)
+
+
+# name: Cartan matrix, its determinant. Each root lattice is spanned by
+# roots, so all d of its minima are 2, and 2 / det^(1/d) at det 1.
+ROOT_LATTICES = {
+    "A2": (_cartan(2, [(0, 1)]), 3),
+    "D4": (_cartan(4, [(0, 1), (1, 2), (1, 3)]), 4),
+    "E8": (_e8_cartan(), 1),
+}
+
+
+@pytest.mark.parametrize("name", ROOT_LATTICES)
+def test_minkowski_second_theorem_holds(name):
+    """Minkowski's second theorem in dimension 2g: a det-1 lattice's 2g
+    squared minima have product at most (4/pi)^(2g) (g!)^2. A2 at det 1
+    is the hexagonal lattice (g = 1), whose product 4/3 exceeds 4/pi, the
+    ceiling with the exponent g in place of 2g; D4 at det 1 is D4/sqrt 2."""
+    cartan, det = ROOT_LATTICES[name]
+    d = len(cartan)
+    gram = _det_one(cartan, det)
+    rep = bounds.check_minkowski(gram, lattice.successive_minima(gram, d))
+    total = d * math.log(2.0 / det ** (1.0 / d))
+    assert rep["sum_log_minima_sq"] == pytest.approx(total, rel=1e-9)
+    assert rep["log_bound"] == pytest.approx(
+        d * math.log(4.0 / math.pi) + 2.0 * math.lgamma(d // 2 + 1), rel=1e-12)
+    assert rep["passed"] and rep["slack"] > 0.0

@@ -26,39 +26,39 @@ _BOUNDS = {
     2: (1.7110042581561342, 1.791759469228055, 6.811396189742281,
         3.58351893845611, 6.591673732008659, 2.4382923105989276,
         3.0571418389619964, 0.6366197723675813, 1.800632632314212,
-        1.869423311660871),
+        2.352552262201852),
     3: (2.1988067966382836, 2.302585092994046, 8.78296136657427,
         4.605170185988092, 8.49964003216865, 2.4382923105989276,
-        3.7101542706381743, 0.7287477205202306, 2.3136297963464827,
-        4.3082123642675825),
+        3.7101542706381743, 0.7287477205202306, 2.313629796346483,
+        5.032905790079054),
     4: (2.5201141146669945, 2.639057329615259, 9.978515057091423,
         5.278114659230518, 9.656627474604603, 2.4382923105989276,
-        4.041990932781287, 0.8378387385447049, 2.8181423672117467,
-        7.322365561777852),
+        4.041990932781287, 0.8378387385447049, 2.8181423672117463,
+        8.288623462859814),
     5: (2.7601017158543133, 2.8903717578961645, 10.839173440546089,
         5.780743515792329, 10.48952268439944, 2.4382923105989276,
         4.245100247620143, 0.9525600768317929, 3.317006845837267,
-        10.782805861916547),
+        11.990628238268998),
     6: (2.951728114553252, 3.091042453358316, 11.512073406783355,
         6.182084906716632, 11.140716200112923, 2.4382923105989276,
-        4.3826918576535485, 1.0696553704608471, 3.811818393581994,
-        14.607889275643148),
+        4.3826918576535485, 1.0696553704608471, 3.8118183935819934,
+        16.05727612726609),
     7: (3.111253014580261, 3.2580965380214817, 12.064642924142943,
         6.516193076042963, 11.67546089433188, 2.4382923105989276,
-        4.482207877841179, 1.1878813406958346, 4.303568962423013,
-        18.741274049024263),
+        4.482207877841179, 1.1878813406958346, 4.303568962423014,
+        20.432225375917696),
     8: (3.247904254336463, 3.4011973816621555, 12.533458930287107,
         6.802394763324311, 12.129153803503652, 2.4382923105989276,
         4.5575862507939, 1.306679092380278, 4.7929200435349,
-        23.14172160765442),
+        25.074237409818345),
     9: (3.3674262517007483, 3.5263605246161616, 12.940600536676477,
         7.052721049232323, 12.523161809686911, 2.4382923105989276,
         4.616682567686026, 1.425769607129011, 5.2803360991541455,
-        27.777735237597348),
+        29.951815515031765),
     10: (3.4736389094587143, 3.6375861597263857, 13.300424267560015,
          7.275172319452771, 12.871378323445175, 2.4382923105989276,
-         4.664269484612322, 1.5450033668127237, 5.76615645308686,
-         32.624469898855935),
+         4.664269484612322, 1.5450033668127237, 5.766156453086859,
+         35.040114651560835),
 }
 
 _COLLAR_21 = {

@@ -301,7 +301,7 @@ class TestMinkowski:
         rep = bounds.check_minkowski(g, m)
         assert rep["passed"]
         assert rep["sum_log_minima_sq"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["slack"] == pytest.approx(1.8694233116608715, rel=1e-9)
+        assert rep["slack"] == pytest.approx(2.352552262201852, rel=1e-9)
 
     def test_hexagonal_pair(self):
         g4 = np.zeros((4, 4))
@@ -372,8 +372,8 @@ class TestFileFormats:
         ("5", "'int' object is not iterable"),
     ], ids=["bool", "string", "huge-int", "string-entries", "number-entries"])
     def test_json_entries_rejected_with_message(self, entries, message):
-        """Entries that are not all floats take the per-entry path, which
-        names the first bad entry."""
+        """A non-float entry goes through ``json_float``, which names the
+        first bad entry."""
         with pytest.raises(MalformedGram, match=re.escape(message)):
             lattice.parse_gram_text('{"dim": 2, "entries": %s}' % entries)
 

@@ -1,20 +1,22 @@
 """The triangular factor every Gram matrix carries.
 
-``validate`` computes R (G = R^T R) once, in the given order; ``reduce``
-starts LLL from a sorted-pivot factor and hands on the factor LLL ends
-with, and ``enumerate_below`` and the minima search read it. A
+``validate`` computes R once, with sorted pivots, and keeps the basis
+order it was taken in (R^T R = G[order][:, order]); ``reduce`` starts LLL
+from that factor and hands on the factor LLL ends with, in the identity
+order, and ``enumerate_below`` and the minima search read it. A
 factor with a negative diagonal entry still satisfies R^T R = G but makes
 the enumeration's coordinate ranges empty, so the search finds nothing and
 says nothing; these tests pin the invariants directly.
 """
 
+import json
 import random
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
-from schottky_gauge import lattice
+from schottky_gauge import cli, lattice
 from schottky_gauge.errors import NotPositiveDefinite
 
 
@@ -34,7 +36,11 @@ def _skewed_form(rng, d):
 
 
 def _check_factor(gram):
-    r, g, d = gram.factor, gram.entries, gram.dim
+    """R is upper triangular with a positive diagonal, and R^T R is G in
+    the form's basis order."""
+    r, order, d = gram.factor, gram.order, gram.dim
+    g = [[gram.entries[i][j] for j in order] for i in order]
+    assert sorted(order) == list(range(d))
     assert len(r) == d and all(len(row) == d for row in r)
     assert all(r[i][j] == 0.0 for i in range(d) for j in range(i))
     assert all(r[i][i] > 0.0 for i in range(d))
@@ -56,6 +62,7 @@ def test_validate_and_reduce_factors(d, raw):
     _check_factor(gram)
     reduced, t = lattice.reduce(gram)
     _check_factor(reduced)
+    assert reduced.order == tuple(range(d))
     assert len(t) == d and all(len(row) == d for row in t)
     assert all(type(v) is int for row in t for v in row)
     # T G T^T in exact rationals (the float entries are dyadic) against the
@@ -98,14 +105,13 @@ def test_reduce_transform_is_unimodular(d, raw):
 
 @pytest.mark.parametrize("d, raw", _forms())
 def test_sorted_pivot_factor(d, raw):
-    """R^T R is G in the returned order, and each pivot is the smallest
-    remaining Schur-complement diagonal: at step k, basis vector j > k has
-    sum_{i >= k} R[i][j]^2 left, which is at least R[k][k]^2."""
-    g = lattice.validate(raw).entries
-    r, order = lattice._cholesky(g, pivot=True)
-    assert sorted(order) == list(range(d))
-    _check_factor(SimpleNamespace(
-        factor=r, dim=d, entries=[[g[i][j] for j in order] for i in order]))
+    """The factor ``validate`` keeps is G's in the form's order, and each
+    pivot is the smallest remaining Schur-complement diagonal: at step k,
+    basis vector j > k has sum_{i >= k} R[i][j]^2 left, which is at least
+    R[k][k]^2."""
+    gram = lattice.validate(raw)
+    _check_factor(gram)
+    r = gram.factor
     for k in range(d):
         for j in range(k + 1, d):
             left = sum(r[i][j] ** 2 for i in range(k, j + 1))
@@ -119,3 +125,24 @@ def test_non_positive_pivot_rejected():
     # semidefinite: the second pivot is exactly 0
     with pytest.raises(NotPositiveDefinite):
         lattice.validate([[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_one_factorization_per_call(monkeypatch, capsys):
+    """``validate`` factors G once and ``reduce`` starts LLL from that
+    factor, so a minima call and an ``exclude`` op each factor G once."""
+    calls = []
+    real = lattice._cholesky
+
+    def spy(g, *args, **kwargs):
+        calls.append(len(g))
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_cholesky", spy)
+    raw = _skewed_form(random.Random(7), 6)
+    lattice.successive_minima(lattice.validate(raw), 6)
+    assert calls == [6]
+    calls.clear()
+    path = Path(__file__).parent / "data" / "e8_skew48_seed39.json"
+    assert cli.main(["exclude", str(path), "--format", "json"]) == 0
+    assert calls == [8]
+    assert json.loads(capsys.readouterr().out)[0]["verdict"] == "Inconclusive"
