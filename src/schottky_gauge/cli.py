@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 from . import bounds, certify, collar, lattice
@@ -53,9 +54,22 @@ def _check_finite(value) -> None:
 
 def render(rows: list[dict], fmt: str) -> None:
     """Render a homogeneous list of records to stdout as json, csv, or a
-    table; nothing is written when a record holds NaN or an infinity."""
+    table, and flush it; nothing is written when a record holds NaN or an
+    infinity. A reader that has gone away is no error of the command: on
+    ``BrokenPipeError`` stdout is pointed at the null device (the recipe
+    in the ``signal`` module's documentation), so the exit flush does not
+    fail again, and the command keeps its exit code."""
     _check_finite(rows)
-    out = sys.stdout
+    try:
+        _write(rows, fmt, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write(rows: list[dict], fmt: str, out) -> None:
     if fmt == "json":
         json.dump(rows, out, indent=2)
         out.write("\n")

@@ -47,11 +47,13 @@ class DeterminantNotOne(ValidationError):
 
 
 class NumericalBreakdown(SchottkyGaugeError):
-    """Lattice reduction failed to converge within its swap budget."""
+    """Lattice reduction failed to converge within its swap budget, or the
+    minima search found no k independent vectors at b_k^2."""
 
 
 class BudgetExceeded(SchottkyGaugeError):
-    """Enumeration or certification exceeded its configured node budget."""
+    """Enumeration exceeded its node budget. (Certification does not raise
+    it: a spent cell budget makes its report Undecided.)"""
 
 
 class IncompleteMinima(SchottkyGaugeError):

@@ -1,14 +1,15 @@
 """Successive minima of positive-definite quadratic forms, in plain Python.
 
-Each form carries one upper-triangular Cholesky factor R, computed once by
-``validate`` with sorted pivots, and the basis order it was taken in
-(R^T R = G[order][:, order], positive diagonal). LLL starts from that
-factor, works on its columns with an exact integer unimodular transform and
-hands the reduced factor on to Fincke-Pohst enumeration, which searches the
-form as given, one vector of each +/- pair. Minima come from one LLL per
-call at a radius capped by the k-th reduced diagonal entry, with witnesses
-chosen by exact integer (fraction-free) elimination. PPAV mode's unit
-determinant is decided on the float factor, and exactly when that misses.
+A form is its Gram matrix G and one basis of its lattice: an integer
+unimodular T (rows are basis vectors) with an upper-triangular factor R,
+R^T R = T G T^T, positive diagonal. ``validate`` factors G once, with
+sorted pivots, so T starts as a permutation; ``reduce`` returns the same
+form in its LLL basis. Fincke-Pohst enumeration searches in the form's
+basis, one vector of each +/- pair, and answers in the given one. Minima
+come from one LLL per call at a radius capped by the k-th shortest reduced
+basis vector, with witnesses chosen by exact integer (fraction-free)
+elimination. PPAV mode's unit determinant is decided on the float factor,
+and exactly when that misses.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetrized rows, and rows of upper-triangular R: R^T R = G[order][:, order]."""
+    """Symmetrized rows of G, and rows of upper-triangular R and of the
+    integer unimodular ``basis`` T: R^T R = T G T^T."""
     entries: tuple[tuple[float, ...], ...]
     mode: Mode
     factor: tuple[tuple[float, ...], ...]
-    order: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -134,9 +136,10 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
 
     Symmetrizes via (G + G^T)/2 once the asymmetry passes the tolerance;
     a non-finite entry, or overflow there, is NotPositiveDefinite. The form
-    keeps its sorted-pivot factor and order (see ``_cholesky``). The
-    determinant is read off the float factor, and computed exactly from
-    the entries when that misses 1 by more than the tolerance.
+    keeps its sorted-pivot factor, with that order's permutation matrix as
+    its basis (see ``_cholesky``). The determinant is read off the float
+    factor, and computed exactly from the entries when that misses 1 by
+    more than the tolerance.
     """
     try:
         a = [list(map(float, row)) for row in raw]
@@ -161,14 +164,14 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
         # the tolerance while its exact det does not
         if abs(det - 1.0) > _DET_ONE_TOL and abs(_exact_det(g) - 1) > _DET_ONE_TOL:
             raise DeterminantNotOne(f"determinant {det} differs from 1")
-    return GramMatrix(tuple(map(tuple, g)), mode, r, order)
+    basis = tuple(tuple(int(i == p) for i in range(d)) for p in order)
+    return GramMatrix(tuple(map(tuple, g)), mode, r, basis)
 
 
-def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
+def _lll(r, basis) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]:
     """LLL reduction of the columns of the upper-triangular factor R (rows
-    given) of the basis vectors ``order`` of G; returns the integer
-    unimodular T, which starts as that permutation, with reduced Gram
-    T G T^T, and the reduced factor's columns, column j cut to rows 0..j.
+    given) of the basis T (rows); returns the reduced factor's rows and the
+    reduced basis, T times an integer unimodular matrix on the left.
 
     Column j of R is basis vector j in its Gram-Schmidt frame: mu[k, j] =
     R[j, k] / R[j, j], squared Gram-Schmidt norms R[j, j]^2. Size reduction
@@ -181,7 +184,7 @@ def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
     """
     n = len(r)
     cols = [list(col[:j + 1]) for j, col in enumerate(zip(*r))]
-    t = [[int(i == p) for i in range(n)] for p in order]
+    t = list(map(list, basis))
     swaps = 0
     k = 1
     while k < n:
@@ -212,20 +215,14 @@ def _lll(r, order) -> tuple[tuple[tuple[int, ...], ...], list[list[float]]]:
         swaps += 1
         if swaps > _LLL_MAX_SWAPS:
             raise NumericalBreakdown("LLL swap budget exhausted")
-    return tuple(map(tuple, t)), cols
+    return tuple(zip_longest(*cols, fillvalue=0.0)), tuple(map(tuple, t))
 
 
-def reduce(gram: GramMatrix) -> tuple[GramMatrix, tuple[tuple[int, ...], ...]]:
-    """LLL-reduce (delta = 0.99) from the form's sorted-pivot factor, which
-    leaves fewer swaps than the given order; returns the reduced Gram, whose
-    factor (identity order) is the one LLL ends with, not a new one, and
-    the integer unimodular T with reduced = T G T^T."""
-    t, cols = _lll(gram.factor, gram.order)
-    rows = []  # G[i][j] = col_i . col_j, mirrored below the diagonal
-    for i, ci in enumerate(cols):
-        rows.append([r[i] for r in rows] + [sum(map(mul, ci, c)) for c in cols[i:]])
-    return GramMatrix(tuple(map(tuple, rows)), gram.mode,
-                      tuple(zip_longest(*cols, fillvalue=0.0)), tuple(range(len(t)))), t
+def reduce(gram: GramMatrix) -> GramMatrix:
+    """The same form (same ``entries``) in its LLL basis (delta = 0.99),
+    reduced from its sorted-pivot factor, which leaves fewer swaps than the
+    given order; the factor is the one LLL ends with, not a new one."""
+    return GramMatrix(gram.entries, gram.mode, *_lll(gram.factor, gram.basis))
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -242,21 +239,23 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     in ascending (norm, coefficient) order.
 
     Fincke-Pohst tree search on the form's triangular factor, which also
-    values the leaves; their coordinates, in the factor's basis order, are
-    mapped back to the given basis. The tree holds one vector of each +/-
+    values the leaves; their coordinates, in the form's basis, are mapped
+    through it to the given basis. The tree holds one vector of each +/-
     pair (Agrell, Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002):
     while every higher coordinate is 0, a coordinate runs from 0 up, and
     the zero vector is no leaf. ``budget`` caps the nodes of this half
     tree, one per coordinate value tried at any level; more raise
     BudgetExceeded. The search does not reduce: callers pass a reduced
     form (see ``reduce``) for speed. A multiplicative slack keeps
-    boundary vectors whose float norm is within tolerance of the radius.
+    boundary vectors whose float norm is within tolerance of the radius;
+    a radius that is not positive and finite, slack included, is
+    DomainError.
     """
-    if radius_sq <= 0:
-        raise DomainError("radius_sq must be positive")
+    limit = radius_sq * (1.0 + _RADIUS_SLACK)
+    if not 0.0 < limit < math.inf:
+        raise DomainError(f"radius_sq must be positive and finite, got {radius_sq}")
     d = gram.dim
     r = gram.factor
-    limit = radius_sq * (1.0 + _RADIUS_SLACK)
     found: list[tuple[float, tuple[int, ...]]] = []
     nodes = 0
 
@@ -285,7 +284,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
             for v in range(lo, hi + 1):
                 term = (rii * v + off) ** 2
                 if term <= room + 1e-12 and partial + term <= limit:
-                    found.append((partial + term, _canonical_sign((v,) + rest)))
+                    found.append((partial + term, (v,) + rest))
             return
         for v in range(lo, hi + 1):
             x[i] = v
@@ -295,9 +294,9 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         x[i] = 0
 
     descend(d - 1, 0.0, True)
-    if gram.order != tuple(range(d)):
-        inv = sorted(range(d), key=gram.order.__getitem__)
-        found = [(n, _canonical_sign(tuple(c[k] for k in inv))) for n, c in found]
+    t_cols = tuple(zip(*gram.basis))
+    found = [(n, _canonical_sign(tuple(sum(map(mul, y, col)) for col in t_cols)))
+             for n, y in found]
     found.sort()
     return [ShortVector(c, n) for n, c in found]
 
@@ -337,24 +336,24 @@ def minkowski_radius(gram: GramMatrix) -> float:
 def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     """First k successive minima with independent witness vectors.
 
-    One LLL reduction; the reduced form is enumerated at a radius from
-    min(Minkowski bound, b_k^2) doubling up to b_k^2 >= lambda_k, the k-th
-    smallest reduced diagonal entry. Candidates are mapped back, valued on
-    this form and scanned by norm; each one independent of those kept, by
-    fraction-free integer elimination (no rounding), is kept.
+    One LLL reduction; the form is enumerated in its reduced basis at a
+    radius from min(Minkowski bound, b_k^2) doubling up to b_k^2 >=
+    lambda_k, the k-th smallest squared length of a reduced basis vector
+    (a column of the reduced factor; the k shortest are independent).
+    Candidates, in the given basis, are valued on the form as given and
+    scanned by norm; each one independent of those kept, by fraction-free
+    integer elimination (no rounding), is kept.
     """
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
-    reduced, t = reduce(gram)
-    cap = sorted(row[i] for i, row in enumerate(reduced.entries))[k - 1]
+    reduced = reduce(gram)
+    cap = sorted(sum(map(mul, col, col)) for col in zip(*reduced.factor))[k - 1]
     radius = min(minkowski_radius(gram), cap)
-    t_cols = tuple(zip(*t))
     while True:
-        back = [_canonical_sign(tuple(sum(map(mul, sv.coeffs, col)) for col in t_cols))
-                for sv in enumerate_below(reduced, radius)]
         rank = _Echelon()
         witnesses = []
-        for norm, c in sorted((gram.norm_sq(c), c) for c in back):
+        candidates = (sv.coeffs for sv in enumerate_below(reduced, radius))
+        for norm, c in sorted((gram.norm_sq(c), c) for c in candidates):
             if rank.admits(c):
                 witnesses.append(ShortVector(c, norm))
                 if len(witnesses) == k:

@@ -3,6 +3,9 @@
 import importlib.metadata as md
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -449,3 +452,24 @@ def test_installed_console_scripts_match_declaration():
     installed = {ep.name: ep.value for ep in dist.entry_points
                  if ep.group == "console_scripts"}
     assert installed == _declared_scripts()
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_not_an_input_error(flags):
+    """A reader that has gone away before the report is written (a pipe
+    whose read end is closed) leaves the command's exit code and stderr as
+    they were: not exit 3 with "cannot read input", nor an ignored
+    BrokenPipeError at the interpreter's exit flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "schottky_gauge.cli", "certify",
+             "--families", "CF-G", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -73,19 +73,26 @@ class TestValidate:
         assert lattice.successive_minima(g, 2).values == (1e-300, 1e-300)
 
 
+def _reduced_gram(red):
+    """R^T R of a form's factor: its Gram matrix in its own basis."""
+    r = np.array(red.factor)
+    return r.T @ r
+
+
 class TestReduce:
     def test_identity_fixed(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PLAIN)
-        red, t = lattice.reduce(g)
-        assert np.allclose(red.entries, np.eye(4))
-        assert abs(round(np.linalg.det(t))) == 1
+        red = lattice.reduce(g)
+        assert np.allclose(_reduced_gram(red), np.eye(4))
+        assert abs(round(np.linalg.det(red.basis))) == 1
 
     def test_det_preserved_2d(self):
         g = lattice.validate([[4.0, 2.0], [2.0, 4.0]], lattice.Mode.PLAIN)
-        red, t = lattice.reduce(g)
-        assert red.entries[0][0] <= 4.0 + 1e-9
-        assert np.linalg.det(red.entries) == pytest.approx(12.0, rel=1e-9)
-        assert np.allclose(np.array(t) @ np.array(g.entries) @ np.array(t).T, red.entries, rtol=1e-9)
+        red = lattice.reduce(g)
+        rtr, t = _reduced_gram(red), np.array(red.basis)
+        assert rtr[0][0] <= 4.0 + 1e-9
+        assert np.linalg.det(rtr) == pytest.approx(12.0, rel=1e-9)
+        assert np.allclose(t @ np.array(g.entries) @ t.T, rtr, rtol=1e-9)
 
     def test_det_preserved_random_6d(self):
         rng = np.random.default_rng(7)
@@ -93,36 +100,36 @@ class TestReduce:
             b = rng.normal(size=(6, 6))
             raw = b @ b.T + 0.5 * np.eye(6)
             g = lattice.validate(raw, lattice.Mode.PLAIN)
-            red, t = lattice.reduce(g)
-            assert np.linalg.det(red.entries) == pytest.approx(
+            red = lattice.reduce(g)
+            assert np.linalg.det(_reduced_gram(red)) == pytest.approx(
                 np.linalg.det(g.entries), rel=1e-9)
-            assert abs(round(np.linalg.det(t))) == 1
+            assert abs(round(np.linalg.det(red.basis))) == 1
 
     def test_sorted_pivot_start(self):
         """diag(1, s) with s = (255/256)^2 = 0.9922 is LLL-reduced as given
         (s >= 0.99 * 1), so from the given order T = I; the sorted-pivot
         start takes the shorter vector first."""
         s = (255 / 256) ** 2
-        red, t = lattice.reduce(lattice.validate(np.diag([1.0, s])))
-        assert t == ((0, 1), (1, 0))
-        assert red.entries == ((s, 0.0), (0.0, 1.0))
+        red = lattice.reduce(lattice.validate(np.diag([1.0, s])))
+        assert red.basis == ((0, 1), (1, 0))
+        assert red.factor == ((255 / 256, 0.0), (0.0, 1.0))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_lll_conditions_on_skewed_forms(self, d):
         """Size reduction and the Lovasz condition (delta = 0.99), read off
-        the Cholesky factor L of the reduced form: mu[i, j] = L[i, j] / L[j, j]
-        and the squared Gram-Schmidt norms are L[j, j]^2."""
+        the reduced form's factor R: mu[i, j] = R[j, i] / R[j, j] and the
+        squared Gram-Schmidt norms are R[j, j]^2."""
         rng = np.random.default_rng(100 + d)
         for _ in range(30):
             b = rng.normal(size=(d, d))
             t = _random_unimodular(rng, d)
             raw = t.T @ (b @ b.T + 0.3 * np.eye(d)) @ t
-            red, _ = lattice.reduce(lattice.validate(raw, lattice.Mode.PLAIN))
-            l = np.linalg.cholesky(red.entries)
-            diag = np.diag(l)
+            r = np.array(lattice.reduce(
+                lattice.validate(raw, lattice.Mode.PLAIN)).factor)
+            diag = np.diag(r)
             for i in range(1, d):
-                assert np.all(np.abs(l[i, :i] / diag[:i]) <= 0.5 + 1e-9)
-                assert (diag[i] ** 2 + l[i, i - 1] ** 2
+                assert np.all(np.abs(r[:i, i] / diag[:i]) <= 0.5 + 1e-9)
+                assert (diag[i] ** 2 + r[i - 1, i] ** 2
                         >= 0.99 * diag[i - 1] ** 2 * (1 - 1e-9))
 
 
@@ -147,6 +154,14 @@ class TestEnumerate:
         assert len(ones) == 4
         assert len(twos) == 12
         assert len(vecs) == 16
+
+    # the largest float is finite, but its slack-widened radius is not
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0,
+                                        float(np.finfo(float).max)])
+    def test_radius_not_positive_and_finite(self, radius):
+        g = lattice.validate(np.eye(2), lattice.Mode.PLAIN)
+        with pytest.raises(DomainError):
+            lattice.enumerate_below(g, radius)
 
     def test_budget(self):
         g = lattice.validate(np.eye(6), lattice.Mode.PLAIN)
@@ -213,7 +228,9 @@ def _spy_enumerate(monkeypatch):
 
 
 def _kth_reduced_diagonal(g, k):
-    return float(np.sort(np.diag(lattice.reduce(g)[0].entries))[k - 1])
+    """b_k^2: the k-th smallest squared column norm of the reduced factor."""
+    cols = zip(*lattice.reduce(g).factor)
+    return sorted(sum(x * x for x in col) for col in cols)[k - 1]
 
 
 class TestSuccessiveMinima:

@@ -1,9 +1,9 @@
-"""The triangular factor every Gram matrix carries.
+"""The triangular factor and the basis every Gram matrix carries.
 
-``validate`` computes R once, with sorted pivots, and keeps the basis
-order it was taken in (R^T R = G[order][:, order]); ``reduce`` starts LLL
-from that factor and hands on the factor LLL ends with, in the identity
-order, and ``enumerate_below`` and the minima search read it. A
+``validate`` computes R once, with sorted pivots, and keeps that order's
+permutation matrix as the form's basis T (R^T R = T G T^T); ``reduce``
+starts LLL from that factor and returns the same form in the basis LLL
+ends with, and ``enumerate_below`` and the minima search read it. A
 factor with a negative diagonal entry still satisfies R^T R = G but makes
 the enumeration's coordinate ranges empty, so the search finds nothing and
 says nothing; these tests pin the invariants directly.
@@ -35,20 +35,24 @@ def _skewed_form(rng, d):
              for j in range(d)] for i in range(d)]
 
 
-def _check_factor(gram):
-    """R is upper triangular with a positive diagonal, and R^T R is G in
-    the form's basis order."""
-    r, order, d = gram.factor, gram.order, gram.dim
-    g = [[gram.entries[i][j] for j in order] for i in order]
-    assert sorted(order) == list(range(d))
+def _check_factor(gram, tol=1e-12):
+    """R is upper triangular with a positive diagonal, T is an integer
+    matrix, and R^T R is T G T^T (in exact rationals: the float entries are
+    dyadic) to ``tol`` relative to the size of G."""
+    r, t, d = gram.factor, gram.basis, gram.dim
     assert len(r) == d and all(len(row) == d for row in r)
     assert all(r[i][j] == 0.0 for i in range(d) for j in range(i))
     assert all(r[i][i] > 0.0 for i in range(d))
-    scale = max(abs(v) for row in g for v in row)
+    assert len(t) == d and all(len(row) == d for row in t)
+    assert all(type(v) is int for row in t for v in row)
+    exact = [[Fraction(v) for v in row] for row in gram.entries]
+    scale = max(abs(v) for row in gram.entries for v in row)
     for i in range(d):
+        tg = [sum(t[i][a] * exact[a][c] for a in range(d)) for c in range(d)]
         for j in range(d):
+            want = sum(tg[c] * t[j][c] for c in range(d))
             rtr = sum(r[k][i] * r[k][j] for k in range(d))
-            assert abs(rtr - g[i][j]) <= 1e-12 * scale
+            assert abs(rtr - float(want)) <= tol * scale
 
 
 def _forms():
@@ -60,21 +64,34 @@ def _forms():
 def test_validate_and_reduce_factors(d, raw):
     gram = lattice.validate(raw)
     _check_factor(gram)
-    reduced, t = lattice.reduce(gram)
-    _check_factor(reduced)
-    assert reduced.order == tuple(range(d))
-    assert len(t) == d and all(len(row) == d for row in t)
-    assert all(type(v) is int for row in t for v in row)
-    # T G T^T in exact rationals (the float entries are dyadic) against the
-    # reduced entries, relative to the size of the input form: float LLL
-    # drifts by rounding in every size reduction (at most 4.7e-13 here)
-    exact = [[Fraction(v) for v in row] for row in gram.entries]
-    scale = max(abs(v) for row in gram.entries for v in row)
-    for i in range(d):
-        tg = [sum(t[i][a] * exact[a][c] for a in range(d)) for c in range(d)]
-        for j in range(d):
-            want = sum(tg[c] * t[j][c] for c in range(d))
-            assert abs(float(want) - reduced.entries[i][j]) <= 1e-10 * scale
+    reduced = lattice.reduce(gram)
+    # float LLL drifts by rounding in every size reduction (at most 4.7e-13
+    # here), so the reduced factor is held to T G T^T more loosely
+    _check_factor(reduced, 1e-10)
+    assert reduced.entries is gram.entries
+    assert reduced.mode is gram.mode
+
+
+@pytest.mark.parametrize("d, raw", _forms())
+def test_validate_basis_is_a_permutation(d, raw):
+    """The sorted-pivot order is a permutation of the given basis."""
+    t = lattice.validate(raw).basis
+    assert sorted(t, reverse=True) == [tuple(int(i == j) for j in range(d))
+                                       for i in range(d)]
+
+
+@pytest.mark.parametrize("d, raw", _forms())
+def test_enumerate_in_either_basis(d, raw):
+    """The search answers in the given basis whichever basis the form
+    carries: the validated and the reduced form give the same vectors."""
+    gram = lattice.validate(raw)
+    radius = 2.0 * lattice.successive_minima(gram, 1).values[0]
+    given = {v.coeffs: v.norm_sq for v in lattice.enumerate_below(gram, radius)}
+    reduced = {v.coeffs: v.norm_sq
+               for v in lattice.enumerate_below(lattice.reduce(gram), radius)}
+    assert set(given) == set(reduced)
+    for c, n in given.items():
+        assert reduced[c] == pytest.approx(n, rel=1e-9)
 
 
 def _exact_det(m):
@@ -99,13 +116,13 @@ def _exact_det(m):
 def test_reduce_transform_is_unimodular(d, raw):
     """T starts as the sorted-pivot permutation and changes only by integer
     row operations and swaps, so |det T| = 1 exactly."""
-    _, t = lattice.reduce(lattice.validate(raw))
+    t = lattice.reduce(lattice.validate(raw)).basis
     assert abs(_exact_det(t)) == 1
 
 
 @pytest.mark.parametrize("d, raw", _forms())
 def test_sorted_pivot_factor(d, raw):
-    """The factor ``validate`` keeps is G's in the form's order, and each
+    """The factor ``validate`` keeps is G's in the form's basis, and each
     pivot is the smallest remaining Schur-complement diagonal: at step k,
     basis vector j > k has sum_{i >= k} R[i][j]^2 left, which is at least
     R[k][k]^2."""
