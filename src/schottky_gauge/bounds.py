@@ -5,10 +5,10 @@ on short geodesics has one definition here, a function of an Interval
 genus named after the ``bounds`` row it feeds.  ``certify`` proves with
 them on genus cells; the ``bounds`` and ``exclude`` commands evaluate
 them on a point genus and use the midpoint of the enclosure, which
-contains the exact value.  The Minkowski/Hermite lattice bounds (they
-need lgamma, which has no interval form) and the decomposition corollary
-are floats; Minkowski's second theorem in dimension 2g gives both the
-product ceiling and the Hermite bracket's upper end.
+contains the exact value.  The Minkowski/Hermite bounds (lgamma has no
+interval form) and the decomposition corollary are floats; Minkowski's
+second theorem in dimension 2g, on ``lattice.minkowski_log_constant``,
+gives the product ceiling and the Hermite bracket's upper end.
 
 The checks that read computed minima (the Minkowski second-theorem check
 and the exclusion verdict) live here, on top of
@@ -167,6 +167,10 @@ def corollary_mixing(t: float) -> float:
     decomposition bound denominator."""
     if t <= 0:
         raise DomainError("t must be positive")
+    if t >= 2.0:
+        # sinh(t/2) > 1/sqrt(3), where the first term reaches 1/2; larger t
+        # would overflow s*s, then sinh
+        return 0.5
     s = math.sinh(t / 2.0)
     return min(s / math.sqrt(s * s + 1.0), 0.5)
 
@@ -195,18 +199,12 @@ def corollary_report(d: Decomposition) -> list[dict]:
     return rows
 
 
-def _log_ball_ratio(g: int) -> float:
-    """log((4/pi)(g!)^(1/g)): the log of (2^(2g)/vol B_2g)^(1/g), where
-    vol B_2g = pi^g/g! is the volume of the unit ball in dimension 2g."""
-    return math.log(4.0 / math.pi) + math.lgamma(g + 1) / g
-
-
 def minkowski_product_log_bound(g: int) -> float:
     """log((4/pi)^(2g) (g!)^2): Minkowski's second theorem in dimension 2g,
     prod m_k^2 <= (2^(2g)/vol B_2g)^2 det, as a ceiling for the log of the
     product of all 2g squared minima of a det-1 PPAV."""
     _check_genus(g, 1)
-    return 2.0 * g * _log_ball_ratio(g)
+    return 2.0 * g * lattice.minkowski_log_constant(2 * g)
 
 
 def hermite_ppav_bounds(g: int) -> tuple[float, float]:
@@ -215,7 +213,7 @@ def hermite_ppav_bounds(g: int) -> tuple[float, float]:
     The upper end is the 2g-th root of Minkowski's product ceiling."""
     _check_genus(g)
     lower = math.exp((math.log(2.0) + math.lgamma(g + 1)) / g) / math.pi
-    return lower, math.exp(_log_ball_ratio(g))
+    return lower, math.exp(lattice.minkowski_log_constant(2 * g))
 
 
 def check_minkowski(gram, minima) -> dict:

@@ -55,13 +55,19 @@ def _check_finite(value) -> None:
 def render(rows: list[dict], fmt: str) -> None:
     """Render a homogeneous list of records to stdout as json, csv, or a
     table, and flush it; nothing is written when a record holds NaN or an
-    infinity. A reader that has gone away is no error of the command: on
-    ``BrokenPipeError`` stdout is pointed at the null device (the recipe
-    in the ``signal`` module's documentation), so the exit flush does not
-    fail again, and the command keeps its exit code."""
+    infinity."""
     _check_finite(rows)
+    _emit(lambda out: _write(rows, fmt, out))
+
+
+def _emit(write) -> None:
+    """Call ``write(sys.stdout)`` and flush. A reader that has gone away is
+    no error of the command: on ``BrokenPipeError`` stdout is pointed at
+    the null device (the recipe in the ``signal`` module's documentation),
+    so the exit flush does not fail again, and the command keeps its exit
+    code."""
     try:
-        _write(rows, fmt, sys.stdout)
+        write(sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -175,7 +181,7 @@ def cmd_ypiece(args, parser) -> int:
     except IndeterminateCell:
         raise  # an overflow, not a missing Y-piece
     except DomainError:
-        print("degenerate")
+        _emit(lambda out: out.write("degenerate\n"))
         return EXIT_OK
     render(rows, args.format)
     return EXIT_OK

@@ -5,11 +5,11 @@ unimodular T (rows are basis vectors) with an upper-triangular factor R,
 R^T R = T G T^T, positive diagonal. ``validate`` factors G once, with
 sorted pivots, so T starts as a permutation; ``reduce`` returns the same
 form in its LLL basis. Fincke-Pohst enumeration searches in the form's
-basis, one vector of each +/- pair, and answers in the given one. Minima
-come from one LLL per call at a radius capped by the k-th shortest reduced
-basis vector, with witnesses chosen by exact integer (fraction-free)
-elimination. PPAV mode's unit determinant is decided on the float factor,
-and exactly when that misses.
+basis, one vector of each +/- pair, and answers in the given one, valuing
+each once by ``GramMatrix.norm_sq`` on the entries. Minima take one LLL
+per call, a radius capped by the k-th shortest reduced basis vector and
+fraction-free integer elimination for witnesses. PPAV mode's unit
+determinant is decided on the float factor, and exactly when that misses.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class GramMatrix:
         return len(self.entries)
 
     def norm_sq(self, coeffs) -> float:
+        """x^T G x on the entries: the one valuation of a lattice vector."""
         return sum((c * sum(map(mul, row, coeffs))
                     for c, row in zip(coeffs, self.entries) if c), 0.0)
 
@@ -236,11 +237,12 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
                     budget: int = DEFAULT_NODE_BUDGET) -> list[ShortVector]:
     """All nonzero integer vectors with form value <= radius_sq (one
     representative per +/- pair, its first nonzero coefficient positive),
-    in ascending (norm, coefficient) order.
+    in ascending (norm, coefficient) order, each norm ``gram.norm_sq`` in
+    the given basis: the same list in any basis of the form.
 
-    Fincke-Pohst tree search on the form's triangular factor, which also
-    values the leaves; their coordinates, in the form's basis, are mapped
-    through it to the given basis. The tree holds one vector of each +/-
+    Fincke-Pohst tree search on the form's triangular factor, which values
+    nothing returned, picks the leaves; their coordinates, in the form's
+    basis, are mapped through it. The tree holds one vector of each +/-
     pair (Agrell, Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002):
     while every higher coordinate is 0, a coordinate runs from 0 up, and
     the zero vector is no leaf. ``budget`` caps the nodes of this half
@@ -256,7 +258,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         raise DomainError(f"radius_sq must be positive and finite, got {radius_sq}")
     d = gram.dim
     r = gram.factor
-    found: list[tuple[float, tuple[int, ...]]] = []
+    found: list[tuple[int, ...]] = []  # leaf coordinates, in the form's basis
     nodes = 0
 
     x = [0] * d
@@ -284,7 +286,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
             for v in range(lo, hi + 1):
                 term = (rii * v + off) ** 2
                 if term <= room + 1e-12 and partial + term <= limit:
-                    found.append((partial + term, (v,) + rest))
+                    found.append((v,) + rest)
             return
         for v in range(lo, hi + 1):
             x[i] = v
@@ -294,11 +296,9 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         x[i] = 0
 
     descend(d - 1, 0.0, True)
-    t_cols = tuple(zip(*gram.basis))
-    found = [(n, _canonical_sign(tuple(sum(map(mul, y, col)) for col in t_cols)))
-             for n, y in found]
-    found.sort()
-    return [ShortVector(c, n) for n, c in found]
+    cols = tuple(zip(*gram.basis))
+    vecs = (_canonical_sign(tuple(sum(map(mul, y, c)) for c in cols)) for y in found)
+    return [ShortVector(c, n) for n, c in sorted((gram.norm_sq(c), c) for c in vecs)]
 
 
 class _Echelon:
@@ -325,12 +325,18 @@ class _Echelon:
         return True
 
 
+def minkowski_log_constant(d: int) -> float:
+    """log((4/pi) Gamma(d/2+1)^(2/d)) = (2/d) log(2^d/vol B_d), B_d the unit
+    ball in dimension d: Minkowski's constant, here and in ``bounds``."""
+    return math.log(4.0 / math.pi) + math.lgamma(d / 2.0 + 1.0) / (d / 2.0)
+
+
 def minkowski_radius(gram: GramMatrix) -> float:
-    """Minkowski first-theorem radius (4/pi) det^(1/d) Gamma(d/2+1)^(2/d):
+    """Minkowski first-theorem radius, Minkowski's constant times det^(1/d):
     guaranteed to contain a nonzero lattice vector."""
     d = gram.dim
     logdet = 2.0 * sum(math.log(row[i]) for i, row in enumerate(gram.factor))
-    return 4.0 / math.pi * math.exp(logdet / d + 2.0 / d * math.lgamma(d / 2.0 + 1.0))
+    return math.exp(logdet / d + minkowski_log_constant(d))
 
 
 def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
@@ -340,9 +346,8 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     radius from min(Minkowski bound, b_k^2) doubling up to b_k^2 >=
     lambda_k, the k-th smallest squared length of a reduced basis vector
     (a column of the reduced factor; the k shortest are independent).
-    Candidates, in the given basis, are valued on the form as given and
-    scanned by norm; each one independent of those kept, by fraction-free
-    integer elimination (no rounding), is kept.
+    ``enumerate_below``'s list is scanned as returned; each vector
+    independent of those kept (fraction-free integer elimination) is kept.
     """
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
@@ -352,10 +357,9 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     while True:
         rank = _Echelon()
         witnesses = []
-        candidates = (sv.coeffs for sv in enumerate_below(reduced, radius))
-        for norm, c in sorted((gram.norm_sq(c), c) for c in candidates):
-            if rank.admits(c):
-                witnesses.append(ShortVector(c, norm))
+        for sv in enumerate_below(reduced, radius):
+            if rank.admits(sv.coeffs):
+                witnesses.append(sv)
                 if len(witnesses) == k:
                     # the scan is in norm order, so nothing shorter was missed
                     return SuccessiveMinima(k, tuple(w.norm_sq for w in witnesses),
@@ -423,6 +427,7 @@ __all__ = [
     "enumerate_below",
     "json_float",
     "load_gram",
+    "minkowski_log_constant",
     "minkowski_radius",
     "parse_gram_text",
     "reduce",

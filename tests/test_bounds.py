@@ -168,6 +168,24 @@ def test_minkowski_product_log_bound():
             float(want), rel=REL)
 
 
+@pytest.mark.parametrize("d", range(1, 25))
+def test_minkowski_log_constant(d):
+    """log((4/pi) Gamma(d/2+1)^(2/d)) to a 40-digit oracle; at d = 1 it is
+    log((4/pi)(pi/4)) = 0, so the tolerance has an absolute floor."""
+    want = mp.log(4 / mp.pi) + mp.loggamma(mp.mpf(d) / 2 + 1) * 2 / d
+    assert lattice.minkowski_log_constant(d) == pytest.approx(
+        float(want), rel=REL, abs=1e-15)
+
+
+def test_minkowski_bounds_read_the_lattice_constant():
+    """The product ceiling and the Hermite bracket's upper end are the one
+    constant of ``lattice``, bit for bit."""
+    for g in range(2, 11):
+        c = lattice.minkowski_log_constant(2 * g)
+        assert bounds.minkowski_product_log_bound(g) == 2.0 * g * c
+        assert bounds.hermite_ppav_bounds(g)[1] == math.exp(c)
+
+
 def test_hermite_ppav_bounds():
     lo, hi = bounds.hermite_ppav_bounds(2)
     assert lo == pytest.approx(0.6366197723675813, rel=REL)
@@ -200,7 +218,10 @@ class TestCorollary:
             9.4090737009156809, rel=REL)
 
     def test_mixing_saturates_at_half(self):
-        assert bounds.corollary_mixing(50.0) == 0.5
+        """min{tanh(t/2), 1/2} is 1/2 for every large t, also where
+        sinh(t/2)^2 (t > 710.4) or sinh(t/2) (t > 1420) overflows."""
+        for t in (50.0, 800.0, 1500.0):
+            assert bounds.corollary_mixing(t) == 0.5
 
     def test_invalid_decomposition(self):
         with pytest.raises(DomainError):

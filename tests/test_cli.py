@@ -309,6 +309,18 @@ class TestCorollary:
         assert rows[0]["bound"] == pytest.approx(
             7.1382352850589647, rel=1e-15)
 
+    @pytest.mark.parametrize("t", ["800", "1500"])
+    def test_large_t_saturates(self, capsys, t):
+        """M is 1/2 and the denominator 2 pi/3 for every t >= 2, also where
+        sinh(t/2)^2 or sinh(t/2) overflows."""
+        code, rows, _ = run_json(capsys, "corollary", "--t", t, "--piece", "2,1")
+        assert code == 0
+        assert rows[0]["M"] == 0.5
+        assert rows[0]["denominator"] == pytest.approx(2.0 * math.pi / 3.0,
+                                                       rel=1e-15)
+        assert rows[0]["bound"] == pytest.approx(3.0 * float(t) / math.pi,
+                                                 rel=1e-15)
+
     def test_nonpositive_t_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["corollary", "--t", "0", "--piece", "2,1"])
@@ -459,17 +471,19 @@ def test_closed_stdout_is_not_an_input_error(flags):
     """A reader that has gone away before the report is written (a pipe
     whose read end is closed) leaves the command's exit code and stderr as
     they were: not exit 3 with "cannot read input", nor an ignored
-    BrokenPipeError at the interpreter's exit flush."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    BrokenPipeError at the interpreter's exit flush. The degenerate
+    Y-piece's one line goes through the same guarded write as a report."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    try:
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "schottky_gauge.cli", "certify",
-             "--families", "CF-G", "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-            env=env)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv in (["certify", "--families", "CF-G", "--format", "json"],
+                 ["ypiece", "--gamma", "0.5", "--w", "0.01", "--config", "1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "schottky_gauge.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv

@@ -312,6 +312,20 @@ class TestSuccessiveMinima:
 
 
 class TestMinkowski:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_radius_of_scaled_identity(self, d):
+        """3 I_d has det 3^d: the radius is 3 (4/pi) Gamma(d/2+1)^(2/d)."""
+        g = lattice.validate(3.0 * np.eye(d), lattice.Mode.PLAIN)
+        want = 3.0 * 4.0 / math.pi * math.gamma(d / 2.0 + 1.0) ** (2.0 / d)
+        assert lattice.minkowski_radius(g) == pytest.approx(want, rel=1e-13)
+
+    def test_radius_of_hexagonal_form(self):
+        """The det-1 hexagonal form: (4/pi) Gamma(2) = 4/pi, above its
+        minimum 2/sqrt(3)."""
+        radius = lattice.minkowski_radius(lattice.validate(HEX))
+        assert radius == pytest.approx(4.0 / math.pi, rel=1e-13)
+        assert radius > HEX_MIN
+
     def test_identity_g2(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 4)
