@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 from . import bounds, collar
 from .errors import DomainError
@@ -242,32 +242,6 @@ class _Sweep:
         return None
 
 
-# ----------------------------------------------------------------------
-# Axis parts of a slack
-# ----------------------------------------------------------------------
-
-# A sweep meets the same axis interval in many cells: the default CF-A
-# sweep has 13,965 cells but only 255 distinct genus intervals and 203
-# distinct gamma intervals.  A slack form computes the part of it that
-# depends on one axis alone through an axis part, once per distinct
-# interval.  Each part keeps an LRU of at most _AXIS_PART_SIZE entries,
-# and certify() empties every part when it returns or raises, so no entry
-# outlives one call.
-_AXIS_PART_SIZE = 128
-_AXIS_PARTS: list = []
-
-_T = TypeVar("_T")
-
-
-def _axis_part(fn: Callable[[Interval], _T]) -> Callable[[Interval], _T]:
-    """``fn``, a function of one Interval, memoised by the interval's
-    ``(lo, hi)``.  A call that raises stores nothing."""
-    cached = functools.lru_cache(maxsize=_AXIS_PART_SIZE)(
-        lambda lo, hi: fn(Interval(lo, hi)))
-    _AXIS_PARTS.append(cached)
-    return lambda x: cached(x.lo, x.hi)
-
-
 def check_g_max(family: CertFamily, g_max: float) -> TailProof | None:
     """Evaluate every box ceiling of ``family`` and its tail floor at
     ``g_max``, and return the tail proof.  A ``g_max`` at which one of them
@@ -291,7 +265,7 @@ def certify(
     (Violated), or the cell width floor ``tol`` / the cell ``budget`` is
     reached (Undecided).  Raises ``IndeterminateCell``, before any cell is
     swept, when a box ceiling or the tail floor has no finite enclosure at
-    ``g_max``.  Empties every axis part's cache when it returns or raises.
+    ``g_max``.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
@@ -301,18 +275,14 @@ def certify(
         raise DomainError("g_max must be a finite genus cutoff >= 2")
     sweep = _Sweep(budget, g_max, tol)
     status, note, tail_status, tail_note = "Certified", "", "N/A", ""
-    try:
-        proof = check_g_max(family, g_max)
-        for task in family.tasks:
-            stuck = sweep.run(task)
-            if stuck is not None:
-                reason, sweep.witness, sweep.min_slack = stuck
-                status = "Violated" if reason == _VIOLATED else "Undecided"
-                note = f"{reason} in task {task.name}"
-                break
-    finally:
-        for part in _AXIS_PARTS:
-            part.cache_clear()
+    proof = check_g_max(family, g_max)
+    for task in family.tasks:
+        stuck = sweep.run(task)
+        if stuck is not None:
+            reason, sweep.witness, sweep.min_slack = stuck
+            status = "Violated" if reason == _VIOLATED else "Undecided"
+            note = f"{reason} in task {task.name}"
+            break
     if status == "Certified" and proof is not None:
         tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
         lb = proof.infimum_lb
@@ -345,24 +315,33 @@ def certify(
 # and arccosh(2 a^2 - 1) = 2 arccosh(a): the slack is
 # 4 (log(8g-7) - arccosh(a)), finite below g ~ 1e307 and never vacuous.
 
-# The genus part is (pi (g-1), log(8g-7)) and the gamma part sinhc(gamma/2);
-# the slack combines them in the order of the written-out form
-# (log8(g) - (pi (g-1) sinhc(gamma/2)).acosh()) * 4, so each enclosure is
-# the same to the bit.
+# The sweep meets the same axis interval in many cells: the default sweep
+# has 13,965 cells but only 255 distinct genus intervals and 203 distinct
+# gamma intervals.  So the genus part (pi (g-1), log(8g-7)) and the gamma
+# part sinhc(gamma/2) are each computed once per distinct interval, in an
+# LRU of at most _AXIS_PART_SIZE entries keyed by the interval's ends.  A
+# part is a pure function of those ends, so an entry kept from an earlier
+# call is the value this call would compute; a call that raises stores
+# nothing.  The slack combines the parts in the order of the written-out
+# form (log8(g) - (pi (g-1) sinhc(gamma/2)).acosh()) * 4, so each
+# enclosure is the same to the bit.
+_AXIS_PART_SIZE = 128
 
-@_axis_part
-def _cfa_genus(g: Interval) -> tuple[Interval, Interval]:
+
+@functools.lru_cache(maxsize=_AXIS_PART_SIZE)
+def _cfa_genus(lo: float, hi: float) -> tuple[Interval, Interval]:
+    g = Interval(lo, hi)
     return IPI * (g - 1.0), bounds.log8(g)
 
 
-@_axis_part
-def _cfa_gamma(y: Interval) -> Interval:
-    return (y * 0.5).sinhc()
+@functools.lru_cache(maxsize=_AXIS_PART_SIZE)
+def _cfa_gamma(lo: float, hi: float) -> Interval:
+    return (Interval(lo, hi) * 0.5).sinhc()
 
 
 def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
-    pi_g1, log8 = _cfa_genus(g)
-    return (log8 - (pi_g1 * _cfa_gamma(y)).acosh()) * 4.0
+    pi_g1, log8 = _cfa_genus(g.lo, g.hi)
+    return (log8 - (pi_g1 * _cfa_gamma(y.lo, y.hi)).acosh()) * 4.0
 
 
 def _cfa_tail(_g_from: float) -> TailProof:

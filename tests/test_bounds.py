@@ -13,7 +13,7 @@ import pytest
 from schottky_gauge import bounds, cli, interval, lattice
 from schottky_gauge.bounds import Decomposition, Signature, Verdict
 from schottky_gauge.errors import DomainError
-from schottky_gauge.interval import Interval
+from schottky_gauge.interval import IPI, Interval
 
 REL = 1e-12
 P = Interval.point
@@ -156,6 +156,40 @@ def test_exclude_thresholds_are_bounds_rows(capsys, tmp_path, g):
     assert row["thm_main_m2_threshold"] == ceilings["thm_main_m2"]
     assert row["hyperelliptic_threshold"] == ceilings["hyperelliptic"]
     assert row["margin_m1_vs_main"] == ceilings["thm_main_m1"] - row["m1_sq"]
+
+
+def _log_blichfeldt(g: int) -> Interval:
+    """log of Blichfeldt's bound (2/pi) ((g+1)!)^(1/g) on the Hermite
+    constant gamma_2g; the factorial is an exact float for these g."""
+    return (P(float(math.factorial(g + 1))).log() / float(g)
+            + P(2.0).log() - IPI.log())
+
+
+# g: (Blichfeldt below the hyperelliptic constant, below (3/pi) log(4g-2)).
+# m1^2 <= gamma_2g <= Blichfeldt on every det-1 form of dimension 2g, so
+# where it is below a ceiling that ceiling's test of m1 cannot fire.
+_REACH = {2: (True, True), 3: (True, True), 4: (True, True),
+          5: (True, True), 6: (False, True), 7: (False, True),
+          8: (False, True), 9: (False, False)}
+
+
+@pytest.mark.parametrize("g", sorted(_REACH))
+def test_blichfeldt_reach_table(g):
+    below_hyp, below_bs = _REACH[g]
+    b = _log_blichfeldt(g)
+    for ceiling, below in ((bounds.HYPERELLIPTIC, below_hyp),
+                           (bounds.thm_bs_upper(P(float(g))), below_bs)):
+        c = ceiling.log()
+        assert b.hi < c.lo if below else b.lo > c.hi
+
+
+@pytest.mark.parametrize("g,value", [
+    (5, 2.373), (6, 2.636), (8, 3.154), (9, 3.410)])
+def test_blichfeldt_values(g, value):
+    # the figures quoted in the README, to three decimals
+    assert math.exp(_log_blichfeldt(g).mid) == pytest.approx(value, abs=5e-4)
+    want = 2 / mp.pi * mp.factorial(g + 1) ** (mp.mpf(1) / g)
+    assert _encloses(_log_blichfeldt(g), mp.log(want))
 
 
 def test_minkowski_product_log_bound():

@@ -133,6 +133,17 @@ class TestExclude:
         assert err.strip() == "NotPositiveDefinite"
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["minima", "exclude"])
+    def test_node_budget_is_invalid_input(self, capsys, tmp_path, command):
+        # a det-1 PPAV form whose 1e-200 entry puts so many lattice points
+        # below the search radius that enumeration stops at its node budget
+        path = write_gram(tmp_path, np.diag([1e200, 1e-200, 1.0, 1.0]))
+        code, out, err = run(capsys, command, path)
+        assert code == 3
+        assert err.strip() == (
+            f"enumeration exceeded {lattice.DEFAULT_NODE_BUDGET} nodes")
+        assert out == ""
+
     def test_parser_built_once(self, capsys, tmp_path):
         assert cli.build_parser() is cli.build_parser()
         with pytest.raises(SystemExit) as exc:
