@@ -259,13 +259,7 @@ class Interval:
 
 
 def _sinhc(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    if x < 1e-4:
-        # series; avoids 0/0 noise near the removable singularity
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
+    return 1.0 if x == 0.0 else math.sinh(x) / x
 
 
 # Enclosures of constants used throughout the bound formulas.

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lattice_oracle import brute_force_minima
+from oracles import brute_force_minima, random_unimodular
 from schottky_gauge import bounds, certify, collar, lattice
 from schottky_gauge.errors import DomainError, DeterminantNotOne
 from schottky_gauge.interval import IW, IWP, Interval
@@ -212,11 +212,7 @@ class TestCriterion9Properties:
             raw = b @ b.T + 0.4 * np.eye(d)
             gram = lattice.validate(raw, lattice.Mode.PLAIN)
             ref = lattice.successive_minima(gram, d).values
-            t = np.eye(d, dtype=np.int64)
-            for _ in range(6):
-                i, j = rng.integers(0, d, size=2)
-                if i != j:
-                    t[i] += int(rng.integers(-2, 3)) * t[j]
+            t = random_unimodular(rng, d, 6)
             gram_t = lattice.validate(t.T @ raw @ t, lattice.Mode.PLAIN)
             got = lattice.successive_minima(gram_t, d).values
             for a, w in zip(got, ref):

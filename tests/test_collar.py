@@ -1,8 +1,13 @@
-"""Collar lemmas: every interval form against a 40-digit mpmath oracle of
-its source formula, and the geometric properties the lemmas state.
+"""Collar lemmas: every interval form against a 50-digit mpmath oracle of
+its source formula (``oracles``), and the geometric properties the lemmas
+state.
 
 An enclosure is checked by containment: the exact value of the source
-formula at the float inputs must lie between its ends.
+formula at the float inputs must lie between its ends.  The
+configuration-1 Y-piece is a symmetric right-angled hexagon with sides
+a, 2b, a, which its axis of symmetry cuts into two right-angled pentagons
+(``collar.pentagon``); the hexagon relation is checked against the
+pentagon's enclosure.
 """
 
 import ast
@@ -10,50 +15,17 @@ import math
 import random
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from oracles import WP, encloses, mp
 from schottky_gauge import certify, cli, collar
 from schottky_gauge.errors import DomainError
 from schottky_gauge.interval import IW, IWP, IndeterminateCell, Interval
 
-# a private 40-digit context, so no other test's precision changes
-mp = mpmath.MPContext()
-mp.dps = 40
-
 P = Interval.point
-_WP = mp.atanh(mp.mpf(2) / 3)
-
-
-def _encloses(enc: Interval, value) -> bool:
-    return mp.mpf(enc.lo) <= value <= mp.mpf(enc.hi)
-
-
-# -- source formulas, in mpmath --------------------------------------------
-
-def _dcap(w):
-    return mp.pi - 2 * mp.asin(1 / mp.cosh(w))
-
-
-def _separation(half):
-    return mp.asinh(1 / mp.sinh(half))
-
-
-def _half_over_quarter(y):
-    return mp.cosh(y / 2) / mp.cosh(y / 4)
-
-
-def _crossing_den(x):
-    return mp.sqrt(mp.cosh(x / 4) ** 2 * mp.cosh(_WP) ** 2 - 1)
-
-
-def _crossing_width(alpha1, w1, r1):
-    """The general crossing-width floor
-    arcsinh(sinh w1 sinh(alpha1/2) / sqrt(cosh^2 r1 cosh^2 w1 - 1))."""
-    den = mp.sqrt(mp.cosh(r1) ** 2 * mp.cosh(w1) ** 2 - 1)
-    return mp.asinh(mp.sinh(w1) * mp.sinh(alpha1 / 2) / den)
 
 
 def _uniform(lo, hi):
@@ -64,30 +36,20 @@ def _log_uniform(lo, hi):
     return lambda rng: lo * (hi / lo) ** rng.random()
 
 
-# form name -> (samplers of its arguments, source formula)
-_ORACLES = {
-    "dcap": ((_log_uniform(1e-3, 50.0),), _dcap),
-    "capacity": ((_log_uniform(1e-3, 1e3), _log_uniform(1e-3, 50.0)),
-                 lambda l, w: l / _dcap(w)),
-    "separation": ((_log_uniform(1e-300, 700.0),), _separation),
-    "half_over_quarter": ((_uniform(0.0, 2800.0),), _half_over_quarter),
-    "config1_width": (
-        (_log_uniform(1e-3, 1400.0),),
-        lambda y: max(_separation(y / 2), mp.acosh(_half_over_quarter(y)))),
-    "area_width": ((_log_uniform(2.0, 1e6), _log_uniform(1e-3, 100.0)),
-                   lambda g, y: mp.asinh(2 * mp.pi * (g - 1) / y)),
-    "pentagon": ((_uniform(1.0, 20.0), _uniform(1.0, 20.0)),
-                 lambda a, b: mp.acosh(mp.sinh(a) * mp.sinh(b))),
-    "crossing_den": ((_uniform(0.0, 1400.0),), _crossing_den),
-    "qwtwo": ((_log_uniform(1e-2, 1400.0),),
-              lambda a: _crossing_width(a, _WP, a / 4)),
-    "config2_width": (
-        (_uniform(2.1, 1000.0),),
-        lambda y: min(mp.mpf("0.66"),
-                      mp.acosh(_half_over_quarter(y) / mp.cosh(_WP)))),
-    "config2_crossing_width": (
-        (_uniform(2.1, 1400.0),),
-        lambda y: mp.asinh(mp.cosh(y / 2) / _crossing_den(y))),
+# form name -> samplers of its arguments; its source formula is the
+# function of the same name in ``oracles``
+_SAMPLERS = {
+    "dcap": (_log_uniform(1e-3, 50.0),),
+    "capacity": (_log_uniform(1e-3, 1e3), _log_uniform(1e-3, 50.0)),
+    "separation": (_log_uniform(1e-300, 700.0),),
+    "half_over_quarter": (_uniform(0.0, 2800.0),),
+    "config1_width": (_log_uniform(1e-3, 1400.0),),
+    "area_width": (_log_uniform(2.0, 1e6), _log_uniform(1e-3, 100.0)),
+    "pentagon": (_uniform(1.0, 20.0), _uniform(1.0, 20.0)),
+    "crossing_den": (_uniform(0.0, 1400.0),),
+    "qwtwo": (_log_uniform(1e-2, 1400.0),),
+    "config2_width": (_uniform(2.1, 1000.0),),
+    "config2_crossing_width": (_uniform(2.1, 1400.0),),
 }
 
 
@@ -95,25 +57,25 @@ def test_every_public_form_has_an_oracle():
     forms = {name for name, value in vars(collar).items()
              if callable(value) and not name.startswith("_")
              and getattr(value, "__module__", None) == collar.__name__}
-    assert forms == set(_ORACLES)
+    assert forms == set(_SAMPLERS)
 
 
-@pytest.mark.parametrize("name", list(_ORACLES))
+@pytest.mark.parametrize("name", list(_SAMPLERS))
 def test_point_enclosure_contains_source_formula(name):
-    samplers, source = _ORACLES[name]
+    samplers, source = _SAMPLERS[name], getattr(oracles, name)
     form = getattr(collar, name)
     rng = random.Random(name)
     for _ in range(300):
         args = [draw(rng) for draw in samplers]
         enc = form(*map(P, args))
-        assert _encloses(enc, source(*map(mp.mpf, args))), (args, enc)
+        assert encloses(enc, source(*map(mp.mpf, args))), (args, enc)
 
 
 def test_half_over_quarter_finite_where_cosh_half_overflows():
     # cosh(1400) overflows binary64; 2c - 1/c with c = cosh(700) does not
     enc = collar.half_over_quarter(P(2800.0))
     assert math.isfinite(enc.hi)
-    assert _encloses(enc, _half_over_quarter(mp.mpf(2800)))
+    assert encloses(enc, oracles.half_over_quarter(mp.mpf(2800)))
 
 
 def test_collar_imports_no_math():
@@ -130,11 +92,11 @@ def test_collar_imports_no_math():
 
 class TestConstants:
     def test_w(self):
-        assert _encloses(IW, mp.acosh(2))
+        assert encloses(IW, mp.acosh(2))
 
     def test_w_prime(self):
-        assert _encloses(IWP, _WP)
-        assert _encloses(collar.COSH_WP, mp.cosh(_WP))
+        assert encloses(IWP, WP)
+        assert encloses(collar.COSH_WP, mp.cosh(WP))
 
     def test_k_between_thresholds(self):
         # K is where the config-1 width floor reaches W
@@ -145,7 +107,7 @@ class TestConstants:
 class TestCapacity:
     def test_value(self):
         enc = collar.capacity(P(1.0), P(1.0))
-        assert _encloses(enc, 1 / _dcap(mp.mpf(1)))
+        assert encloses(enc, 1 / oracles.dcap(mp.mpf(1)))
         assert enc.hi - enc.lo < 1e-14
 
     def test_wide_collar_limit(self):
@@ -159,7 +121,7 @@ class TestCapacity:
         assert collar.capacity(P(l), P(w + d)).hi < collar.capacity(P(l), P(w)).lo
 
     def test_capacity_at_width_arccosh2(self):
-        assert _encloses(collar.capacity(P(1.0), IW), 3 / (2 * mp.pi))
+        assert encloses(collar.capacity(P(1.0), IW), 3 / (2 * mp.pi))
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.5, 3.0))
     def test_linear_in_length(self, l, w, c):
@@ -177,7 +139,7 @@ class TestYPieces:
         # nu = 2 arccosh(sinh^2(g/2)(cosh 2w - 1) - 1) at g = 2, w = 1
         nu = collar.pentagon(P(1.0), P(1.0)) * 4.0
         s = mp.sinh(1) ** 2 * (mp.cosh(2) - 1) - 1
-        assert _encloses(nu, 2 * mp.acosh(s))
+        assert encloses(nu, 2 * mp.acosh(s))
 
     def test_y1_nu_degenerate(self):
         with pytest.raises(DomainError) as exc:
@@ -212,21 +174,47 @@ class TestYPieces:
     def test_y2_nu1_value(self):
         # nu1 = 2 arccosh(sinh(g/4) sinh w) at g = 4, w = 1
         nu1 = collar.pentagon(P(1.0), P(1.0)) * 2.0
-        assert _encloses(nu1, 2 * mp.acosh(mp.sinh(1) ** 2))
+        assert encloses(nu1, 2 * mp.acosh(mp.sinh(1) ** 2))
 
     def test_y2_nu1_degenerate(self):
         with pytest.raises(DomainError):
             collar.pentagon(P(0.025), P(0.1))
 
 
+def test_hexagon_rhs_example():
+    # cosh of the hexagon side is 2 cosh^2(c) - 1 for the pentagon side c
+    c = collar.pentagon(P(1.0), P(1.0))
+    assert encloses(c.cosh().sq() * 2.0 - 1.0, oracles.hexagon_rhs(1, 2, 1))
+    assert oracles.hexagon_rhs(1, 2, 1) == pytest.approx(2.8148625179204902, rel=1e-15)
+
+
+def test_hexagon_degenerate():
+    # no hexagon with sides 0.3, 0.1, 0.3, and so no pentagon with 0.3, 0.05
+    assert oracles.hexagon_rhs(mp.mpf(0.3), mp.mpf(0.1), mp.mpf(0.3)) < 1
+    with pytest.raises(DomainError):
+        collar.pentagon(P(0.3), P(0.05))
+
+
+@given(st.floats(0.2, 4.0), st.floats(0.3, 3.0))
+def test_hexagon_y1_consistency(gamma, w):
+    """nu = 2 hexagon(g/2, 2w, g/2) = 4 pentagon(g/2, w) wherever the
+    pentagon is proven to exist."""
+    try:
+        nu = collar.pentagon(P(gamma / 2.0), P(w)) * 4.0
+    except DomainError:
+        return
+    half = mp.mpf(gamma) / 2
+    assert encloses(nu, 2 * mp.acosh(oracles.hexagon_rhs(half, 2 * mp.mpf(w), half)))
+
+
 class TestWidthBounds:
     def test_config1_branch_values(self):
         # at 1.79 the separation branch still dominates
         y = mp.mpf(1.79)
-        b1, b2 = _separation(y / 2), mp.acosh(_half_over_quarter(y))
+        b1, b2 = oracles.separation(y / 2), mp.acosh(oracles.half_over_quarter(y))
         assert b1 > b2
         got = collar.config1_width(P(1.79))
-        assert _encloses(got, b1)
+        assert encloses(got, b1)
         assert got.lo == collar.separation(P(1.79) * 0.5).lo
 
     @given(st.floats(0.05, 8.0))
@@ -235,7 +223,7 @@ class TestWidthBounds:
 
     def test_area_upper(self):
         y = 2.0 * math.log(6.0)
-        assert _encloses(collar.area_width(P(2.0), P(y)),
+        assert encloses(collar.area_width(P(2.0), P(y)),
                          mp.asinh(2 * mp.pi / mp.mpf(y)))
 
     def test_area_upper_genus_check(self):
@@ -246,8 +234,8 @@ class TestWidthBounds:
 
     def test_separation_values(self):
         for half in (1.05, 0.55):
-            assert _encloses(collar.separation(P(half)),
-                             _separation(mp.mpf(half)))
+            assert encloses(collar.separation(P(half)),
+                             oracles.separation(mp.mpf(half)))
 
     def test_separation_finite_where_sinh_is(self):
         # sinh(710) is finite in binary64, so the separation, about
@@ -271,28 +259,28 @@ class TestCrossingBounds:
     def test_qwtwo_values(self):
         for a in (1.1, 1.5):
             mp_a = mp.mpf(a)
-            assert _encloses(collar.qwtwo(P(a)), _crossing_width(mp_a, _WP, mp_a / 4))
+            assert encloses(collar.qwtwo(P(a)), oracles.crossing_width(mp_a, WP, mp_a / 4))
 
     def test_qwtwo_is_crossing_bound_specialization(self):
         # sinh W' = 2/sqrt 5 and cosh^2 W' = 9/5 exactly
-        assert mp.sinh(_WP) == pytest.approx(2 / mp.sqrt(5), rel=1e-35)
-        assert mp.cosh(_WP) ** 2 == pytest.approx(mp.mpf(9) / 5, rel=1e-35)
+        assert mp.sinh(WP) == pytest.approx(2 / mp.sqrt(5), rel=1e-35)
+        assert mp.cosh(WP) ** 2 == pytest.approx(mp.mpf(9) / 5, rel=1e-35)
         a = mp.mpf(1.7)
-        assert _encloses(collar.qwtwo(P(1.7)), _crossing_width(a, _WP, a / 4))
+        assert encloses(collar.qwtwo(P(1.7)), oracles.crossing_width(a, WP, a / 4))
 
 
 class TestCaseWidths:
     def test_case2c2_value(self):
         y = mp.mpf(2.1)
-        want = mp.acosh(_half_over_quarter(y) / mp.cosh(_WP))
+        want = mp.acosh(oracles.half_over_quarter(y) / mp.cosh(WP))
         assert want < mp.mpf("0.66")
-        assert _encloses(collar.config2_width(P(2.1)), want)
+        assert encloses(collar.config2_width(P(2.1)), want)
 
     def test_case2c2_arccosh_argument(self):
         arg = collar.half_over_quarter(P(2.1)) / collar.COSH_WP
         assert arg.lo > 1.0
         y = mp.mpf(2.1)
-        assert _encloses(arg, _half_over_quarter(y) / mp.cosh(_WP))
+        assert encloses(arg, oracles.half_over_quarter(y) / mp.cosh(WP))
 
     def test_case2c2_stated_domain(self):
         # on the stated domain y >= 2.1 (CF-E's box starts at the float
@@ -307,8 +295,8 @@ class TestCaseWidths:
 
     def test_case2c2b_value(self):
         y = mp.mpf(2.1)
-        assert _encloses(collar.config2_crossing_width(P(2.1)),
-                         mp.asinh(mp.cosh(y / 2) / _crossing_den(y)))
+        assert encloses(collar.config2_crossing_width(P(2.1)),
+                         mp.asinh(mp.cosh(y / 2) / oracles.crossing_den(y)))
 
     def test_case2c2b_stated_domain(self):
         # above 0.96 on the stated domain y >= 2.1

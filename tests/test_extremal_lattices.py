@@ -19,12 +19,13 @@ from pathlib import Path
 
 import pytest
 
+from oracles import skew
 from schottky_gauge import bounds, lattice
 from schottky_gauge.bounds import Verdict
 from schottky_gauge.errors import DeterminantNotOne
 from schottky_gauge.interval import Interval
 
-# E8 skewed by _skew with 48 steps from random.Random(39): entries up to
+# E8 skewed by ``skew`` with 48 steps from random.Random(39): entries up to
 # 3.1e7, exact det 1, float Cholesky det 0.99945
 E8_SKEW_FILE = Path(__file__).parent / "data" / "e8_skew48_seed39.json"
 
@@ -75,21 +76,6 @@ def _bw16_gram():
     b = _integer_basis(d16 + code)
     assert len(b) == 16
     return [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
-
-
-def _skew(gram, rng, steps=12):
-    """T^T G T for a seeded unimodular T of ``steps`` integer row
-    operations, in exact integers."""
-    d = len(gram)
-    t = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(steps):
-        i, j = rng.sample(range(d), 2)
-        m = rng.choice((-2, -1, 1, 2))
-        t[i] = [a + m * b for a, b in zip(t[i], t[j])]
-    gt = [[sum(g_ab * t[b][j] for b, g_ab in enumerate(row)) for j in range(d)]
-          for row in gram]
-    return [[sum(t[a][i] * gt[a][j] for a in range(d)) for j in range(d)]
-            for i in range(d)]
 
 
 def _det_one(gram, det):
@@ -152,7 +138,7 @@ def test_invariant_under_unimodular_skews(name):
     build, det, minimum, verdict, half_kissing = CASES[name]
     rng = random.Random(8 if name == "E8" else 16)
     for _ in range(3):
-        skewed = _skew(build(), rng)
+        skewed = skew(build(), rng)
         plain = lattice.validate(skewed)
         assert lattice.successive_minima(plain, 2).values == (minimum, minimum)
         reduced = lattice.reduce(plain)
@@ -170,7 +156,7 @@ def _float_det(gram):
 def test_e8_skew_file_is_float_rejected_and_exactly_det_one():
     gram = lattice.load_gram(str(E8_SKEW_FILE))
     assert gram.mode is lattice.Mode.PPAV
-    skewed = _skew(_e8_cartan(), random.Random(39), 48)
+    skewed = skew(_e8_cartan(), random.Random(39), 48)
     assert [list(row) for row in gram.entries] == skewed
     assert abs(_float_det(gram) - 1.0) > 1e-4
     assert lattice._exact_det(gram.entries) == 1
@@ -186,7 +172,7 @@ def test_float_rejected_e8_skews_validate():
     exact det of the entries, so every seed validates in PPAV mode."""
     float_misses = 0
     for seed in range(40):
-        skewed = _skew(_e8_cartan(), random.Random(seed), 48)
+        skewed = skew(_e8_cartan(), random.Random(seed), 48)
         gram = lattice.validate(skewed, lattice.Mode.PPAV)
         float_misses += abs(_float_det(gram) - 1.0) > 1e-6
         v = bounds.jacobian_exclusion(gram)
