@@ -47,21 +47,22 @@ MUTANTS = [
      "if olo <= 0.0 <= ohi:", "if olo < 0.0 < ohi:", "interval"),
     ("monotone-lower-end-not-widened", "interval",
      "return Interval(_next(f(self.lo), _NEG_INF), _next(f(self.hi), _INF))",
-     "return Interval(f(self.lo), _next(f(self.hi), _INF))", "interval"),
+     "return Interval(f(self.lo), _next(f(self.hi), _INF))", "interval_soundness"),
     ("sinh-one-ulp", "interval",
      'sinh overflow on {self!r}") from None\n'
      "        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),",
      'sinh overflow on {self!r}") from None\n'
-     "        return Interval(_next(lo, _NEG_INF),", "interval"),
+     "        return Interval(_next(lo, _NEG_INF),", "interval_soundness"),
     ("cosh-floor-removed", "interval",
      "return Interval(max(1.0, _next(_next(lo, _NEG_INF), _NEG_INF)),",
-     "return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),", "interval"),
+     "return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),", "interval_soundness"),
     ("acosh-floor-removed", "interval",
      "return Interval(max(0.0, _next(_next(lo, _NEG_INF), _NEG_INF)),",
      "return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),", "interval"),
     ("sinhc-three-ulp", "interval",
      "lo = _next(_next(_next(_next(lo, _NEG_INF), _NEG_INF), _NEG_INF), _NEG_INF)",
-     "lo = _next(_next(_next(lo, _NEG_INF), _NEG_INF), _NEG_INF)", "interval"),
+     "lo = _next(_next(_next(lo, _NEG_INF), _NEG_INF), _NEG_INF)",
+     "interval_soundness"),
     ("asin-domain-excludes-one", "interval",
      "if self.lo < -1.0 or self.hi > 1.0:", "if self.lo < -1.0 or self.hi >= 1.0:",
      "interval"),

@@ -13,10 +13,13 @@
   given by the Cauchy-Schwarz bound per coordinate (diagonal of G^-1
   times the radius), so it double-checks every operation that admits
   exhaustive search.
+- ``rational_pivots``, exact Gaussian elimination over the rationals,
+  for the rank of witness rows and the determinant of a basis change.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -200,3 +203,22 @@ def brute_force_minima(entries, k):
                 if len(values) == k:
                     return values
         radius *= 2.0
+
+
+def rational_pivots(vecs):
+    """The pivots of Gaussian elimination over the rationals: as many as
+    the rank, and for a square matrix their product is the determinant up
+    to sign."""
+    rows = [[Fraction(c) for c in v] for v in vecs]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(rows[r][col])
+    return pivots

@@ -38,6 +38,16 @@ def write_gram(tmp_path, entries, mode="ppav", name="gram.json"):
 
 
 class TestBounds:
+    def test_json_rows(self, capsys):
+        code, rows, _ = run_json(capsys, "bounds", "--g", "2")
+        assert code == 0
+        assert len(rows) == 10
+        by_name = {r["name"]: r["value"] for r in rows}
+        assert by_name["thm_bs_upper"] == pytest.approx(
+            1.7110042581561341, rel=1e-15)
+        assert by_name["thm_main_m2"] == pytest.approx(
+            6.8113961897422801, rel=1e-15)
+
     def test_low_genus_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["bounds", "--g", "1"])
@@ -246,16 +256,49 @@ class TestCertify:
 
 
 class TestYPiece:
+    def test_config1(self, capsys):
+        code, rows, _ = run_json(
+            capsys, "ypiece", "--gamma", "2", "--w", "1", "--config", "1")
+        assert code == 0
+        by_name = {r["name"]: r["value"] for r in rows}
+        assert by_name["nu"] == pytest.approx(3.3898023251834055, rel=1e-15)
+        assert by_name["coarse_bound"] == pytest.approx(8.0)
+
     def test_degenerate(self, capsys):
         code, out, _ = run(
             capsys, "ypiece", "--gamma", "0.1", "--w", "0.1", "--config", "2")
         assert code == 0
         assert out.strip() == "degenerate"
 
+    def test_config2(self, capsys):
+        code, rows, _ = run_json(
+            capsys, "ypiece", "--gamma", "4", "--w", "1", "--config", "2")
+        assert code == 0
+        by_name = {r["name"]: r["value"] for r in rows}
+        assert by_name["nu1_bound"] == pytest.approx(
+            1.6949011625917027, rel=1e-15)
+        assert by_name["coarse_bound"] == pytest.approx(4.0)
+
     def test_nonpositive_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ypiece", "--gamma", "-1", "--w", "1", "--config", "1"])
         assert exc.value.code == 2
+
+
+class TestCollar:
+    def test_rows(self, capsys):
+        code, rows, _ = run_json(capsys, "collar", "--gamma", "2.1")
+        assert code == 0
+        by_name = {r["name"]: r["value"] for r in rows}
+        assert by_name["separation"] == pytest.approx(
+            0.7307456296975859, rel=1e-15)
+        assert by_name["width_lower_config2"] == pytest.approx(
+            1.3169578969248167, rel=1e-15)
+
+    def test_area_row_with_genus(self, capsys):
+        code, rows, _ = run_json(capsys, "collar", "--gamma", "2.1", "--g", "2")
+        assert code == 0
+        assert any(r["name"] == "width_area_upper" for r in rows)
 
 
 class TestCorollary:

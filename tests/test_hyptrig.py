@@ -3,39 +3,25 @@
 ``collar.pentagon`` is the pentagon relation cosh c = sinh a sinh b.  The
 configuration-1 Y-piece is a symmetric right-angled hexagon with sides
 a, 2b, a, which its axis of symmetry cuts into two such pentagons; the
-hexagon relation is written out here in mpmath, at 40 digits, and checked
-against the pentagon's enclosure.
+hexagon relation (``oracles.hexagon_rhs``) is written out in mpmath and
+checked against the pentagon's enclosure.
 """
 
-import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from oracles import encloses, mp
 from schottky_gauge import collar
 from schottky_gauge.errors import DomainError
 from schottky_gauge.interval import Interval
 
-# a private 40-digit context, so no other test's precision changes
-mp = mpmath.MPContext()
-mp.dps = 40
-
 P = Interval.point
 
 
-def _hexagon_rhs(a, connector, b):
-    """cosh of the side opposite the connector of a right-angled hexagon."""
-    return (mp.sinh(a) * mp.sinh(b) * mp.cosh(connector)
-            - mp.cosh(a) * mp.cosh(b))
-
-
-def _encloses(enc: Interval, value) -> bool:
-    return mp.mpf(enc.lo) <= value <= mp.mpf(enc.hi)
-
-
 def test_pentagon_value():
-    assert _encloses(collar.pentagon(P(1.0), P(1.0)),
-                     mp.acosh(mp.sinh(1) ** 2))
+    assert encloses(collar.pentagon(P(1.0), P(1.0)), oracles.pentagon(1, 1))
 
 
 def test_pentagon_domain():
@@ -46,20 +32,20 @@ def test_pentagon_domain():
 
 def test_hexagon_value():
     # the hexagon with sides 1, 2, 1 is two pentagons with sides 1, 1
-    hexv = mp.acosh(_hexagon_rhs(1, 2, 1))
-    assert _encloses(collar.pentagon(P(1.0), P(1.0)) * 2.0, hexv)
+    hexv = mp.acosh(oracles.hexagon_rhs(1, 2, 1))
+    assert encloses(collar.pentagon(P(1.0), P(1.0)) * 2.0, hexv)
 
 
 def test_hexagon_rhs_example():
     # cosh of the hexagon side is 2 cosh^2(c) - 1 for the pentagon side c
     c = collar.pentagon(P(1.0), P(1.0))
-    assert _encloses(c.cosh().sq() * 2.0 - 1.0, _hexagon_rhs(1, 2, 1))
-    assert _hexagon_rhs(1, 2, 1) == pytest.approx(2.8148625179204902, rel=1e-15)
+    assert encloses(c.cosh().sq() * 2.0 - 1.0, oracles.hexagon_rhs(1, 2, 1))
+    assert oracles.hexagon_rhs(1, 2, 1) == pytest.approx(2.8148625179204902, rel=1e-15)
 
 
 def test_hexagon_degenerate():
     # no hexagon with sides 0.3, 0.1, 0.3, and so no pentagon with 0.3, 0.05
-    assert _hexagon_rhs(mp.mpf(0.3), mp.mpf(0.1), mp.mpf(0.3)) < 1
+    assert oracles.hexagon_rhs(mp.mpf(0.3), mp.mpf(0.1), mp.mpf(0.3)) < 1
     with pytest.raises(DomainError):
         collar.pentagon(P(0.3), P(0.05))
 
@@ -73,4 +59,4 @@ def test_hexagon_y1_consistency(gamma, w):
     except DomainError:
         return
     half = mp.mpf(gamma) / 2
-    assert _encloses(nu, 2 * mp.acosh(_hexagon_rhs(half, 2 * mp.mpf(w), half)))
+    assert encloses(nu, 2 * mp.acosh(oracles.hexagon_rhs(half, 2 * mp.mpf(w), half)))

@@ -10,29 +10,22 @@ says nothing; these tests pin the invariants directly.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from oracles import rational_pivots, skew
 from schottky_gauge import cli, lattice
 from schottky_gauge.errors import NotPositiveDefinite
 
-
-def _skewed_form(rng, d):
-    """T^T (B B^T + 0.3 I) T for a standard-normal B and a unimodular T of
-    twelve integer row operations (multipliers -2..2)."""
+def _gauss_form(rng, d):
+    """B B^T + 0.3 I for a standard-normal B drawn from ``rng``."""
     b = [[rng.gauss(0.0, 1.0) for _ in range(d)] for _ in range(d)]
-    g = [[sum(x * y for x, y in zip(bi, bj)) + (0.3 if i == j else 0.0)
-          for j, bj in enumerate(b)] for i, bi in enumerate(b)]
-    t = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(12):
-        i, j = rng.sample(range(d), 2)
-        m = rng.randint(-2, 2)
-        t[i] = [a + m * c for a, c in zip(t[i], t[j])]
-    return [[sum(t[a][i] * g[a][c] * t[c][j] for a in range(d) for c in range(d))
-             for j in range(d)] for i in range(d)]
+    return [[sum(x * y for x, y in zip(bi, bj)) + (0.3 if i == j else 0.0)
+             for j, bj in enumerate(b)] for i, bi in enumerate(b)]
 
 
 def _check_factor(gram, tol=1e-12):
@@ -55,24 +48,23 @@ def _check_factor(gram, tol=1e-12):
             assert abs(rtr - float(want)) <= tol * scale
 
 
-def _forms():
-    rng = random.Random(2024)
-    return [(d, _skewed_form(rng, d)) for d in range(2, 9) for _ in range(15)]
+_rng = random.Random(2024)
+_FORMS = [(d, skew(_gauss_form(_rng, d), _rng)) for d in range(2, 9) for _ in range(15)]
 
 
-@pytest.mark.parametrize("d, raw", _forms())
+@pytest.mark.parametrize("d, raw", _FORMS)
 def test_validate_and_reduce_factors(d, raw):
     gram = lattice.validate(raw)
     _check_factor(gram)
     reduced = lattice.reduce(gram)
-    # float LLL drifts by rounding in every size reduction (at most 4.7e-13
+    # float LLL drifts by rounding in every size reduction (at most 4.1e-12
     # here), so the reduced factor is held to T G T^T more loosely
     _check_factor(reduced, 1e-10)
     assert reduced.entries is gram.entries
     assert reduced.mode is gram.mode
 
 
-@pytest.mark.parametrize("d, raw", _forms())
+@pytest.mark.parametrize("d, raw", _FORMS)
 def test_validate_basis_is_a_permutation(d, raw):
     """The sorted-pivot order is a permutation of the given basis."""
     t = lattice.validate(raw).basis
@@ -80,7 +72,7 @@ def test_validate_basis_is_a_permutation(d, raw):
                                        for i in range(d)]
 
 
-@pytest.mark.parametrize("d, raw", _forms())
+@pytest.mark.parametrize("d, raw", _FORMS)
 def test_enumerate_in_either_basis(d, raw):
     """The search answers in the given basis whichever basis the form
     carries, and values each vector on the entries: the validated and the
@@ -92,33 +84,16 @@ def test_enumerate_in_either_basis(d, raw):
     assert all(v.norm_sq == gram.norm_sq(v.coeffs) for v in given)
 
 
-def _exact_det(m):
-    """Determinant of an integer matrix by elimination over the rationals."""
-    a = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for k in range(len(a)):
-        p = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
-@pytest.mark.parametrize("d, raw", _forms())
+@pytest.mark.parametrize("d, raw", _FORMS)
 def test_reduce_transform_is_unimodular(d, raw):
     """T starts as the sorted-pivot permutation and changes only by integer
     row operations and swaps, so |det T| = 1 exactly."""
     t = lattice.reduce(lattice.validate(raw)).basis
-    assert abs(_exact_det(t)) == 1
+    pivots = rational_pivots(t)
+    assert len(pivots) == d and abs(math.prod(pivots)) == 1
 
 
-@pytest.mark.parametrize("d, raw", _forms())
+@pytest.mark.parametrize("d, raw", _FORMS)
 def test_sorted_pivot_factor(d, raw):
     """The factor ``validate`` keeps is G's in the form's basis, and each
     pivot is the smallest remaining Schur-complement diagonal: at step k,
@@ -153,7 +128,8 @@ def test_one_factorization_per_call(monkeypatch, capsys):
         return real(g, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "_cholesky", spy)
-    raw = _skewed_form(random.Random(7), 6)
+    rng = random.Random(7)
+    raw = skew(_gauss_form(rng, 6), rng)
     lattice.successive_minima(lattice.validate(raw), 6)
     assert calls == [6]
     calls.clear()
