@@ -11,7 +11,9 @@ many ulps as the primitive's error allows:
   sinh, asinh, acosh and atanh);
 - 4 ulp for sinhc = sinh(x)/x: sinh's 2 ulp and the quotient's rounding.
 
-This over-approximates true directed rounding, which is not portably
+Each elementary function is a domain check and one call to ``_outward``,
+whose arguments state its ulp count and the floor of its range.  The
+widening over-approximates true directed rounding, which is not portably
 switchable from Python, so every interval result encloses the exact
 image of its inputs on a libm within those bounds.  Products and
 quotients with operands of known sign take only the two endpoint products
@@ -145,65 +147,48 @@ class Interval:
         m = max(-self.lo, self.hi)
         return Interval(0.0, _next(m * m, _INF))
 
-    # -- monotone elementary functions --------------------------------
+    # -- elementary functions: a domain check, then one _outward call ----
 
-    def _mono_inc(self, f) -> "Interval":
-        return Interval(_next(f(self.lo), _NEG_INF), _next(f(self.hi), _INF))
+    def _near_far(self) -> tuple[float, float]:
+        """The cell's points nearest to 0 and farthest from it."""
+        lo, hi = self.lo, self.hi
+        if lo >= 0:
+            return lo, hi
+        if hi <= 0:
+            return -hi, -lo
+        return 0.0, max(-lo, hi)
 
     def log(self):
         if self.lo <= 0:
             raise IndeterminateCell("log of interval touching zero")
-        return self._mono_inc(math.log)
+        return _outward(self, math.log, self.lo, self.hi, 1)
 
     def sqrt(self):
         if self.lo < 0:
             raise IndeterminateCell("sqrt of partially negative interval")
-        return self._mono_inc(math.sqrt)
-
-    # sinh, cosh, asinh, acosh and atanh widen by 2 ulp per endpoint
+        return _outward(self, math.sqrt, self.lo, self.hi, 1)
 
     def sinh(self):
-        try:
-            lo, hi = math.sinh(self.lo), math.sinh(self.hi)
-        except OverflowError:
-            raise IndeterminateCell(f"sinh overflow on {self!r}") from None
-        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
-                        _next(_next(hi, _INF), _INF))
+        return _outward(self, math.sinh, self.lo, self.hi, 2)
 
     def cosh(self):
         """Even, with its minimum 1 at 0, which floors the lower end."""
-        lo, hi = self.lo, self.hi
-        try:
-            if lo >= 0:
-                lo, hi = math.cosh(lo), math.cosh(hi)
-            elif hi <= 0:
-                lo, hi = math.cosh(hi), math.cosh(lo)
-            else:
-                lo, hi = 1.0, math.cosh(max(-lo, hi))
-        except OverflowError:
-            raise IndeterminateCell(f"cosh overflow on {self!r}") from None
-        return Interval(max(1.0, _next(_next(lo, _NEG_INF), _NEG_INF)),
-                        _next(_next(hi, _INF), _INF))
+        a, b = self._near_far()
+        return _outward(self, math.cosh, a, b, 2, 1.0)
 
     def asinh(self):
-        lo, hi = math.asinh(self.lo), math.asinh(self.hi)
-        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
-                        _next(_next(hi, _INF), _INF))
+        return _outward(self, math.asinh, self.lo, self.hi, 2)
 
     def atanh(self):
         if not (-1.0 < self.lo and self.hi < 1.0):
             raise IndeterminateCell("atanh domain")
-        lo, hi = math.atanh(self.lo), math.atanh(self.hi)
-        return Interval(_next(_next(lo, _NEG_INF), _NEG_INF),
-                        _next(_next(hi, _INF), _INF))
+        return _outward(self, math.atanh, self.lo, self.hi, 2)
 
     def acosh(self):
         """Strict arccosh: the whole interval must lie in [1, inf)."""
         if self.lo < 1.0:
             raise DomainError(f"acosh argument interval below 1: {self!r}")
-        lo, hi = math.acosh(self.lo), math.acosh(self.hi)
-        return Interval(max(0.0, _next(_next(lo, _NEG_INF), _NEG_INF)),
-                        _next(_next(hi, _INF), _INF))
+        return _outward(self, math.acosh, self.lo, self.hi, 2, 0.0)
 
     def acosh_clamped(self):
         """One-sided arccosh for straddling cells: uses acosh(x) >= 0.
@@ -214,20 +199,18 @@ class Interval:
         """
         if self.hi < 1.0:
             raise DomainError(f"acosh argument interval entirely below 1: {self!r}")
-        if self.lo < 1.0:
-            return Interval(0.0, _next(_next(math.acosh(self.hi), _INF), _INF))
-        return self.acosh()
+        return Interval(max(self.lo, 1.0), self.hi).acosh()
 
     def asin(self):
         if self.lo < -1.0 or self.hi > 1.0:
             raise IndeterminateCell("asin domain")
-        return self._mono_inc(math.asin)
+        return _outward(self, math.asin, self.lo, self.hi, 1)
 
     def sin(self):
         """Sine restricted to an interval inside [0, pi/2] (monotone part)."""
         if self.lo < 0 or self.hi > math.pi / 2:
             raise IndeterminateCell("sin supported on [0, pi/2] only")
-        return self._mono_inc(math.sin)
+        return _outward(self, math.sin, self.lo, self.hi, 1)
 
     def sinhc(self):
         """sinh(x)/x extended by 1 at x = 0; even, minimum 1 at 0, and
@@ -235,19 +218,8 @@ class Interval:
         positive coefficients).  Widened by 4 ulp per endpoint: sinh's
         2 ulp and the quotient's rounding, with room to spare.
         """
-        lo, hi = self.lo, self.hi
-        try:
-            if lo >= 0:
-                lo, hi = _sinhc(lo), _sinhc(hi)
-            elif hi <= 0:
-                lo, hi = _sinhc(-hi), _sinhc(-lo)
-            else:
-                lo, hi = 1.0, _sinhc(max(-lo, hi))
-        except OverflowError:
-            raise IndeterminateCell(f"sinhc overflow on {self!r}") from None
-        lo = _next(_next(_next(_next(lo, _NEG_INF), _NEG_INF), _NEG_INF), _NEG_INF)
-        hi = _next(_next(_next(_next(hi, _INF), _INF), _INF), _INF)
-        return Interval(max(1.0, lo), hi)
+        a, b = self._near_far()
+        return _outward(self, sinhc, a, b, 4, 1.0)
 
     # -- lattice of intervals -----------------------------------------
 
@@ -258,7 +230,22 @@ class Interval:
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
 
-def _sinhc(x: float) -> float:
+def _outward(cell: Interval, f, a: float, b: float, ulps: int,
+             floor: float = _NEG_INF) -> Interval:
+    """libm's f at a and at b, each stepped outward by exactly ulps ulps,
+    the lower end held at floor: the enclosure on cell of an f increasing
+    from a to b.  An overflow of f is an IndeterminateCell."""
+    try:
+        lo, hi = f(a), f(b)
+    except OverflowError:
+        raise IndeterminateCell(f"{f.__name__} overflow on {cell!r}") from None
+    while ulps:
+        lo, hi = _next(lo, _NEG_INF), _next(hi, _INF)
+        ulps -= 1
+    return Interval(lo if lo > floor else floor, hi)
+
+
+def sinhc(x: float) -> float:  # libm's sinh(x)/x, and 1 at x = 0
     return 1.0 if x == 0.0 else math.sinh(x) / x
 
 

@@ -112,24 +112,24 @@ def _cholesky(g) -> tuple[tuple[tuple[float, ...], ...], tuple[int, ...]]:
 def _exact_det(g) -> Fraction:
     """The determinant of a float matrix, exactly. Float entries are dyadic
     rationals, so one power of two scales them all to integers, and
-    fraction-free (Bareiss) elimination keeps every step in integers."""
+    fraction-free (Bareiss) elimination keeps every step in integers.
+    Without row exchanges each pivot is a leading principal minor (scaled),
+    so by Sylvester's criterion a pivot that is not positive is
+    NotPositiveDefinite."""
     d = len(g)
     ratios = [v.as_integer_ratio() for v in chain.from_iterable(g)]
     scale = max(den for _, den in ratios)  # every denominator divides it
     m = [[n * (scale // den) for n, den in ratios[i * d:(i + 1) * d]] for i in range(d)]
-    sign, prev = 1, 1
+    prev = 1
     for k in range(d):
-        p = next((i for i in range(k, d) if m[i][k]), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            m[k], m[p], sign = m[p], m[k], -sign
         piv = m[k]
+        if piv[k] <= 0:
+            raise NotPositiveDefinite("matrix is not positive definite")
         for i in range(k + 1, d):
             f = m[i][k]
             m[i] = [(piv[k] * a - f * b) // prev for a, b in zip(m[i], piv)]
         prev = piv[k]
-    return Fraction(sign * prev, scale ** d)
+    return Fraction(prev, scale ** d)
 
 
 def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
@@ -140,7 +140,8 @@ def validate(raw, mode: Mode = Mode.PLAIN) -> GramMatrix:
     keeps its sorted-pivot factor, with that order's permutation matrix as
     its basis (see ``_cholesky``). The determinant is read off the float
     factor, and computed exactly from the entries when that misses 1 by
-    more than the tolerance.
+    more than the tolerance; that exact path also decides positive
+    definiteness.
     """
     try:
         a = [list(map(float, row)) for row in raw]

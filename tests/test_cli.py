@@ -134,6 +134,18 @@ class TestExclude:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["minima", "exclude"])
+    def test_exactly_indefinite_is_invalid_input(self, capsys, tmp_path, command):
+        # float Cholesky accepts this PPAV form and its float det misses 1;
+        # its exact leading 2x2 minor is negative
+        b, c = 2.2465396758287683, 2.5234702575364136
+        form = np.eye(4)
+        form[:2, :2] = [[2.0, b], [b, c]]
+        code, out, err = run(capsys, command, write_gram(tmp_path, form))
+        assert code == 3
+        assert err.strip() == "NotPositiveDefinite"
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["minima", "exclude"])
     def test_node_budget_is_invalid_input(self, capsys, tmp_path, command):
         # a det-1 PPAV form whose 1e-200 entry puts so many lattice points
         # below the search radius that enumeration stops at its node budget

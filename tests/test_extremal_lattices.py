@@ -22,7 +22,7 @@ import pytest
 from oracles import skew
 from schottky_gauge import bounds, lattice
 from schottky_gauge.bounds import Verdict
-from schottky_gauge.errors import DeterminantNotOne
+from schottky_gauge.errors import DeterminantNotOne, NotPositiveDefinite
 from schottky_gauge.interval import Interval
 
 # E8 skewed by ``skew`` with 48 steps from random.Random(39): entries up to
@@ -190,6 +190,20 @@ def test_exact_det_not_one_still_raises():
     assert lattice._exact_det(scaled) == Fraction(s) ** 8
     with pytest.raises(DeterminantNotOne):
         lattice.validate(scaled, lattice.Mode.PPAV)
+
+
+def test_exact_path_rejects_form_float_cholesky_accepts():
+    # [[2, b], [b, c]] + I_2: the float factor succeeds, but 2c - b^2, the
+    # exact second leading minor, is negative, so the form is indefinite
+    b, c = 2.2465396758287683, 2.5234702575364136
+    form = [[2.0, b, 0.0, 0.0], [b, c, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    assert 2 * Fraction(c) - Fraction(b) ** 2 < 0
+    lattice._cholesky(form)
+    with pytest.raises(NotPositiveDefinite):
+        lattice._exact_det(form)
+    with pytest.raises(NotPositiveDefinite):
+        lattice.validate(form, lattice.Mode.PPAV)
 
 
 # name: Cartan matrix, its determinant. Each root lattice is spanned by

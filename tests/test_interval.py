@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,7 @@ def test_rejects_inverted_and_nonfinite():
 ], ids=["+1e3", "-1e3", "straddle-low", "straddle-high"])
 @pytest.mark.parametrize("op", ["sinh", "cosh", "sinhc"])
 def test_libm_overflow_is_indeterminate(op, x):
-    with pytest.raises(IndeterminateCell):
+    with pytest.raises(IndeterminateCell, match=f"^{op} overflow on Interval\\("):
         getattr(x, op)()
 
 
@@ -97,6 +98,19 @@ def test_log_sqrt_containment(a, b):
     p = x.mid
     assert x.log().contains(math.log(p))
     assert x.sqrt().contains(math.sqrt(p))
+
+
+def test_sq_straddling_zero_rounds_up():
+    # 0.7 * 0.7 rounds below the exact square of the float 0.7, so the
+    # straddling case needs its outward step
+    assert Fraction(0.7 * 0.7) < Fraction(0.7) ** 2
+    assert Fraction(Interval(-0.7, 0.5).sq().hi) >= Fraction(0.7) ** 2
+
+
+def test_log_of_cell_touching_zero_is_indeterminate():
+    # libm's log(0.0) raises ValueError: the domain check must catch 0
+    with pytest.raises(IndeterminateCell):
+        Interval(0.0, 1.0).log()
 
 
 def test_division_by_zero_interval_is_indeterminate():
