@@ -120,18 +120,6 @@ class CertReport:
 # Branch and bound
 # ----------------------------------------------------------------------
 
-def _bisect(cell: Interval, geometric: bool) -> float | None:
-    """The split point of ``cell``: its geometric mean on the genus axis
-    when that lies strictly inside, else its midpoint; None when that
-    rounds onto an endpoint, so no split makes progress."""
-    if geometric and cell.lo > 0:
-        m = math.sqrt(cell.lo * cell.hi)
-        if cell.lo < m < cell.hi:
-            return m
-    m = cell.mid
-    return m if cell.lo < m < cell.hi else None
-
-
 def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
     """The initial cell of ``task`` at ``g_max`` and each axis's span (a log
     span on the genus axis); None when an axis is empty, which makes the
@@ -148,98 +136,15 @@ def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
     return init, spans
 
 
-_VIOLATED = "violation proven by point enclosure"
-
-
-class _Sweep:
-    """One family's branch-and-bound sweep over its tasks in turn: the cell
-    budget they share, the cell, vacuous-cell and depth counters, and the
-    running min-slack with its witness."""
-
-    def __init__(self, budget: int, g_max: float, tol: float):
-        self.budget = budget
-        self.g_max = g_max
-        self.tol = tol
-        self.cells = self.vacuous = self.max_depth = 0
-        self.min_slack: Interval | None = None
-        self.witness: dict | None = None
-
-    def run(self, task: Task) -> tuple[str, dict | None, Interval | None] | None:
-        """None when every cell of ``task`` certifies, else
-        ``(reason, witness, slack)`` for the cell that stopped the sweep."""
-        box = _box(task, self.g_max)
-        if box is None:
-            return None  # empty axis: vacuous domain
-        init, spans = box
-        dims = task.dims
-        names = [d.name for d in dims]
-        geometric = [d is GENUS for d in dims]
-        # Axes whose ceiling follows the genus axis; only tasks that have
-        # some pay for the per-cell clip.
-        genus = geometric.index(True) if True in geometric else -1
-        coupled = [i for i, d in enumerate(dims)
-                   if callable(d.hi) and i != genus] if genus >= 0 else []
-
-        def mid(cell):
-            return {n: c.mid for n, c in zip(names, cell)}
-
-        def clip(cell):
-            """Cap each coupled axis at its ceiling for the cell's largest
-            genus; None when the cell lies wholly above a ceiling."""
-            cell = list(cell)
-            g = Interval.point(cell[genus].hi)
-            for i in coupled:
-                cap = dims[i].hi(g).hi
-                if cell[i].lo > cap:
-                    return None
-                if cell[i].hi > cap:
-                    cell[i] = Interval(cell[i].lo, cap)
-            return tuple(cell)
-
-        stack: list[tuple[tuple[Interval, ...], int]] = [(tuple(init), 0)]
-        while stack:
-            cell, depth = stack.pop()
-            self.cells += 1
-            if depth > self.max_depth:
-                self.max_depth = depth
-            if self.cells > self.budget:
-                return "cell budget exhausted", mid(cell), None
-            if coupled:
-                cell = clip(cell)
-                if cell is None:
-                    self.vacuous += 1
-                    continue
-            try:
-                slack = task.slack_iv(*cell)
-            except DomainError:
-                slack = None
-            if slack is not None and slack.lo > 0.0:
-                if self.min_slack is None or slack.lo < self.min_slack.lo:
-                    self.min_slack, self.witness = slack, mid(cell)
-                continue
-            if slack is not None and slack.hi < 0.0:
-                pt = mid(cell)
-                try:
-                    proof = task.slack_iv(*map(Interval.point, pt.values()))
-                except DomainError:
-                    proof = None
-                if proof is not None and proof.hi < 0.0:
-                    return _VIOLATED, pt, proof
-            # the widest axis, relative to its initial span, that can split
-            axis, widest, m = -1, -1.0, None
-            for i, c in enumerate(cell):
-                w = (math.log(c.hi / c.lo) if geometric[i]
-                     else c.hi - c.lo) / spans[i]
-                if w > widest:
-                    split = _bisect(c, geometric[i])
-                    if split is not None:
-                        axis, widest, m = i, w, split
-            if m is None or widest < self.tol:
-                return "cell width floor reached", mid(cell), slack
-            c = cell[axis]
-            for half in (Interval(m, c.hi), Interval(c.lo, m)):
-                stack.append((cell[:axis] + (half,) + cell[axis + 1:], depth + 1))
+def _slack(task: Task, cell) -> Interval | None:
+    """The slack of ``task`` on ``cell``; None where it has no enclosure."""
+    try:
+        return task.slack_iv(*cell)
+    except DomainError:
         return None
+
+
+_VIOLATED = "violation proven by point enclosure"
 
 
 def check_g_max(family: CertFamily, g_max: float) -> TailProof | None:
@@ -260,12 +165,13 @@ def certify(
 ) -> CertReport:
     """Certify one family over its full domain up to ``g_max``.
 
-    Subdivides until every cell's slack interval is strictly positive
-    (Certified), a cell's midpoint has a strictly negative point enclosure
-    (Violated), or the cell width floor ``tol`` / the cell ``budget`` is
-    reached (Undecided).  Raises ``IndeterminateCell``, before any cell is
-    swept, when a box ceiling or the tail floor has no finite enclosure at
-    ``g_max``.
+    Sweeps the family's tasks in turn, with one cell ``budget`` for all of
+    them, and subdivides until every cell's slack interval is strictly
+    positive (Certified), a cell's midpoint has a strictly negative point
+    enclosure (Violated), or the cell width floor ``tol`` / the cell
+    ``budget`` is reached (Undecided).  Raises ``IndeterminateCell``, before
+    any cell is swept, when a box ceiling or the tail floor has no finite
+    enclosure at ``g_max``.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
@@ -273,17 +179,89 @@ def certify(
         raise DomainError("budget must be positive")
     if not (g_max >= 2 and math.isfinite(g_max)):
         raise DomainError("g_max must be a finite genus cutoff >= 2")
-    sweep = _Sweep(budget, g_max, tol)
-    status, note, tail_status, tail_note = "Certified", "", "N/A", ""
-    proof = check_g_max(family, g_max)
-    for task in family.tasks:
-        stuck = sweep.run(task)
-        if stuck is not None:
-            reason, sweep.witness, sweep.min_slack = stuck
-            status = "Violated" if reason == _VIOLATED else "Undecided"
-            note = f"{reason} in task {task.name}"
+    boxes = [_box(task, g_max) for task in family.tasks]
+    proof = None if family.tail is None else family.tail(g_max)
+    cells = vacuous = max_depth = 0
+    best: Interval | None = None  # the least slack of a closed cell
+    at = None                     # (axis names, cell) of its witness
+    stop = None                   # (reason, cell, slack) where a task stopped
+    for task, box in zip(family.tasks, boxes):
+        if box is None:
+            continue  # empty axis: vacuous domain
+        init, spans = box
+        dims = task.dims
+        names = [d.name for d in dims]
+        geometric = [d is GENUS for d in dims]
+        # Axes whose ceiling follows the genus; only their tasks clip cells.
+        genus = geometric.index(True) if True in geometric else -1
+        coupled = [i for i, d in enumerate(dims)
+                   if callable(d.hi) and i != genus] if genus >= 0 else []
+
+        def clip(cell):
+            """Cap each coupled axis at its ceiling for the cell's largest
+            genus; None when the cell lies wholly above a ceiling."""
+            cell = list(cell)
+            g = Interval.point(cell[genus].hi)
+            for i in coupled:
+                cap = dims[i].hi(g).hi
+                if cell[i].lo > cap:
+                    return None
+                if cell[i].hi > cap:
+                    cell[i] = Interval(cell[i].lo, cap)
+            return tuple(cell)
+
+        stack: list[tuple[tuple[Interval, ...], int]] = [(tuple(init), 0)]
+        while stack:
+            cell, depth = stack.pop()
+            cells += 1
+            if depth > max_depth:
+                max_depth = depth
+            if cells > budget:
+                stop = "cell budget exhausted", cell, None
+                break
+            if coupled:
+                cell = clip(cell)
+                if cell is None:
+                    vacuous += 1
+                    continue
+            slack = _slack(task, cell)
+            if slack is not None and slack.lo > 0.0:
+                if best is None or slack.lo < best.lo:
+                    best, at = slack, (names, cell)
+                continue
+            if slack is not None and slack.hi < 0.0:
+                point = _slack(task, [Interval.point(c.mid) for c in cell])
+                if point is not None and point.hi < 0.0:
+                    stop = _VIOLATED, cell, point
+                    break
+            # Split the widest axis, relative to its initial span, whose split
+            # point lies strictly inside: the geometric mean on the genus axis
+            # when that does, else the midpoint.
+            axis, widest, m = -1, -1.0, None
+            for i, c in enumerate(cell):
+                w = (math.log(c.hi / c.lo) if geometric[i]
+                     else c.hi - c.lo) / spans[i]
+                if w > widest:
+                    split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid
+                    if not c.lo < split < c.hi:
+                        split = c.mid
+                    if c.lo < split < c.hi:
+                        axis, widest, m = i, w, split
+            if m is None or widest < tol:
+                stop = "cell width floor reached", cell, slack
+                break
+            c = cell[axis]
+            for half in (Interval(m, c.hi), Interval(c.lo, m)):
+                stack.append((cell[:axis] + (half,) + cell[axis + 1:], depth + 1))
+        if stop is not None:
             break
-    if status == "Certified" and proof is not None:
+    status, note, tail_status, tail_note = "Certified", "", "N/A", ""
+    if stop is not None:
+        reason, cell, best = stop
+        at = names, cell
+        status = "Violated" if reason == _VIOLATED else "Undecided"
+        note = f"{reason} in task {task.name}"
+    elif proof is not None:
         tail_note = f"slack floor {proof.infimum_lb:.6g} beyond g_max: {proof.note}"
         lb = proof.infimum_lb
         # strict: the slack exceeds lb, so a strict floor of 0 suffices
@@ -292,14 +270,13 @@ def certify(
         else:
             tail_status = "Checked-to-bound"
             status, note = "Undecided", "tail floor not positive"
-    slack = sweep.min_slack
     return CertReport(
         family=family.id, status=status,
-        min_slack_lo=None if slack is None else slack.lo,
-        min_slack_hi=None if slack is None else slack.hi,
-        witness=sweep.witness, cells_processed=sweep.cells,
-        max_depth=sweep.max_depth, tail_status=tail_status, tail_note=tail_note,
-        vacuous_cells=sweep.vacuous, g_max=g_max, note=note,
+        min_slack_lo=None if best is None else best.lo,
+        min_slack_hi=None if best is None else best.hi,
+        witness=None if at is None else {n: c.mid for n, c in zip(*at)},
+        cells_processed=cells, max_depth=max_depth, tail_status=tail_status,
+        tail_note=tail_note, vacuous_cells=vacuous, g_max=g_max, note=note,
     )
 
 

@@ -39,25 +39,16 @@ def _fmt(value, digits: int):
     return str(value)
 
 
-def _check_finite(value) -> None:
-    """Raise ``OverflowError`` (exit 3) on a non-finite float nested
-    anywhere in ``value``."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise OverflowError("non-finite value in output")
-    elif isinstance(value, dict):
-        _check_finite(list(value.values()))
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _check_finite(v)
-
-
 def render(rows: list[dict], fmt: str) -> None:
     """Render a homogeneous list of records to stdout as json, csv, or a
     table, and flush it; nothing is written when a record holds NaN or an
-    infinity."""
-    _check_finite(rows)
-    _emit(lambda out: _write(rows, fmt, out))
+    infinity, which the JSON encoder rejects for every format."""
+    try:
+        text = json.dumps(rows, indent=2, allow_nan=False)
+    except ValueError:
+        raise OverflowError("non-finite value in output") from None
+    _emit(lambda out: out.write(text + "\n") if fmt == "json"
+          else _write(rows, fmt, out))
 
 
 def _emit(write) -> None:
@@ -76,10 +67,6 @@ def _emit(write) -> None:
 
 
 def _write(rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
-        return
     if not rows:
         return
     keys = list(rows[0].keys())

@@ -87,6 +87,8 @@ MUTANTS = [
     ("buser-sarnak-coefficient", "bounds", "return thm_main_m1(g) * 3.0 / IPI",
      "return thm_main_m1(g) * 2.0 / IPI", "bounds"),
     ("bavard-angle", "bounds", "(1.0 + 1.0 / g))", "(1.0 + 2.0 / g))", "bounds"),
+    ("minkowski-ceiling-tolerance-inward", "bounds", "total <= ceiling + 1e-12",
+     "total <= ceiling - 1e-12", "lattice"),
     ("minkowski-product-exponent", "bounds",
      "return 2.0 * g * lattice.minkowski_log_constant(2 * g)",
      "return g * lattice.minkowski_log_constant(2 * g)", "bounds"),
@@ -101,9 +103,12 @@ MUTANTS = [
     ("cf-i-tail-not-strict", "certify", "strict=True)", "strict=False)",
      "certify float_golden"),
     ("violation-without-point-proof", "certify",
-     "if proof is not None and proof.hi < 0.0:", "if proof is not None:", "certify"),
-    ("cell-budget-off-by-one", "certify", "if self.cells > self.budget:",
-     "if self.cells >= self.budget:", "certify"),
+     "if point is not None and point.hi < 0.0:", "if point is not None:", "certify"),
+    ("cell-budget-off-by-one", "certify", "if cells > budget:", "if cells >= budget:",
+     "certify"),
+    ("genus-split-at-midpoint", "certify",
+     "split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid", "split = c.mid",
+     "certify"),
     ("budget-zero-accepted", "certify", "if budget <= 0:", "if budget < 0:",
      "certify"),
     ("gamma2-box-start", "certify", "_GAMMA2_LO = Interval.ratio(21.0, 10.0).lo",
@@ -154,8 +159,7 @@ MUTANTS = [
     ("exclude-reads-file-mode", "cli",
      "gram = lattice.load_gram(args.file, mode=lattice.Mode.PPAV)",
      "gram = lattice.load_gram(args.file)", "cli"),
-    ("infinity-printed", "cli", "if not math.isfinite(value):",
-     "if math.isnan(value):", "cli"),
+    ("infinity-printed", "cli", "allow_nan=False", "allow_nan=True", "cli"),
     ("ypiece-overflow-degenerate", "cli", "raise  # an overflow, not a missing Y-piece",
      "return EXIT_OK", "cli"),
     ("broken-pipe-uncaught", "cli", "except BrokenPipeError:", "except ValueError:",

@@ -187,22 +187,21 @@ def brute_force_below(entries, radius_sq):
 
 
 def brute_force_minima(entries, k):
+    """The first k successive minima by one exhaustive search, with rank
+    decided exactly by ``rational_pivots``: the unit vectors span and all
+    have norm <= the largest diagonal entry, so that radius holds the
+    minima of every k <= d."""
     g = np.asarray(entries, dtype=float)
-    # the unit vectors span and all have norm <= the largest diagonal entry
-    radius = float(np.max(np.diag(g)))
-    while True:
-        vecs = sorted(brute_force_below(g, radius).items(),
-                      key=lambda kv: (kv[1], kv[0]))
-        basis = []
-        values = []
-        for coeffs, norm in vecs:
-            m = np.array(basis + [coeffs])
-            if np.linalg.matrix_rank(m) == len(basis) + 1:
-                basis.append(coeffs)
-                values.append(norm)
-                if len(values) == k:
-                    return values
-        radius *= 2.0
+    vecs = sorted(brute_force_below(g, float(np.max(np.diag(g)))).items(),
+                  key=lambda kv: (kv[1], kv[0]))
+    basis, values = [], []
+    for coeffs, norm in vecs:
+        if len(rational_pivots(basis + [coeffs])) > len(basis):
+            basis.append(coeffs)
+            values.append(norm)
+            if len(values) == k:
+                return values
+    raise ValueError(f"fewer than {k} independent vectors below the radius")
 
 
 def rational_pivots(vecs):

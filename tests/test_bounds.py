@@ -162,6 +162,38 @@ def test_blichfeldt_values(g, value):
     assert encloses(_log_blichfeldt(g), mp.log(want))
 
 
+def test_banaszczyk_reach_table():
+    # A period-matrix Gram G has GJG = J, so its lattice is isometric to its
+    # dual, and Banaszczyk's transference bound gives m2^2 <= 2g.  That lies
+    # below the m2 ceiling 3.1 log(8g-7) exactly up to g = 5 (10 < 10.839;
+    # 12 > 11.512 at g = 6), so the m2 test cannot fire on such a form there.
+    for g in range(2, 10):
+        ceiling = bounds.thm_main_m2(P(float(g)))
+        assert 2 * g < ceiling.lo if g <= 5 else 2 * g > ceiling.hi
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_riemann_matrix_grams_stay_inconclusive(g):
+    """Positive control: the det-1 Gram of a seeded Riemann matrix
+    X + iY, G = [[Y^-1, Y^-1 X], [X Y^-1, Y + X Y^-1 X]], is symplectic,
+    within Banaszczyk's m2^2 <= 2g, and gets no verdict."""
+    zero, one = np.zeros((g, g)), np.eye(g)
+    j = np.block([[zero, one], [-one, zero]])
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.5, 0.5, (g, g))
+        x = (x + x.T) / 2
+        a = rng.uniform(-1.0, 1.0, (g, g))
+        y = a @ a.T + 0.5 * one
+        yi = np.linalg.inv(y)
+        gram = np.block([[yi, yi @ x], [x @ yi, y + x @ yi @ x]])
+        assert np.abs(gram @ j @ gram - j).max() < 1e-12
+        verdict = bounds.jacobian_exclusion(
+            lattice.validate(gram, lattice.Mode.PPAV))
+        assert verdict.verdict is Verdict.INCONCLUSIVE
+        assert verdict.m2_sq <= 2 * g
+
+
 def test_minkowski_product_log_bound():
     # Minkowski's second theorem in dimension 2g: log((4/pi)^(2g) (g!)^2)
     assert bounds.minkowski_product_log_bound(2) == pytest.approx(

@@ -350,6 +350,19 @@ class TestMinkowski:
         assert rep["sum_log_minima_sq"] == pytest.approx(
             4.0 * math.log(HEX_MIN), rel=1e-9)
 
+    def test_at_the_ceiling_passes(self):
+        """Minima whose log product is the ceiling c itself, bit for bit:
+        (1, 1, 1, e^c), and log(e^c) rounds back to c.  The bound is not
+        strict, so the check passes with zero slack."""
+        g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
+        c = bounds.minkowski_product_log_bound(2)
+        values = (1.0, 1.0, 1.0, math.exp(c))
+        m = lattice.SuccessiveMinima(4, values, tuple(
+            lattice.ShortVector(tuple(int(i == j) for j in range(4)), v)
+            for i, v in enumerate(values)))
+        rep = bounds.check_minkowski(g, m)
+        assert (rep["passed"], rep["slack"]) == (True, 0.0)
+
     def test_requires_all_minima(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 2)
