@@ -21,6 +21,8 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce as fold  # sum() of floats compensates from 3.12 on
+from operator import add
 
 from . import lattice
 from .errors import DomainError, IncompleteMinima
@@ -223,7 +225,7 @@ def check_minkowski(gram, minima) -> dict:
     if minima.k < gram.dim:
         raise IncompleteMinima(f"need all {gram.dim} minima, got {minima.k}")
     g = gram.dim // 2
-    total = sum(math.log(v) for v in minima.values)
+    total = fold(add, map(math.log, minima.values), 0.0)
     ceiling = minkowski_product_log_bound(g)
     return {"g": g, "sum_log_minima_sq": total, "log_bound": ceiling,
             "slack": ceiling - total, "passed": total <= ceiling + 1e-12}

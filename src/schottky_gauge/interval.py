@@ -15,8 +15,10 @@ Each elementary function is a domain check and one call to ``_outward``,
 whose arguments state its ulp count and the floor of its range.  The
 widening over-approximates true directed rounding, which is not portably
 switchable from Python, so every interval result encloses the exact
-image of its inputs on a libm within those bounds.  Products and
-quotients with operands of known sign take only the two endpoint products
+image of its inputs on a libm within those bounds.  A float operand of
++, - and / is its point interval [x, x], so each has one formula; only *
+keeps a float path, for speed.  Products and quotients with operands of
+known sign (a float factor included) take only the two endpoint products
 that bound them; rounding to nearest is monotone, so those are exactly the
 min and max of the four-product formula, and the soundness model is
 unchanged.
@@ -64,8 +66,7 @@ class Interval:
     @staticmethod
     def ratio(num: float, den: float) -> "Interval":
         """Enclosure of the exact quotient of two floats (e.g. 2/3)."""
-        q = num / den
-        return Interval(_next(q, _NEG_INF), _next(q, _INF))
+        return Interval.point(num) / den
 
     # -- structure ----------------------------------------------------
 
@@ -85,21 +86,21 @@ class Interval:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Interval):
-            return Interval(_next(self.lo + other.lo, _NEG_INF),
-                            _next(self.hi + other.hi, _INF))
-        return Interval(_next(self.lo + other, _NEG_INF), _next(self.hi + other, _INF))
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
+        return Interval(_next(self.lo + other.lo, _NEG_INF),
+                        _next(self.hi + other.hi, _INF))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Interval):
-            return Interval(_next(self.lo - other.hi, _NEG_INF),
-                            _next(self.hi - other.lo, _INF))
-        return Interval(_next(self.lo - other, _NEG_INF), _next(self.hi - other, _INF))
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
+        return Interval(_next(self.lo - other.hi, _NEG_INF),
+                        _next(self.hi - other.lo, _INF))
 
     def __rsub__(self, other):
-        return Interval(_next(other - self.hi, _NEG_INF), _next(other - self.lo, _INF))
+        return Interval.point(other) - self
 
     def __mul__(self, other):
         lo, hi = self.lo, self.hi
@@ -116,25 +117,17 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        lo, hi = self.lo, self.hi
-        if isinstance(other, Interval):
-            olo, ohi = other.lo, other.hi
-            if lo >= 0.0 and olo > 0.0:
-                return Interval(_next(lo / ohi, _NEG_INF), _next(hi / olo, _INF))
-            if olo <= 0.0 <= ohi:
-                raise IndeterminateCell("division by interval containing zero")
-            p = (lo / olo, lo / ohi, hi / olo, hi / ohi)
-            return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
-        if 0.0 < other < _INF:
-            return Interval(_next(lo / other, _NEG_INF), _next(hi / other, _INF))
-        # any other divisor, a zero or non-finite one included, takes the
-        # four-quotient path and raises there as an interval divisor would
-        return self / Interval.point(other)
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
+        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        if lo >= 0.0 and olo > 0.0:
+            return Interval(_next(lo / ohi, _NEG_INF), _next(hi / olo, _INF))
+        if olo <= 0.0 <= ohi:
+            raise IndeterminateCell("division by interval containing zero")
+        p = (lo / olo, lo / ohi, hi / olo, hi / ohi)
+        return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
 
     def __rtruediv__(self, other):
-        lo, hi = self.lo, self.hi
-        if lo > 0.0 and 0.0 <= other < _INF:
-            return Interval(_next(other / hi, _NEG_INF), _next(other / lo, _INF))
         return Interval.point(other) / self
 
     def sq(self) -> "Interval":

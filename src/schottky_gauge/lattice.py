@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce as fold  # sum() of floats compensates from 3.12 on
 from itertools import chain, zip_longest
 from operator import add, mul, sub
 
@@ -62,8 +63,8 @@ class GramMatrix:
 
     def norm_sq(self, coeffs) -> float:
         """x^T G x on the entries: the one valuation of a lattice vector."""
-        return sum((c * sum(map(mul, row, coeffs))
-                    for c, row in zip(coeffs, self.entries) if c), 0.0)
+        return fold(add, (c * fold(add, map(mul, row, coeffs), 0.0)
+                          for c, row in zip(coeffs, self.entries) if c), 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,12 @@ def _cholesky(g) -> tuple[tuple[tuple[float, ...], ...], tuple[int, ...]]:
         for a in (order, cols, schur):
             a[k], a[m] = a[m], a[k]
         ck, gk = cols[k], g[order[k]]
-        p = gk[order[k]] - sum(map(mul, ck, ck))
+        p = gk[order[k]] - fold(add, map(mul, ck, ck), 0.0)
         if not p > 0.0:
             raise NotPositiveDefinite("matrix is not positive definite")
         ck.append(math.sqrt(p))
         for j in range(k + 1, d):
-            v = (gk[order[j]] - sum(map(mul, ck, cols[j]))) / ck[k]
+            v = (gk[order[j]] - fold(add, map(mul, ck, cols[j]), 0.0)) / ck[k]
             cols[j].append(v)
             schur[j] -= v * v
     return tuple(zip_longest(*cols, fillvalue=0.0)), tuple(order)
@@ -267,7 +268,7 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     def descend(i: int, partial: float, zero: bool):
         nonlocal nodes
         # offset contributed by already-fixed coordinates x[i+1:] (x[:i+1] is 0)
-        off = sum(map(mul, r[i], x))
+        off = fold(add, map(mul, r[i], x), 0.0)
         room = limit - partial
         if room < 0:
             return
@@ -336,7 +337,8 @@ def minkowski_radius(gram: GramMatrix) -> float:
     """Minkowski first-theorem radius, Minkowski's constant times det^(1/d):
     guaranteed to contain a nonzero lattice vector."""
     d = gram.dim
-    logdet = 2.0 * sum(math.log(row[i]) for i, row in enumerate(gram.factor))
+    logdet = 2.0 * fold(add, (math.log(row[i])
+                              for i, row in enumerate(gram.factor)), 0.0)
     return math.exp(logdet / d + minkowski_log_constant(d))
 
 
@@ -353,7 +355,8 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
     if not 1 <= k <= gram.dim:
         raise DomainError(f"k must be in [1, {gram.dim}], got {k}")
     reduced = reduce(gram)
-    cap = sorted(sum(map(mul, col, col)) for col in zip(*reduced.factor))[k - 1]
+    cap = sorted(fold(add, map(mul, col, col), 0.0)
+                 for col in zip(*reduced.factor))[k - 1]
     radius = min(minkowski_radius(gram), cap)
     while True:
         rank = _Echelon()

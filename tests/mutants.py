@@ -37,10 +37,10 @@ MUTANTS = [
     # -- interval: rounding directions, ulp counts, floors, sign cases
     ("mid-overflow-fallback", "interval", "m = 0.5 * self.lo + 0.5 * self.hi",
      "m = self.lo", "interval"),
-    ("add-lower-end-rounds-up", "interval",
-     "return Interval(_next(self.lo + other, _NEG_INF), _next(self.hi + other, _INF))",
-     "return Interval(_next(self.lo + other, _INF), _next(self.hi + other, _INF))",
-     "interval"),
+    ("add-lower-end-rounds-up", "interval", "_next(self.lo + other.lo, _NEG_INF)",
+     "_next(self.lo + other.lo, _INF)", "interval"),
+    ("reflected-division-swapped", "interval", "return Interval.point(other) / self",
+     "return self / Interval.point(other)", "interval"),
     ("mul-nonnegative-case-on-one-sign", "interval",
      "if lo >= 0.0 and olo >= 0.0:", "if lo >= 0.0 or olo >= 0.0:", "interval"),
     ("div-divisor-touching-zero", "interval",
@@ -119,7 +119,8 @@ MUTANTS = [
     ("axis-part-unbounded", "certify",
      "@functools.lru_cache(maxsize=_AXIS_PART_SIZE)\ndef _cfa_genus",
      "@functools.lru_cache(maxsize=None)\ndef _cfa_genus", "certify"),
-    # -- lattice: tolerances, the half tree, pivots, reduction, witnesses
+    # -- lattice: tolerances, the half tree, pivots, reduction, witnesses, the
+    # summation order
     ("symmetry-tolerance", "lattice", "_SYMMETRY_TOL = 1e-12", "_SYMMETRY_TOL = 1e-9",
      "lattice"),
     ("det-tolerance", "lattice", "_DET_ONE_TOL = 1e-6", "_DET_ONE_TOL = 1e-3",
@@ -146,6 +147,8 @@ MUTANTS = [
      "piv = m[k]", "extremal_lattices cli"),
     ("minkowski-constant", "lattice", "math.lgamma(d / 2.0 + 1.0) / (d / 2.0)",
      "math.lgamma(d / 2.0 + 1.0) / d", "bounds lattice"),
+    ("norm-sq-interpreter-sum", "lattice", "fold(add, map(mul, row, coeffs), 0.0)",
+     "sum(map(mul, row, coeffs))", "lattice"),
     ("json-bool-accepted", "lattice", "if isinstance(value, (bool, str)):",
      "if isinstance(value, str):", "lattice"),
     # -- cli: the exit-code contract

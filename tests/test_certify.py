@@ -630,3 +630,53 @@ def test_cfa_slack_bit_identical_to_written_out_form():
                     continue
                 got = slack(g, y)
                 assert (got.lo, got.hi) == (want.lo, want.hi), (g, y)
+
+
+def _cfa_slack_u(u, y):
+    """CF-A's slack in u = 1/g, finite at u = 0: with s = sinhc(gamma/2)
+    and a = pi (1-u) s / u, log(8g-7) = log(8-7u) - log u and arccosh a =
+    log a + log(1 + sqrt(1 - 1/a^2)), so the slack is 4 [log(8-7u) -
+    log(pi (1-u) s) - log(1 + sqrt(1 - (u / (pi (1-u) s))^2))]; at u = 0
+    it is 4 log(4 / (pi s))."""
+    au = IPI * (1.0 - u) * (y * 0.5).sinhc()
+    return ((8.0 - u * 7.0).log() - au.log()
+            - (1.0 + (1.0 - (u / au).sq()).sqrt()).log()) * 4.0
+
+
+class TestCfaGenusTail:
+    """The engine checks CF-A's genus tail: the u-form above, swept by the
+    unchanged ``certify`` on CF-A's gamma axis."""
+
+    _GAMMA = lookup("CF-A").tasks[0].dims[1]
+    # 4 log(4 / (pi sinhc(pi/4))): the u = 0 slack at gamma = pi/2, its least
+    _FLOOR = 4 * mp.log(4 / (mp.pi * mp.sinh(mp.pi / 4) / (mp.pi / 4)))
+
+    def _certify(self, u_max):
+        task = Task("tail", (Dim("u", 0.0, u_max), self._GAMMA), _cfa_slack_u)
+        return run_one(CertFamily(id="CF-A-u", tasks=(task,)))
+
+    def test_beyond_the_default_g_max(self):
+        """u in [0, 1e-6], every g >= 1e6: one cell, within 4e-6 of the
+        hand floor and below it."""
+        rep = self._certify(1e-6)
+        assert (rep.status, rep.cells_processed) == ("Certified", 1)
+        assert 0.0 < self._FLOOR - rep.min_slack_lo < 4e-6
+
+    def test_every_genus(self):
+        """u in [0, 1/2] is every g >= 2: 15 cells, against 13,965 for the
+        genus sweep to 1e6."""
+        rep = self._certify(0.5)
+        assert (rep.status, rep.cells_processed) == ("Certified", 15)
+        assert 0.09 < rep.min_slack_lo < 0.1
+
+    @pytest.mark.parametrize("g", [2.0, 10.0, 1e3, 1e6])
+    def test_u_form_meets_the_genus_form(self, g):
+        """At u = 1/g the two forms enclose the same slack: both enclosures
+        hold the 40-digit value, on a gamma grid over [0, pi/2]."""
+        for i in range(41):
+            y = (IPI * 0.5).hi * i / 40
+            s = mp.sinh(mp.mpf(y) / 2) / (mp.mpf(y) / 2) if y else 1
+            want = 4 * (mp.log(8 * g - 7) - mp.acosh(mp.pi * (g - 1) * s))
+            by_u = _cfa_slack_u(Interval.ratio(1.0, g), Interval.point(y))
+            by_g = certify._cfa_slack_iv(Interval.point(g), Interval.point(y))
+            assert encloses(by_u, want) and encloses(by_g, want), (g, y)

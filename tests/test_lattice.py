@@ -4,10 +4,12 @@ The brute-force oracle (``oracles``) double-checks every operation that
 admits exhaustive search.
 """
 
+import builtins
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,21 @@ def _kth_reduced_diagonal(g, k):
     return sorted(sum(x * x for x in col) for col in cols)[k - 1]
 
 
+def _compensated_sum(items, start=0):
+    """``sum`` as Python 3.12 and later compute it: ints exactly, floats
+    with Neumaier's compensation, so its result differs from a plain
+    left-to-right fold in the last bits."""
+    items = list(items)
+    if all(isinstance(v, int) for v in items):
+        return builtins.sum(items, start)
+    s, c = float(start), 0.0
+    for x in map(float, items):
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c if c else s
+
+
 class TestSuccessiveMinima:
     def test_identity_all_one(self):
         g = lattice.validate(np.eye(6), lattice.Mode.PLAIN)
@@ -314,6 +331,29 @@ class TestSuccessiveMinima:
             want = brute_force_minima(g.entries, d)
             for a, w in zip(got, want):
                 assert a == pytest.approx(w, rel=1e-9)
+
+    def test_same_minima_under_compensated_sum(self, monkeypatch):
+        """Every float sum in the lattice is a fixed left-to-right fold, so the
+        interpreter's ``sum`` (compensated from Python 3.12 on) moves no
+        minimum and no witness: seeded skewed forms of d = 2..8 and the E8
+        fixture, with ``sum`` replaced by the compensated one."""
+        rng = np.random.default_rng(47)
+        raws = []
+        for i in range(140):
+            d = 2 + i % 7
+            b = rng.normal(size=(d, d))
+            t = random_unimodular(rng, d)
+            raws.append(t.T @ (b @ b.T + 0.3 * np.eye(d)) @ t)
+        path = Path(__file__).parent / "data" / "e8_skew48_seed39.json"
+
+        def minima():  # factor, reduce and search under the current sum
+            grams = [*map(lattice.validate, raws), lattice.load_gram(str(path))]
+            return [(m.values, [w.coeffs for w in m.witnesses]) for m in
+                    (lattice.successive_minima(g, g.dim) for g in grams)]
+
+        want = minima()
+        monkeypatch.setattr(lattice, "sum", _compensated_sum, raising=False)
+        assert minima() == want
 
 
 class TestMinkowski:
