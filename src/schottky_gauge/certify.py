@@ -147,14 +147,13 @@ def _slack(task: Task, cell) -> Interval | None:
 _VIOLATED = "violation proven by point enclosure"
 
 
-def check_g_max(family: CertFamily, g_max: float) -> TailProof | None:
-    """Evaluate every box ceiling of ``family`` and its tail floor at
-    ``g_max``, and return the tail proof.  A ``g_max`` at which one of them
-    has no finite enclosure raises ``IndeterminateCell`` here, before any
-    cell is swept."""
-    for task in family.tasks:
-        _box(task, g_max)
-    return None if family.tail is None else family.tail(g_max)
+def check_g_max(family: CertFamily, g_max: float) -> tuple[list, TailProof | None]:
+    """The initial box of each task of ``family`` at ``g_max`` (see ``_box``)
+    and its tail proof (None without a tail).  A ``g_max`` at which a box
+    ceiling or the tail floor has no finite enclosure raises
+    ``IndeterminateCell`` here, before any cell is swept."""
+    return ([_box(task, g_max) for task in family.tasks],
+            None if family.tail is None else family.tail(g_max))
 
 
 def certify(
@@ -179,8 +178,7 @@ def certify(
         raise DomainError("budget must be positive")
     if not (g_max >= 2 and math.isfinite(g_max)):
         raise DomainError("g_max must be a finite genus cutoff >= 2")
-    boxes = [_box(task, g_max) for task in family.tasks]
-    proof = None if family.tail is None else family.tail(g_max)
+    boxes, proof = check_g_max(family, g_max)
     cells = vacuous = max_depth = 0
     best: Interval | None = None  # the least slack of a closed cell
     at = None                     # (axis names, cell) of its witness

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: bounds, minima, exclude, certify, ypiece, collar, corollary.
-Every command renders through one of three formats (json, csv, table) and
-uses the stable exit-code contract: 0 success, 2 usage error, 3 input
-validation failure, 4 certification violated, 5 certification undecided.
+Subcommands: bounds, minima, exclude, certify, ypiece, collar, corollary,
+listed once in ``COMMANDS`` with their handler, help and arguments. Each
+handler returns its rows (None for a degenerate Y-piece, which prints one
+line) and its exit code, and ``main`` renders the rows in one of three
+formats (json, csv, table). The exit codes are a stable contract: 0
+success, 2 usage error, 3 input validation failure, 4 certification
+violated, 5 certification undecided.
 Each subparser names its command and states each flag's contract as an
 argparse type, so a bad flag exits 2 before any command runs. A bad value
 read from a file, one a formula rejects or cannot evaluate, or a result that
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -40,49 +44,42 @@ def _fmt(value, digits: int):
 
 
 def render(rows: list[dict], fmt: str) -> None:
-    """Render a homogeneous list of records to stdout as json, csv, or a
-    table, and flush it; nothing is written when a record holds NaN or an
-    infinity, which the JSON encoder rejects for every format."""
+    """Render a homogeneous list of records to stdout as json, csv (17
+    significant digits, which round-trip binary64) or a table (12), and
+    flush it; nothing is written when a record holds NaN or an infinity,
+    which the JSON encoder rejects for every format."""
     try:
-        text = json.dumps(rows, indent=2, allow_nan=False)
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise OverflowError("non-finite value in output") from None
-    _emit(lambda out: out.write(text + "\n") if fmt == "json"
-          else _write(rows, fmt, out))
+    if fmt != "json":
+        digits = 17 if fmt == "csv" else 12
+        lines = [list(row) for row in rows[:1]]  # the header; none without rows
+        lines += [[_fmt(row.get(k), digits) for k in lines[0]] for row in rows]
+        if fmt == "csv":
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(lines)
+            text = out.getvalue()
+        else:
+            widths = [max(map(len, column)) for column in zip(*lines)]
+            text = "".join("  ".join(v.ljust(w) for v, w in zip(line, widths))
+                           .rstrip() + "\n" for line in lines)
+    _emit(text)
 
 
-def _emit(write) -> None:
-    """Call ``write(sys.stdout)`` and flush. A reader that has gone away is
+def _emit(text: str) -> None:
+    """Write ``text`` to stdout and flush. A reader that has gone away is
     no error of the command: on ``BrokenPipeError`` stdout is pointed at
     the null device (the recipe in the ``signal`` module's documentation),
     so the exit flush does not fail again, and the command keeps its exit
     code."""
     try:
-        write(sys.stdout)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-
-
-def _write(rows: list[dict], fmt: str, out) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_fmt(row.get(k), 17) for k in keys])
-        return
-    rendered = [[_fmt(row.get(k), 12) for k in keys] for row in rows]
-    widths = [
-        max(len(k), *(len(r[i]) for r in rendered)) for i, k in enumerate(keys)
-    ]
-    out.write("  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
-    for r in rendered:
-        out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -94,11 +91,11 @@ def _named(**values) -> list[dict]:
     return [{"name": k, "value": v} for k, v in values.items()]
 
 
-def cmd_bounds(args, parser) -> int:
+def cmd_bounds(args, parser):
     g = args.g
     genus = Interval.point(float(g))
     her_lo, her_hi = bounds.hermite_ppav_bounds(g)
-    render(_named(
+    return _named(
         thm_bs_upper=bounds.thm_bs_upper(genus).mid,
         thm_main_m1=bounds.thm_main_m1(genus).mid,
         thm_main_m2=bounds.thm_main_m2(genus).mid,
@@ -108,29 +105,23 @@ def cmd_bounds(args, parser) -> int:
         bavard=bounds.bavard_bound(genus).mid,
         hermite_lower=her_lo, hermite_upper=her_hi,
         minkowski_product_log=bounds.minkowski_product_log_bound(g),
-    ), args.format)
-    return EXIT_OK
+    ), EXIT_OK
 
 
-def cmd_minima(args, parser) -> int:
+def cmd_minima(args, parser):
     gram = lattice.load_gram(args.file)
     minima = lattice.successive_minima(
         gram, gram.dim if args.k is None else args.k)
-    rows = [
-        {"index": i + 1, "norm_sq": w.norm_sq, "coeffs": list(w.coeffs)}
-        for i, w in enumerate(minima.witnesses)
-    ]
-    render(rows, args.format)
-    return EXIT_OK
+    return [{"index": i + 1, "norm_sq": w.norm_sq, "coeffs": list(w.coeffs)}
+            for i, w in enumerate(minima.witnesses)], EXIT_OK
 
 
-def cmd_exclude(args, parser) -> int:
+def cmd_exclude(args, parser):
     gram = lattice.load_gram(args.file, mode=lattice.Mode.PPAV)
-    render([bounds.jacobian_exclusion(gram).as_dict()], args.format)
-    return EXIT_OK
+    return [bounds.jacobian_exclusion(gram).as_dict()], EXIT_OK
 
 
-def cmd_certify(args, parser) -> int:
+def cmd_certify(args, parser):
     if args.families == ["all"]:
         fams = certify.FAMILIES
     else:
@@ -144,16 +135,16 @@ def cmd_certify(args, parser) -> int:
         certify.check_g_max(f, args.gmax)
     reports = [certify.certify(f, tol=args.tol, budget=args.budget,
                                g_max=args.gmax) for f in fams]
-    render([r.as_dict() for r in reports], args.format)
+    rows = [r.as_dict() for r in reports]
     if any(r.status == "Violated" for r in reports):
-        return EXIT_VIOLATED
+        return rows, EXIT_VIOLATED
     if any(r.status == "Undecided" and not f.exempt
            for f, r in zip(fams, reports)):
-        return EXIT_UNDECIDED
-    return EXIT_OK
+        return rows, EXIT_UNDECIDED
+    return rows, EXIT_OK
 
 
-def cmd_ypiece(args, parser) -> int:
+def cmd_ypiece(args, parser):
     gamma, w = args.gamma, args.w
     side = Interval.point(w)
     try:
@@ -168,13 +159,11 @@ def cmd_ypiece(args, parser) -> int:
     except IndeterminateCell:
         raise  # an overflow, not a missing Y-piece
     except DomainError:
-        _emit(lambda out: out.write("degenerate\n"))
-        return EXIT_OK
-    render(rows, args.format)
-    return EXIT_OK
+        return None, EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_collar(args, parser) -> int:
+def cmd_collar(args, parser):
     gamma = Interval.point(args.gamma)
     w1 = collar.config1_width(gamma)
     rows = _named(separation=collar.separation(gamma * 0.5).mid,
@@ -183,19 +172,17 @@ def cmd_collar(args, parser) -> int:
     if args.g is not None:
         rows += _named(width_area_upper=collar.area_width(
             Interval.point(float(args.g)), gamma).mid)
-    render(rows, args.format)
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_corollary(args, parser) -> int:
-    if args.file is not None:
-        decomp = bounds.load_decomposition(args.file)
-    elif args.t is None or not args.piece:
-        parser.error("corollary needs --t and at least one --piece, or --file")
-    else:
+def cmd_corollary(args, parser):
+    if args.file is None and args.t is not None and args.piece:
         decomp = bounds.Decomposition(t=args.t, pieces=tuple(args.piece))
-    render(bounds.corollary_report(decomp), args.format)
-    return EXIT_OK
+    elif args.file is not None and args.t is None and not args.piece:
+        decomp = bounds.load_decomposition(args.file)
+    else:
+        parser.error("corollary needs --t and at least one --piece, or --file")
+    return bounds.corollary_report(decomp), EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -232,10 +219,34 @@ def _parse_signature(text: str) -> bounds.Signature:
 _signature = _checked(_parse_signature, lambda sig: True,
                       "a hyperbolic signature 'g,n'")
 
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table")
+# name: (handler, help, {argument: add_argument keywords}); every command
+# also takes --format
+COMMANDS = {
+    "bounds": (cmd_bounds, "named bound values at a given genus",
+               {"--g": dict(type=_genus, required=True)}),
+    "minima": (cmd_minima, "successive minima of a Gram matrix file",
+               {"file": {}, "--k": dict(type=_positive_int)}),
+    "exclude": (cmd_exclude, "Jacobian exclusion test on a PPAV file",
+                {"file": {}}),
+    "certify": (cmd_certify, "run the inequality certification suite", {
+        "--families": dict(nargs="+", default=["all"]),
+        "--gmax": dict(type=_genus_cutoff, default=certify.DEFAULT_G_MAX),
+        "--tol": dict(type=_positive_float, default=certify.DEFAULT_TOL),
+        "--budget": dict(type=_positive_int, default=certify.DEFAULT_BUDGET)}),
+    "ypiece": (cmd_ypiece, "Y-piece boundary lengths", {
+        "--gamma": dict(type=_positive_float, required=True),
+        "--w": dict(type=_positive_float, required=True),
+        "--config": dict(type=int, choices=(1, 2), required=True)}),
+    "collar": (cmd_collar, "collar widths and capacity at a length", {
+        "--gamma": dict(type=_positive_float, required=True),
+        "--g": dict(type=_genus)}),
+    "corollary": (cmd_corollary, "per-piece decomposition bounds", {
+        "--t": dict(type=_positive_float),
+        "--piece": dict(type=_signature, action="append",
+                        help="signature as 'g,n'; repeatable"),
+        "--file": dict(help='JSON decomposition {"t": ..., "pieces": '
+                            '[[g, n], ...]}')}),
+}
 
 
 @functools.cache
@@ -248,54 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "for Jacobian exclusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="named bound values at a given genus")
-    p.set_defaults(run=cmd_bounds)
-    p.add_argument("--g", type=_genus, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("minima", help="successive minima of a Gram matrix file")
-    p.set_defaults(run=cmd_minima)
-    p.add_argument("file")
-    p.add_argument("--k", type=_positive_int, default=None)
-    _add_format(p)
-
-    p = sub.add_parser("exclude", help="Jacobian exclusion test on a PPAV file")
-    p.set_defaults(run=cmd_exclude)
-    p.add_argument("file")
-    _add_format(p)
-
-    p = sub.add_parser("certify", help="run the inequality certification suite")
-    p.set_defaults(run=cmd_certify)
-    p.add_argument("--families", nargs="+", default=["all"])
-    p.add_argument("--gmax", type=_genus_cutoff, default=certify.DEFAULT_G_MAX)
-    p.add_argument("--tol", type=_positive_float, default=certify.DEFAULT_TOL)
-    p.add_argument("--budget", type=_positive_int,
-                   default=certify.DEFAULT_BUDGET)
-    _add_format(p)
-
-    p = sub.add_parser("ypiece", help="Y-piece boundary lengths")
-    p.set_defaults(run=cmd_ypiece)
-    p.add_argument("--gamma", type=_positive_float, required=True)
-    p.add_argument("--w", type=_positive_float, required=True)
-    p.add_argument("--config", type=int, choices=(1, 2), required=True)
-    _add_format(p)
-
-    p = sub.add_parser("collar", help="collar widths and capacity at a length")
-    p.set_defaults(run=cmd_collar)
-    p.add_argument("--gamma", type=_positive_float, required=True)
-    p.add_argument("--g", type=_genus, default=None)
-    _add_format(p)
-
-    p = sub.add_parser("corollary", help="per-piece decomposition bounds")
-    p.set_defaults(run=cmd_corollary)
-    p.add_argument("--t", type=_positive_float, default=None)
-    p.add_argument("--piece", type=_signature, action="append",
-                   help="signature as 'g,n'; repeatable")
-    p.add_argument("--file", default=None,
-                   help='JSON decomposition {"t": ..., "pieces": [[g, n], ...]}')
-    _add_format(p)
-
+    for name, (run, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default="table")
     return parser
 
 
@@ -303,7 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        rows, code = args.run(args, parser)
+        if rows is None:
+            _emit("degenerate\n")
+        else:
+            render(rows, args.format)
+        return code
     except ValidationError as exc:
         print(exc.name, file=sys.stderr)
     except OSError as exc:

@@ -151,7 +151,7 @@ MUTANTS = [
      "sum(map(mul, row, coeffs))", "lattice"),
     ("json-bool-accepted", "lattice", "if isinstance(value, (bool, str)):",
      "if isinstance(value, str):", "lattice"),
-    # -- cli: the exit-code contract
+    # -- cli: the exit-code contract and the flag rules
     ("undecided-exit-code", "cli", "EXIT_UNDECIDED = 5", "EXIT_UNDECIDED = 4", "cli"),
     ("exempt-ignored", "cli", 'r.status == "Undecided" and not f.exempt',
      'r.status == "Undecided" and f.exempt', "cli"),
@@ -164,9 +164,22 @@ MUTANTS = [
      "gram = lattice.load_gram(args.file)", "cli"),
     ("infinity-printed", "cli", "allow_nan=False", "allow_nan=True", "cli"),
     ("ypiece-overflow-degenerate", "cli", "raise  # an overflow, not a missing Y-piece",
-     "return EXIT_OK", "cli"),
+     "return None, EXIT_OK", "cli"),
     ("broken-pipe-uncaught", "cli", "except BrokenPipeError:", "except ValueError:",
      "cli"),
+    ("corollary-file-takes-flags", "cli",
+     "elif args.file is not None and args.t is None and not args.piece:",
+     "elif args.file is not None:", "cli"),
+    # -- cli: the one output path
+    ("main-drops-handler-code", "cli", "        return code\n", "        return EXIT_OK\n",
+     "cli"),
+    ("csv-twelve-digits", "cli", 'digits = 17 if fmt == "csv" else 12',
+     'digits = 12 if fmt == "csv" else 12', "float_golden"),
+    ("table-one-space-between-columns", "cli", '"  ".join(v.ljust(w)',
+     '" ".join(v.ljust(w)', "float_golden"),
+    ("table-trailing-space-kept", "cli", ".rstrip() + ", " + ", "float_golden"),
+    ("degenerate-line-unterminated", "cli", '_emit("degenerate\\n")',
+     '_emit("degenerate")', "cli"),
 ]
 
 

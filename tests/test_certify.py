@@ -33,37 +33,19 @@ def reports():
     return {f.id: run_one(f) for f in FAMILIES}
 
 
-# The default report of every family (tol 1e-4, g_max 1e6), family by
-# family: status, tail status, cells, vacuous cells, depth, min_slack_lo.
-# A speedup must leave all of it unchanged, min_slack_lo to 1e-12
-# relative. A soundness change (wider enclosures in the interval layer,
-# or a box widened to cover its stated endpoints) may move these figures;
-# it re-freezes them here and records the old and new values in
-# CHANGES.md.
-_DEFAULT_REPORT = {
-    "CF-A": ("Certified", "Proven", 13965, 0, 14, 0.00016126374367431135),
-    "CF-B": ("Certified", "Proven", 65, 0, 8, 1.2619250327438214),
-    "CF-C": ("Certified", "Proven", 15, 0, 7, 0.004228468457060041),
-    "CF-D": ("Certified", "Proven", 13, 0, 6, 0.3961421304222625),
-    "CF-E": ("Certified", "Proven", 99, 7, 14, 0.04575316208484192),
-    "CF-F": ("Certified", "Proven", 350, 38, 15, 0.0023534994471079425),
-    "CF-G": ("Certified", "N/A", 1, 0, 0, 0.0007456296975855147),
-    "CF-H": ("Certified", "Proven", 13, 0, 6, 0.009025234112393308),
-    "CF-I": ("Certified", "Proven", 1, 0, 0, 4.5677823514722596e-06),
-    "CF-J": ("Certified", "Proven", 19, 0, 9, 0.0013066739078548826),
-}
-
-
 class TestFamilies:
     def test_default_report_frozen(self, reports):
-        assert list(reports) == list(_DEFAULT_REPORT)
-        for fam, (status, tail, cells, vacuous, depth, slack) in \
-                _DEFAULT_REPORT.items():
-            rep = reports[fam]
-            assert (rep.status, rep.tail_status, rep.cells_processed,
-                    rep.vacuous_cells, rep.max_depth) == \
-                (status, tail, cells, vacuous, depth), fam
-            assert rep.min_slack_lo == pytest.approx(slack, rel=1e-12, abs=0), fam
+        # statuses and counts exactly, min_slack_lo to 1e-12 relative
+        exact = ("status", "tail_status", "cells_processed", "vacuous_cells",
+                 "max_depth")
+        frozen = [dict(zip(oracles.CERTIFY_KEYS, row))
+                  for row in oracles.CERTIFY_ALL]
+        assert list(reports) == [row["family"] for row in frozen]
+        for row in frozen:
+            rep = reports[row["family"]].as_dict()
+            assert [rep[k] for k in exact] == [row[k] for k in exact], row
+            assert rep["min_slack_lo"] == pytest.approx(
+                row["min_slack_lo"], rel=1e-12, abs=0), row["family"]
         assert sum(r.cells_processed for r in reports.values()) == 14541
 
     def test_boxes_cover_the_stated_endpoints(self):

@@ -280,7 +280,7 @@ class TestYPiece:
         code, out, _ = run(
             capsys, "ypiece", "--gamma", "0.1", "--w", "0.1", "--config", "2")
         assert code == 0
-        assert out.strip() == "degenerate"
+        assert out == "degenerate\n"
 
     def test_config2(self, capsys):
         code, rows, _ = run_json(
@@ -364,6 +364,9 @@ BAD_INPUTS = [
     (["corollary"], None, 2),
     (["corollary", "--t", "1"], None, 2),
     (["corollary", "--t", "1", "--piece=-1,5"], None, 2),
+    # --file takes neither --t nor --piece
+    (["corollary", "--file", "{file}", "--t", "1", "--piece", "2,1"],
+     '{"t": 1, "pieces": [[2, 1]]}', 2),
     (["corollary", "--file", "{file}"], '{"t": 1, "pieces": [[-1, 5]]}', 3),
     (["corollary", "--file", "{file}"], '{"t": 1}', 3),
     (["corollary", "--file", "{file}"], "nope", 3),

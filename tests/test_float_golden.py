@@ -8,13 +8,19 @@ Hermite and Minkowski rows of bounds, the midpoints of the interval
 enclosures that the other bounds rows, collar and ypiece print, and every
 field of every certify row: slack ends, witnesses, counts and tail notes.
 A refactor of them must leave every value here unchanged, not merely close.
+The csv and table stdout of the same commands, and of minima and exclude on
+the E8 fixture, are compared byte for byte with ``data/golden_text.json``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from oracles import CERTIFY_ALL, CERTIFY_KEYS
 from schottky_gauge import cli
+
+_DATA = Path(__file__).resolve().parent / "data"
 
 _BOUND_NAMES = (
     "thm_bs_upper", "thm_main_m1", "thm_main_m2", "systole_gamma1",
@@ -69,60 +75,6 @@ _COLLAR_21 = {
 }
 
 
-# certify --families all, row for row as the CLI prints it: family,
-# status, min_slack_lo, min_slack_hi, witness, cells_processed, max_depth,
-# tail_status, tail_note, vacuous_cells, g_max, note.
-_CERTIFY_KEYS = (
-    "family", "status", "min_slack_lo", "min_slack_hi", "witness",
-    "cells_processed", "max_depth", "tail_status", "tail_note",
-    "vacuous_cells", "g_max", "note",
-)
-
-_CERTIFY_ALL = [
-    ("CF-A", "Certified", 0.00016126374367431135, 1.6594792220014374,
-     {"g": 134.51154586901777, "gamma": 0.9203884727313851}, 13965, 14,
-     "Proven",
-     "slack floor 0.563163 beyond g_max: log-majorization of "
-     "arccosh, g-free floor", 0, 1000000.0, ""),
-    ("CF-B", "Certified", 1.2619250327438143, 17.787721660631842,
-     {"g": 733.6982606712725, "gamma": 1.1780972450961729}, 65, 8, "Proven",
-     "slack floor 3.89772 beyond g_max: log-majorization of "
-     "arccosh, g-free floor", 0, 1000000.0, ""),
-    ("CF-C", "Certified", 0.004228468457058709, 0.06969841203736539,
-     {"alpha1": 1.134765625}, 15, 7, "Proven",
-     "slack floor 1.92718 beyond g_max: width floor for alpha1 >= "
-     "10.0 (covers every genus cap)", 0, 1000000.0, ""),
-    ("CF-D", "Certified", 0.39614213042225893, 1.9460857476240199,
-     {"g": 2.227570395565804}, 13, 6, "Proven",
-     "slack floor 24.4794 beyond g_max: log-coefficient "
-     "comparison, increasing in g", 0, 1000000.0, ""),
-    ("CF-E", "Certified", 0.04575316208483659, 0.7180151419936297,
-     {"g": 2.107957758926668, "gamma2": 7.037265076609534}, 99, 14, "Proven",
-     "slack floor 7.41344 beyond g_max: two-regime split at "
-     "gamma2 = 10, increasing in g", 7, 1000000.0, ""),
-    ("CF-F", "Certified", 0.0023534994471079425, 0.8297787935919817,
-     {"g": 228.1198022454164, "gamma": 13.355825070810221}, 350, 15,
-     "Proven",
-     "slack floor 0.0807552 beyond g_max: capacity ceiling 3 "
-     "gamma/(2 pi) above K, g-free", 38, 1000000.0, ""),
-    ("CF-G", "Certified", 0.0007456296975852926, 0.0007456296975865141,
-     {}, 1, 0, "N/A",
-     "", 0, 1000000.0, ""),
-    ("CF-H", "Certified", 0.009025234112393197, 0.49869362156288827,
-     {"gamma2": 2.5523437499999995}, 13, 6, "Proven",
-     "slack floor 13.7461 beyond g_max: width floor for gamma2 >= "
-     "60 (covers every genus cap)", 0, 1000000.0, ""),
-    ("CF-I", "Certified", 4.5677823514722596e-06, 2.0496056345593994,
-     {"g": 500001.0}, 1, 0, "Proven",
-     "slack floor 0 beyond g_max: theta(g) > pi/12 strictly for "
-     "every finite g", 0, 1000000.0, ""),
-    ("CF-J", "Certified", 0.0013066739078548826, 0.010572490680081816,
-     {"alpha1": 1.50830078125}, 19, 9, "Proven",
-     "slack floor 2.12474 beyond g_max: width floor for alpha1 >= "
-     "10.0", 0, 1000000.0, ""),
-]
-
-
 def _named(pairs):
     return [{"name": k, "value": v} for k, v in pairs]
 
@@ -160,16 +112,38 @@ _GOLDEN = [
       _piece(2, 2, 12.589169492378154, 15.515984723271048,
              0.5, 2.0943951023931953)]),
     (["certify", "--families", "all"],
-     [dict(zip(_CERTIFY_KEYS, row)) for row in _CERTIFY_ALL]),
+     [dict(zip(CERTIFY_KEYS, row)) for row in CERTIFY_ALL]),
 ]
+
+
+def _run(capsys, tmp_path, argv, fmt):
+    """The exit code and stdout of ``argv`` in format ``fmt``, with
+    ``{decomposition}`` a decomposition file and ``{e8}`` the E8 fixture."""
+    decomposition = tmp_path / "decomposition.json"
+    decomposition.write_text(json.dumps(
+        {"t": 6.0, "pieces": [[1, 1], [2, 2]], "n_cut": 3}))
+    e8 = _DATA / "e8_skew48_seed39.json"
+    argv = [a.format(decomposition=decomposition, e8=e8) for a in argv]
+    code = cli.main(argv + ["--format", fmt])
+    return code, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv,expected", _GOLDEN,
                          ids=[" ".join(a) for a, _ in _GOLDEN])
 def test_json_output_exact(capsys, tmp_path, argv, expected):
-    decomposition = tmp_path / "decomposition.json"
-    decomposition.write_text(json.dumps(
-        {"t": 6.0, "pieces": [[1, 1], [2, 2]], "n_cut": 3}))
-    argv = [a.format(decomposition=decomposition) for a in argv]
-    assert cli.main(argv + ["--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == expected
+    code, out = _run(capsys, tmp_path, argv, "json")
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+# csv and table stdout byte for byte: the digits (17 in csv, 12 in a
+# table), headers, separators and padding
+_TEXT = json.loads((_DATA / "golden_text.json").read_text())
+_TEXT_ARGV = [*(a for a, _ in _GOLDEN), ["minima", "{e8}"], ["exclude", "{e8}"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("argv", _TEXT_ARGV, ids=" ".join)
+def test_text_output_exact(capsys, tmp_path, argv, fmt):
+    assert _run(capsys, tmp_path, argv, fmt) == (
+        0, _TEXT[" ".join([*argv, "--format", fmt])])
