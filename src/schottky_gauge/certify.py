@@ -12,7 +12,10 @@ one Interval per axis in the order of the task's ``dims``.  A family is
 Certified only when every leaf cell has a strictly positive slack lower
 bound and the tail is handled; it is Violated only when that same form,
 evaluated on the point cell at a cell's midpoint, has a strictly negative
-upper bound.  The engine never weakens a claim to force a verdict.
+upper bound.  Otherwise it is Undecided: the sweep stops at the width
+floor, a cell with no float split point strictly inside any axis, or when
+the cell budget is spent, which is the only runtime bound on an unresolved
+sweep.  The engine never weakens a claim to force a verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .interval import IPI, IW, IWP, Interval
 
 DEFAULT_G_MAX = 1e6
 DEFAULT_BUDGET = 10**7
-DEFAULT_TOL = 1e-4
 
 
 # Interval constants, each enclosed once at import.
@@ -107,10 +109,10 @@ class CertReport:
     cells_processed: int
     max_depth: int
     tail_status: str              # Proven | Checked-to-bound | N/A
-    tail_note: str = ""
-    vacuous_cells: int = 0
-    g_max: float = DEFAULT_G_MAX
-    note: str = ""
+    tail_note: str
+    vacuous_cells: int
+    g_max: float
+    note: str
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -158,7 +160,6 @@ def check_g_max(family: CertFamily, g_max: float) -> tuple[list, TailProof | Non
 
 def certify(
     family: CertFamily,
-    tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     g_max: float = DEFAULT_G_MAX,
 ) -> CertReport:
@@ -167,13 +168,12 @@ def certify(
     Sweeps the family's tasks in turn, with one cell ``budget`` for all of
     them, and subdivides until every cell's slack interval is strictly
     positive (Certified), a cell's midpoint has a strictly negative point
-    enclosure (Violated), or the cell width floor ``tol`` / the cell
-    ``budget`` is reached (Undecided).  Raises ``IndeterminateCell``, before
-    any cell is swept, when a box ceiling or the tail floor has no finite
-    enclosure at ``g_max``.
+    enclosure (Violated), or the sweep stops (Undecided): at the width
+    floor, a cell with no float split point strictly inside any axis, or
+    when the cell ``budget`` is spent, which bounds every unresolved
+    sweep.  Raises ``IndeterminateCell``, before any cell is swept, when a
+    box ceiling or the tail floor has no finite enclosure at ``g_max``.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError("tol must be positive and finite")
     if budget <= 0:
         raise DomainError("budget must be positive")
     if not (g_max >= 2 and math.isfinite(g_max)):
@@ -245,7 +245,7 @@ def certify(
                         split = c.mid
                     if c.lo < split < c.hi:
                         axis, widest, m = i, w, split
-            if m is None or widest < tol:
+            if m is None:
                 stop = "cell width floor reached", cell, slack
                 break
             c = cell[axis]
@@ -575,7 +575,6 @@ __all__ = [
     "CertReport",
     "DEFAULT_BUDGET",
     "DEFAULT_G_MAX",
-    "DEFAULT_TOL",
     "Dim",
     "FAMILIES",
     "GENUS",

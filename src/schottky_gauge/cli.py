@@ -133,8 +133,8 @@ def cmd_certify(args, parser):
     # not after the families before it have swept
     for f in fams:
         certify.check_g_max(f, args.gmax)
-    reports = [certify.certify(f, tol=args.tol, budget=args.budget,
-                               g_max=args.gmax) for f in fams]
+    reports = [certify.certify(f, budget=args.budget, g_max=args.gmax)
+               for f in fams]
     rows = [r.as_dict() for r in reports]
     if any(r.status == "Violated" for r in reports):
         return rows, EXIT_VIOLATED
@@ -231,7 +231,6 @@ COMMANDS = {
     "certify": (cmd_certify, "run the inequality certification suite", {
         "--families": dict(nargs="+", default=["all"]),
         "--gmax": dict(type=_genus_cutoff, default=certify.DEFAULT_G_MAX),
-        "--tol": dict(type=_positive_float, default=certify.DEFAULT_TOL),
         "--budget": dict(type=_positive_int, default=certify.DEFAULT_BUDGET)}),
     "ypiece": (cmd_ypiece, "Y-piece boundary lengths", {
         "--gamma": dict(type=_positive_float, required=True),

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_NODE_BUDGET = 10**9
+NODE_BUDGET = 10**9
 _SYMMETRY_TOL = 1e-12      # relative asymmetry allowed before rejection
 _RADIUS_SLACK = 1e-9       # multiplicative slack on the enumeration radius
 _DET_ONE_TOL = 1e-6        # |det - 1| allowed in PPAV mode
@@ -235,8 +235,7 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs
 
 
-def enumerate_below(gram: GramMatrix, radius_sq: float,
-                    budget: int = DEFAULT_NODE_BUDGET) -> list[ShortVector]:
+def enumerate_below(gram: GramMatrix, radius_sq: float) -> list[ShortVector]:
     """All nonzero integer vectors with form value <= radius_sq (one
     representative per +/- pair, its first nonzero coefficient positive),
     in ascending (norm, coefficient) order, each norm ``gram.norm_sq`` in
@@ -247,8 +246,8 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
     basis, are mapped through it. The tree holds one vector of each +/-
     pair (Agrell, Eriksson, Vardy & Zeger, IEEE Trans. Inf. Theory 2002):
     while every higher coordinate is 0, a coordinate runs from 0 up, and
-    the zero vector is no leaf. ``budget`` caps the nodes of this half
-    tree, one per coordinate value tried at any level; more raise
+    the zero vector is no leaf. ``NODE_BUDGET`` caps the nodes of this
+    half tree, one per coordinate value tried at any level; more raise
     BudgetExceeded. The search does not reduce: callers pass a reduced
     form (see ``reduce``) for speed. A multiplicative slack keeps
     boundary vectors whose float norm is within tolerance of the radius;
@@ -281,8 +280,8 @@ def enumerate_below(gram: GramMatrix, radius_sq: float,
         hi = math.floor(center + half + 1e-12)
         if hi >= lo:
             nodes += hi - lo + 1
-            if nodes > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+            if nodes > NODE_BUDGET:
+                raise BudgetExceeded(f"enumeration exceeded {NODE_BUDGET} nodes")
         if i == 0:
             rest = tuple(x[1:])
             for v in range(lo, hi + 1):
@@ -422,9 +421,9 @@ def load_gram(path: str, mode: Mode | None = None) -> GramMatrix:
 
 
 __all__ = [
-    "DEFAULT_NODE_BUDGET",
     "GramMatrix",
     "Mode",
+    "NODE_BUDGET",
     "ShortVector",
     "SuccessiveMinima",
     "ValidationError",

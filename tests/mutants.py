@@ -106,6 +106,8 @@ MUTANTS = [
      "if point is not None and point.hi < 0.0:", "if point is not None:", "certify"),
     ("cell-budget-off-by-one", "certify", "if cells > budget:", "if cells >= budget:",
      "certify"),
+    ("width-floor-relative-tolerance", "certify", "if m is None:",
+     "if m is None or widest < 1e-4:", "certify"),
     ("genus-split-at-midpoint", "certify",
      "split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid", "split = c.mid",
      "certify"),

@@ -225,7 +225,7 @@ def rational_pivots(vecs):
     return pivots
 
 
-# The default certify report (tol 1e-4, g_max 1e6), row for row as
+# The default certify report (g_max 1e6), row for row as
 # ``certify --families all`` prints it. test_float_golden.py compares every
 # field exactly; test_certify.py's test_default_report_frozen holds the
 # statuses and counts and min_slack_lo to 1e-12 relative. A speedup must

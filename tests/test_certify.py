@@ -91,13 +91,21 @@ class TestFamilies:
         # slack lower bound must hover just below zero, never far below
         assert -0.01 < rep.min_slack_lo <= 0.0
 
-    @pytest.mark.parametrize("tol", [1e-4, 1e-17, 1e-300])
-    @pytest.mark.parametrize("g_max", [2.0000000000000004, 1000.0, 1e300])
-    def test_cf_f_prime_stops_at_width_floor(self, tol, g_max):
-        # the corner equality is met at the width floor in a few hundred
-        # cells at most, whatever tol and g_max, under the default budget
-        rep = run_one(CF_F_PRIME, tol=tol, g_max=g_max)
-        assert rep.note == "cell width floor reached in task long-core"
+    @pytest.mark.parametrize("family, g_max, task", [
+        ("CF-F'", 2.0000000000000004, "long-core"),
+        ("CF-F'", 1000.0, "long-core"),
+        ("CF-F'", 1e300, "long-core"),
+        ("CF-I", 1e15, "main"),
+        ("CF-I", 1e100, "main"),
+    ], ids=["CF-F'-2.0000000000000004", "CF-F'-1000", "CF-F'-1e300",
+            "CF-I-1e15", "CF-I-1e100"])
+    def test_cf_f_prime_stops_at_width_floor(self, family, g_max, task):
+        # CF-F''s corner equality, and CF-I's slack, which tends to 0 with
+        # the genus, are met at the float width floor in a few hundred
+        # cells at most, whatever g_max, long before the default budget
+        rep = run_one(lookup(family), g_max=g_max)
+        assert rep.status == "Undecided"
+        assert rep.note == f"cell width floor reached in task {task}"
         assert rep.cells_processed < 200
 
     def test_cfa_finite_at_huge_genus(self):
@@ -156,7 +164,7 @@ class TestEngine:
             tasks=(Task(name="straddle", dims=(Dim("x", 0.0, 1.0),),
                         slack_iv=slack),),
         )
-        rep = run_one(fam, tol=0.01)
+        rep = run_one(fam)
         assert rep.status == "Undecided"
         assert "width floor" in rep.note
 
@@ -209,18 +217,23 @@ class TestEngine:
         assert (rep.status, rep.tail_status) == (status, tail)
         assert rep.note == ("" if status == "Certified" else "tail floor not positive")
 
-    def test_coarse_tolerance_leaves_undecided(self):
-        # sin-free toy with a pinch at x=1: slack x^2 - 2x + 1 + 1e-9 is
-        # positive but too tight to resolve at tol=0.5
+    def test_narrow_positive_region_certifies(self):
+        # the slack is resolved only on cells no wider than 1e-6 about
+        # x = 1/3: the sweep splits on down to the float width floor, so it
+        # certifies in about 20 halvings, never stopping at a coarser floor
+        def slack(x):
+            if x.lo <= 1.0 / 3.0 <= x.hi and x.hi - x.lo > 1e-6:
+                return Interval(-1.0, 1.0)
+            return Interval.point(1.0)
+
         fam = CertFamily(
-            id="T-PINCH",
-            tasks=(Task(
-                name="pinch",
-                dims=(Dim("x", 0.0, 2.0),),
-                slack_iv=lambda x: x.sq() - x * 2.0 + (1.0 + 1e-9)),),
+            id="T-NARROW",
+            tasks=(Task(name="narrow", dims=(Dim("x", 0.0, 1.0),),
+                        slack_iv=slack),),
         )
-        rep = run_one(fam, tol=0.5)
-        assert rep.status == "Undecided"
+        rep = run_one(fam)
+        assert rep.status == "Certified"
+        assert rep.cells_processed < 100
 
     @pytest.mark.parametrize("axis", [
         (1.0, math.nextafter(1.0, 2.0)), (math.nextafter(1.0, 0.0), 1.0),
@@ -310,12 +323,8 @@ class TestEngine:
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
-            run_one(lookup("CF-G"), tol=0.0)
-        with pytest.raises(DomainError):
             run_one(lookup("CF-G"), budget=0)
         for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                run_one(lookup("CF-G"), tol=bad)
             with pytest.raises(DomainError):
                 run_one(lookup("CF-G"), g_max=bad)
         with pytest.raises(DomainError):

@@ -153,7 +153,7 @@ class TestExclude:
         code, out, err = run(capsys, command, path)
         assert code == 3
         assert err.strip() == (
-            f"enumeration exceeded {lattice.DEFAULT_NODE_BUDGET} nodes")
+            f"enumeration exceeded {lattice.NODE_BUDGET} nodes")
         assert out == ""
 
     def test_parser_built_once(self, capsys, tmp_path):

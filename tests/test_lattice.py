@@ -170,22 +170,25 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             lattice.enumerate_below(g, radius)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         g = lattice.validate(np.eye(6), lattice.Mode.PLAIN)
-        with pytest.raises(BudgetExceeded):
-            lattice.enumerate_below(g, 50.0, budget=10)
+        monkeypatch.setattr(lattice, "NODE_BUDGET", 10)
+        with pytest.raises(BudgetExceeded, match="exceeded 10 nodes"):
+            lattice.enumerate_below(g, 50.0)
 
     @pytest.mark.parametrize("d, nodes", [(2, 4), (3, 8)])
-    def test_budget_counts_half_tree_nodes(self, d, nodes):
+    def test_budget_counts_half_tree_nodes(self, monkeypatch, d, nodes):
         """The identity at radius 1 holds the d unit vectors. The half tree
         tries x[d-1] in {0, 1}, then each lower coordinate in {0, 1} on the
         zero path ({1} at x[0]) and {0} off it: 2 + 1 + 1 nodes at d = 2,
         2 + 2 + 1 + 1 + 1 + 1 at d = 3 (the full ± tree tries 8 and 15)."""
         g = lattice.validate(np.eye(d), lattice.Mode.PLAIN)
-        vecs = lattice.enumerate_below(g, 1.0, budget=nodes)
+        monkeypatch.setattr(lattice, "NODE_BUDGET", nodes)
+        vecs = lattice.enumerate_below(g, 1.0)
         assert len(vecs) == d
+        monkeypatch.setattr(lattice, "NODE_BUDGET", nodes - 1)
         with pytest.raises(BudgetExceeded):
-            lattice.enumerate_below(g, 1.0, budget=nodes - 1)
+            lattice.enumerate_below(g, 1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
