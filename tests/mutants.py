@@ -113,6 +113,8 @@ MUTANTS = [
      "certify"),
     ("budget-zero-accepted", "certify", "if budget <= 0:", "if budget < 0:",
      "certify"),
+    ("ratio-3-over-3.1-as-point", "certify", "_C3_31 = Interval.ratio(3.0, 3.1)",
+     "_C3_31 = Interval.point(3.0 / 3.1)", "certify"),
     ("gamma2-box-start", "certify", "_GAMMA2_LO = Interval.ratio(21.0, 10.0).lo",
      "_GAMMA2_LO = Interval.ratio(21.0, 10.0).hi", "certify"),
     ("half-pi-box-end", "certify", "(IPI * 0.5).hi)", "(IPI * 0.5).lo)", "certify"),

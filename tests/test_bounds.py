@@ -21,20 +21,6 @@ P = Interval.point
 G2 = P(2.0)
 
 
-def test_thm_bs_upper():
-    assert bounds.thm_bs_upper(G2).mid == pytest.approx(1.7110042581561341, rel=REL)
-
-
-def test_thm_main_bounds():
-    assert bounds.thm_main_m1(G2).mid == pytest.approx(1.7917594692280550, rel=REL)
-    assert bounds.thm_main_m2(G2).mid == pytest.approx(6.8113961897422801, rel=REL)
-
-
-def test_systole_bounds():
-    assert bounds.systole_gamma1(G2).mid == pytest.approx(3.5835189384561100, rel=REL)
-    assert bounds.systole_gamma2(G2).mid == pytest.approx(6.5916737320086581, rel=REL)
-
-
 def test_genus_guard():
     # the entry points that take an integer genus reject one below their
     # floor: 2, or 1 for the Minkowski product bound
@@ -220,13 +206,6 @@ def test_minkowski_bounds_read_the_lattice_constant():
         c = lattice.minkowski_log_constant(2 * g)
         assert bounds.minkowski_product_log_bound(g) == 2.0 * g * c
         assert bounds.hermite_ppav_bounds(g)[1] == math.exp(c)
-
-
-def test_hermite_ppav_bounds():
-    lo, hi = bounds.hermite_ppav_bounds(2)
-    assert lo == pytest.approx(0.6366197723675813, rel=REL)
-    assert hi == pytest.approx(1.8006326323142121, rel=REL)
-    assert lo < hi
 
 
 def test_hermite_asymptote():

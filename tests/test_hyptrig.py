@@ -20,22 +20,6 @@ from schottky_gauge.interval import Interval
 P = Interval.point
 
 
-def test_pentagon_value():
-    assert encloses(collar.pentagon(P(1.0), P(1.0)), oracles.pentagon(1, 1))
-
-
-def test_pentagon_domain():
-    # sinh(0.5)^2 < 1: no such pentagon
-    with pytest.raises(DomainError):
-        collar.pentagon(P(0.5), P(0.5))
-
-
-def test_hexagon_value():
-    # the hexagon with sides 1, 2, 1 is two pentagons with sides 1, 1
-    hexv = mp.acosh(oracles.hexagon_rhs(1, 2, 1))
-    assert encloses(collar.pentagon(P(1.0), P(1.0)) * 2.0, hexv)
-
-
 def test_hexagon_rhs_example():
     # cosh of the hexagon side is 2 cosh^2(c) - 1 for the pentagon side c
     c = collar.pentagon(P(1.0), P(1.0))

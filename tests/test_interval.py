@@ -16,8 +16,6 @@ from schottky_gauge.interval import (
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
-positive = st.floats(min_value=1e-6, max_value=50.0,
-                     allow_nan=False, allow_infinity=False)
 
 
 def make(a, b):
@@ -82,24 +80,6 @@ def test_arithmetic_containment(a, b, c, d):
     assert x.sq().contains(px * px)
 
 
-@given(finite, finite)
-def test_monotone_function_containment(a, b):
-    x = make(a, b)
-    p = x.mid
-    assert x.sinh().contains(math.sinh(p))
-    assert x.cosh().contains(math.cosh(p))
-    assert x.asinh().contains(math.asinh(p))
-    assert x.sinhc().contains(math.sinh(p) / p if p != 0 else 1.0)
-
-
-@given(positive, positive)
-def test_log_sqrt_containment(a, b):
-    x = make(a, b)
-    p = x.mid
-    assert x.log().contains(math.log(p))
-    assert x.sqrt().contains(math.sqrt(p))
-
-
 def test_sq_straddling_zero_rounds_up():
     # 0.7 * 0.7 rounds below the exact square of the float 0.7, so the
     # straddling case needs its outward step
@@ -161,13 +141,6 @@ def test_min_max_with():
     assert m.lo == 1.0 and m.hi == 2.5
     m = x.max_with(y)
     assert m.lo == 2.0 and m.hi == 3.0
-
-
-@given(positive, positive)
-@settings(max_examples=200)
-def test_division_containment(a, b):
-    x, y = make(a, b), make(a + 1.0, b + 1.0)
-    assert (x / y).contains(x.mid / y.mid)
 
 
 # Any finite double, with the edge cases drawn often: signed zeros,
