@@ -27,7 +27,8 @@ from typing import Callable
 
 from . import bounds, collar
 from .errors import DomainError
-from .interval import IPI, IW, IWP, Interval
+from .interval import (
+    _INF, _NEG_INF, IPI, IW, IWP, IndeterminateCell, Interval, _next)
 
 DEFAULT_G_MAX = 1e6
 DEFAULT_BUDGET = 10**7
@@ -138,14 +139,6 @@ def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
     return init, spans
 
 
-def _slack(task: Task, cell) -> Interval | None:
-    """The slack of ``task`` on ``cell``; None where it has no enclosure."""
-    try:
-        return task.slack_iv(*cell)
-    except DomainError:
-        return None
-
-
 _VIOLATED = "violation proven by point enclosure"
 
 
@@ -187,7 +180,7 @@ def certify(
         if box is None:
             continue  # empty axis: vacuous domain
         init, spans = box
-        dims = task.dims
+        dims, slack_iv = task.dims, task.slack_iv
         names = [d.name for d in dims]
         geometric = [d is GENUS for d in dims]
         # Axes whose ceiling follows the genus; only their tasks clip cells.
@@ -222,13 +215,19 @@ def certify(
                 if cell is None:
                     vacuous += 1
                     continue
-            slack = _slack(task, cell)
+            try:
+                slack = slack_iv(*cell)
+            except DomainError:  # no enclosure on this cell
+                slack = None
             if slack is not None and slack.lo > 0.0:
                 if best is None or slack.lo < best.lo:
                     best, at = slack, (names, cell)
                 continue
             if slack is not None and slack.hi < 0.0:
-                point = _slack(task, [Interval.point(c.mid) for c in cell])
+                try:
+                    point = slack_iv(*[Interval.point(c.mid) for c in cell])
+                except DomainError:
+                    point = None
                 if point is not None and point.hi < 0.0:
                     stop = _VIOLATED, cell, point
                     break
@@ -297,9 +296,14 @@ def certify(
 # LRU of at most _AXIS_PART_SIZE entries keyed by the interval's ends.  A
 # part is a pure function of those ends, so an entry kept from an earlier
 # call is the value this call would compute; a call that raises stores
-# nothing.  The slack combines the parts in the order of the written-out
-# form (log8(g) - (pi (g-1) sinhc(gamma/2)).acosh()) * 4, so each
-# enclosure is the same to the bit.
+# nothing.  With P = pi (g-1) >= pi, S = sinhc(gamma/2) >= 1 and
+# L = log(8g-7), the slack 4 (L - arccosh(P S)) is monotone in each part,
+# so it is combined from the parts' ends with no Interval in between:
+# [4 (L.lo - acosh(up(P.hi S.hi))), 4 (L.hi - acosh(down(P.lo S.lo)))].
+# Each end takes the outward steps of the written-out form
+# (L - (P * S).acosh()) * 4: one ulp for the product, Interval.acosh's two
+# with the lower end floored at 0, one for the difference and one for the
+# times 4, so each enclosure, and each exception type, is the same.
 _AXIS_PART_SIZE = 128
 
 
@@ -315,8 +319,18 @@ def _cfa_gamma(lo: float, hi: float) -> Interval:
 
 
 def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
-    pi_g1, log8 = _cfa_genus(g.lo, g.hi)
-    return (log8 - (pi_g1 * _cfa_gamma(y.lo, y.hi)).acosh()) * 4.0
+    p, log8 = _cfa_genus(g.lo, g.hi)
+    s = _cfa_gamma(y.lo, y.hi)
+    lo, hi = _next(p.lo * s.lo, _NEG_INF), _next(p.hi * s.hi, _INF)
+    if not lo >= 1.0:  # where .acosh() raises; an overflow raises first
+        raise (DomainError if hi < _INF else IndeterminateCell)(
+            f"arccosh argument not in [1, inf) on {g!r} x {y!r}")
+    lo = _next(_next(math.acosh(lo), _NEG_INF), _NEG_INF)
+    hi = _next(_next(math.acosh(hi), _INF), _INF)
+    if lo < 0.0:
+        lo = 0.0
+    return Interval(_next(_next(log8.lo - hi, _NEG_INF) * 4.0, _NEG_INF),
+                    _next(_next(log8.hi - lo, _INF) * 4.0, _INF))
 
 
 def _cfa_tail(_g_from: float) -> TailProof:

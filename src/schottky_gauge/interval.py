@@ -16,12 +16,11 @@ whose arguments state its ulp count and the floor of its range.  The
 widening over-approximates true directed rounding, which is not portably
 switchable from Python, so every interval result encloses the exact
 image of its inputs on a libm within those bounds.  A float operand of
-+, - and / is its point interval [x, x], so each has one formula; only *
-keeps a float path, for speed.  Products and quotients with operands of
-known sign (a float factor included) take only the two endpoint products
-that bound them; rounding to nearest is monotone, so those are exactly the
-min and max of the four-product formula, and the soundness model is
-unchanged.
++, -, * and / is its point interval [x, x], so each has one formula.
+Products and quotients with operands of known sign take only the two
+endpoint products that bound them; rounding to nearest is monotone, so
+those are exactly the min and max of the four-product formula, and the
+soundness model is unchanged.
 
 Only the function domains needed by the bound formulas are supported;
 intervals are always finite and nonempty.  An operation with no finite
@@ -103,16 +102,13 @@ class Interval:
         return Interval.point(other) - self
 
     def __mul__(self, other):
-        lo, hi = self.lo, self.hi
-        if isinstance(other, Interval):
-            olo, ohi = other.lo, other.hi
-            if lo >= 0.0 and olo >= 0.0:
-                return Interval(_next(lo * olo, _NEG_INF), _next(hi * ohi, _INF))
-            p = (lo * olo, lo * ohi, hi * olo, hi * ohi)
-            return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
-        if other >= 0.0:
-            return Interval(_next(lo * other, _NEG_INF), _next(hi * other, _INF))
-        return Interval(_next(hi * other, _NEG_INF), _next(lo * other, _INF))
+        if not isinstance(other, Interval):
+            other = Interval.point(other)
+        lo, hi, olo, ohi = self.lo, self.hi, other.lo, other.hi
+        if lo >= 0.0 and olo >= 0.0:
+            return Interval(_next(lo * olo, _NEG_INF), _next(hi * ohi, _INF))
+        p = (lo * olo, lo * ohi, hi * olo, hi * ohi)
+        return Interval(_next(min(p), _NEG_INF), _next(max(p), _INF))
 
     __rmul__ = __mul__
 

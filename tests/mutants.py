@@ -123,6 +123,26 @@ MUTANTS = [
     ("axis-part-unbounded", "certify",
      "@functools.lru_cache(maxsize=_AXIS_PART_SIZE)\ndef _cfa_genus",
      "@functools.lru_cache(maxsize=None)\ndef _cfa_genus", "certify"),
+    # -- certify: each outward step of CF-A's endpoint form
+    ("cfa-product-not-widened", "certify",
+     "lo, hi = _next(p.lo * s.lo, _NEG_INF), _next(p.hi * s.hi, _INF)",
+     "lo, hi = p.lo * s.lo, p.hi * s.hi", "certify"),
+    ("cfa-acosh-one-ulp", "certify",
+     "lo = _next(_next(math.acosh(lo), _NEG_INF), _NEG_INF)\n"
+     "    hi = _next(_next(math.acosh(hi), _INF), _INF)",
+     "lo = _next(math.acosh(lo), _NEG_INF)\n    hi = _next(math.acosh(hi), _INF)",
+     "certify"),
+    ("cfa-domain-excludes-one", "certify", "if not lo >= 1.0:", "if not lo > 1.0:",
+     "certify"),
+    ("cfa-overflow-as-domain-error", "certify",
+     "raise (DomainError if hi < _INF else IndeterminateCell)(",
+     "raise DomainError(", "certify"),
+    ("cfa-difference-not-widened", "certify",
+     "_next(_next(log8.lo - hi, _NEG_INF) * 4.0, _NEG_INF)",
+     "_next((log8.lo - hi) * 4.0, _NEG_INF)", "certify"),
+    ("cfa-times-four-not-widened", "certify",
+     "_next(_next(log8.hi - lo, _INF) * 4.0, _INF))",
+     "_next(log8.hi - lo, _INF) * 4.0)", "certify"),
     # -- lattice: tolerances, the half tree, pivots, reduction, witnesses, the
     # summation order
     ("symmetry-tolerance", "lattice", "_SYMMETRY_TOL = 1e-12", "_SYMMETRY_TOL = 1e-9",

@@ -601,7 +601,12 @@ def _cfa_written_out(g, y):
 def test_cfa_slack_bit_identical_to_written_out_form():
     # 50 genus intervals times 40 gamma intervals, each pair evaluated
     # twice, so most parts come from the cache; g = 2, gamma near 0 and
-    # gamma = pi/2 are among them
+    # gamma = pi/2 are among them.  Cells outside the domain follow, where
+    # the written-out form raises: g at or below 1, where log(8g-7) or
+    # the arccosh has no enclosure, a gamma whose sinhc overflows, and the
+    # product overflowing while its lower end is below 1, which is an
+    # IndeterminateCell, not a DomainError.  One cell puts the arccosh
+    # argument's lower end at exactly 1, where the domain starts.
     rng = random.Random(19)
     top = (IPI * 0.5).hi
     gs = [Interval(2.0, 2.0), Interval(2.0, 2.5), Interval(2.0, DEFAULT_G_MAX),
@@ -615,6 +620,15 @@ def test_cfa_slack_bit_identical_to_written_out_form():
     while len(ys) < 40:
         lo = top * rng.random()
         ys.append(Interval(lo, lo + (top - lo) * rng.random() ** 3))
+    gs += [Interval(0.5, 1.0), Interval(1.0, 1.0), Interval(1.0, 1.5),
+           Interval(0.9, 1.1), Interval(1.0, 3e307), Interval(1.0, 1e10),
+           Interval(1.3183098861837907, 2.0)]
+    ys += [Interval(1.0, 2000.0), Interval(0.0, 1500.0), Interval(-1.0, 1.0),
+           Interval(0.0, 1400.0), Interval(1.664e-07, 1.5)]
+    edge = Interval(1.3183098861837907, 2.0), Interval(1.664e-07, 1.5)
+    assert (IPI * (edge[0] - 1.0) * (edge[1] * 0.5).sinhc()).lo == 1.0
+    with pytest.raises(IndeterminateCell):
+        _cfa_written_out(Interval(1.0, 1e10), Interval(0.0, 1400.0))
     slack = lookup("CF-A").tasks[0].slack_iv
     for _ in range(2):
         for g in gs:
@@ -622,11 +636,32 @@ def test_cfa_slack_bit_identical_to_written_out_form():
                 try:
                     want = _cfa_written_out(g, y)
                 except DomainError as exc:
-                    with pytest.raises(type(exc)):
+                    with pytest.raises(DomainError) as got:
                         slack(g, y)
+                    assert type(got.value) is type(exc), (g, y)
                     continue
                 got = slack(g, y)
                 assert (got.lo, got.hi) == (want.lo, want.hi), (g, y)
+
+
+def test_cfa_default_sweep_bit_identical_to_written_out_form():
+    # the slack of every cell of the default CF-A sweep, as the engine
+    # computed it; every cell has one
+    cfa = lookup("CF-A")
+    task = cfa.tasks[0]
+    cells = []
+
+    def spy(g, y):
+        slack = task.slack_iv(g, y)
+        cells.append((g, y, slack))
+        return slack
+
+    fam = dataclasses.replace(
+        cfa, tasks=(dataclasses.replace(task, slack_iv=spy),))
+    assert run_one(fam).cells_processed == len(cells) == 13965
+    for g, y, got in cells:
+        want = _cfa_written_out(g, y)
+        assert (got.lo, got.hi) == (want.lo, want.hi), (g, y)
 
 
 def _cfa_slack_u(u, y):
