@@ -6,7 +6,6 @@ from .errors import (
     BudgetExceeded,
     DeterminantNotOne,
     DomainError,
-    IncompleteMinima,
     MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
@@ -23,7 +22,6 @@ __all__ = [
     "BudgetExceeded",
     "DeterminantNotOne",
     "DomainError",
-    "IncompleteMinima",
     "Interval",
     "MalformedGram",
     "NotPositiveDefinite",

@@ -10,9 +10,8 @@ interval form) and the decomposition corollary are floats; Minkowski's
 second theorem in dimension 2g, on ``lattice.minkowski_log_constant``,
 gives the product ceiling and the Hermite bracket's upper end.
 
-The checks that read computed minima (the Minkowski second-theorem check
-and the exclusion verdict) live here, on top of
-:mod:`schottky_gauge.lattice`, which imports nothing from this module.
+The exclusion verdict, which reads computed minima, lives here, on top
+of :mod:`schottky_gauge.lattice`, which imports nothing from this module.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce as fold  # sum() of floats compensates from 3.12 on
-from operator import add
 
 from . import lattice
-from .errors import DomainError, IncompleteMinima
+from .errors import DomainError
 from .interval import IPI, Interval
 
 _R31 = Interval.ratio(31.0, 10.0)           # 3.1
@@ -166,9 +163,7 @@ HYPERELLIPTIC = BAVARD_LIMIT * 1.5 / IPI
 
 def corollary_mixing(t: float) -> float:
     """M = min{sinh(t/2)/sqrt(sinh^2(t/2) + 1), 1/2} entering the
-    decomposition bound denominator."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    decomposition bound denominator, for t > 0 (``Decomposition`` holds it)."""
     if t >= 2.0:
         # sinh(t/2) > 1/sqrt(3), where the first term reaches 1/2; larger t
         # would overflow s*s, then sinh
@@ -216,19 +211,6 @@ def hermite_ppav_bounds(g: int) -> tuple[float, float]:
     _check_genus(g)
     lower = math.exp((math.log(2.0) + math.lgamma(g + 1)) / g) / math.pi
     return lower, math.exp(lattice.minkowski_log_constant(2 * g))
-
-
-def check_minkowski(gram, minima) -> dict:
-    """Second-theorem compliance: sum of log m_k^2 against the PPAV ceiling."""
-    if gram.mode is not lattice.Mode.PPAV:
-        raise DomainError("Minkowski check applies to PPAV-mode matrices")
-    if minima.k < gram.dim:
-        raise IncompleteMinima(f"need all {gram.dim} minima, got {minima.k}")
-    g = gram.dim // 2
-    total = fold(add, map(math.log, minima.values), 0.0)
-    ceiling = minkowski_product_log_bound(g)
-    return {"g": g, "sum_log_minima_sq": total, "log_bound": ceiling,
-            "slack": ceiling - total, "passed": total <= ceiling + 1e-12}
 
 
 def jacobian_exclusion(gram) -> ExclusionVerdict:

@@ -22,9 +22,6 @@ class ValidationError(SchottkyGaugeError):
 
     name = "ValidationError"
 
-    def __str__(self):  # pragma: no cover - trivial
-        return f"{self.name}: {super().__str__()}"
-
 
 class MalformedGram(ValidationError):
     name = "MalformedGram"
@@ -54,7 +51,3 @@ class NumericalBreakdown(SchottkyGaugeError):
 class BudgetExceeded(SchottkyGaugeError):
     """Enumeration exceeded its node budget. (Certification does not raise
     it: a spent cell budget makes its report Undecided.)"""
-
-
-class IncompleteMinima(SchottkyGaugeError):
-    """An operation needed minima for k = dim but received fewer."""

@@ -79,9 +79,6 @@ class Interval:
             m = 0.5 * self.lo + 0.5 * self.hi
         return m
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -32,7 +32,6 @@ from .errors import (
     NotSymmetric,
     NumericalBreakdown,
     OddDimension,
-    ValidationError,
 )
 
 NODE_BUDGET = 10**9
@@ -426,7 +425,6 @@ __all__ = [
     "NODE_BUDGET",
     "ShortVector",
     "SuccessiveMinima",
-    "ValidationError",
     "enumerate_below",
     "json_float",
     "load_gram",

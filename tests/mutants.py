@@ -63,6 +63,8 @@ MUTANTS = [
     ("asin-domain-excludes-one", "interval",
      "if self.lo < -1.0 or self.hi > 1.0:", "if self.lo < -1.0 or self.hi >= 1.0:",
      "interval"),
+    ("atanh-domain-admits-one", "interval", "self.hi < 1.0):", "self.hi <= 1.0):",
+     "interval"),
     # -- collar: one formula per lemma
     ("dcap-single-arcsin", "collar", "return IPI - (1.0 / w.cosh()).asin() * 2.0",
      "return IPI - (1.0 / w.cosh()).asin()", "collar"),
@@ -87,8 +89,6 @@ MUTANTS = [
     ("buser-sarnak-coefficient", "bounds", "return thm_main_m1(g) * 3.0 / IPI",
      "return thm_main_m1(g) * 2.0 / IPI", "bounds"),
     ("bavard-angle", "bounds", "(1.0 + 1.0 / g))", "(1.0 + 2.0 / g))", "bounds"),
-    ("minkowski-ceiling-tolerance-inward", "bounds", "total <= ceiling + 1e-12",
-     "total <= ceiling - 1e-12", "lattice"),
     ("minkowski-product-exponent", "bounds",
      "return 2.0 * g * lattice.minkowski_log_constant(2 * g)",
      "return g * lattice.minkowski_log_constant(2 * g)", "bounds"),
@@ -112,6 +112,8 @@ MUTANTS = [
      "split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid", "split = c.mid",
      "certify"),
     ("budget-zero-accepted", "certify", "if budget <= 0:", "if budget < 0:",
+     "certify"),
+    ("budget-one-rejected", "certify", "if budget <= 0:", "if budget <= 1:",
      "certify"),
     ("ratio-3-over-3.1-as-point", "certify", "_C3_31 = Interval.ratio(3.0, 3.1)",
      "_C3_31 = Interval.point(3.0 / 3.1)", "certify"),
@@ -147,6 +149,8 @@ MUTANTS = [
     # summation order
     ("symmetry-tolerance", "lattice", "_SYMMETRY_TOL = 1e-12", "_SYMMETRY_TOL = 1e-9",
      "lattice"),
+    ("symmetry-tolerance-boundary", "lattice", "chain(*at)))) > \\",
+     "chain(*at)))) >= \\", "lattice"),
     ("det-tolerance", "lattice", "_DET_ONE_TOL = 1e-6", "_DET_ONE_TOL = 1e-3",
      "extremal_lattices"),
     ("radius-slack", "lattice", "_RADIUS_SLACK = 1e-9", "_RADIUS_SLACK = 0.0",

@@ -15,6 +15,8 @@
   exhaustive search.
 - ``rational_pivots``, exact Gaussian elimination over the rationals,
   for the rank of witness rows and the determinant of a basis change.
+- ``check_minkowski``, Minkowski's second theorem on computed minima: no
+  command prints it, so it lives here, on ``bounds``' product ceiling.
 - ``CERTIFY_ALL``, the frozen default certify report, with its field
   names ``CERTIFY_KEYS``.
 """
@@ -22,9 +24,13 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce as fold  # sum() of floats compensates from 3.12 on
+from operator import add
 
 import mpmath
 import numpy as np
+
+from schottky_gauge import bounds, lattice
 
 mp = mpmath.MPContext()
 mp.dps = 50
@@ -223,6 +229,17 @@ def rational_pivots(vecs):
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(rows[r][col])
     return pivots
+
+
+def check_minkowski(gram, minima) -> dict:
+    """Second-theorem compliance of a PPAV's dim minima: the left-to-right
+    sum of log m_k^2 against ``bounds.minkowski_product_log_bound``, with
+    1e-12 of slack, so minima exactly at the ceiling pass."""
+    assert gram.mode is lattice.Mode.PPAV and minima.k == gram.dim
+    total = fold(add, map(math.log, minima.values), 0.0)
+    ceiling = bounds.minkowski_product_log_bound(gram.dim // 2)
+    return {"sum_log_minima_sq": total, "log_bound": ceiling,
+            "slack": ceiling - total, "passed": total <= ceiling + 1e-12}
 
 
 # The default certify report (g_max 1e6), row for row as

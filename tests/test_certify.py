@@ -290,6 +290,11 @@ class TestEngine:
         assert rep.cells_processed == 11
         assert rep.note == "cell budget exhausted in task second"
 
+    def test_budget_of_one_cell(self):
+        # the smallest budget is allowed: CF-G is a point task, one cell
+        rep = run_one(lookup("CF-G"), budget=1)
+        assert (rep.status, rep.cells_processed) == ("Certified", 1)
+
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["b-last", "b-first"])
     def test_min_slack_over_all_tasks(self, order):
         tasks = (

