@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             render(rows, args.format)
         return code
     except ValidationError as exc:
-        print(exc.name, file=sys.stderr)
+        print(type(exc).__name__, file=sys.stderr)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
     except SchottkyGaugeError as exc:

@@ -17,30 +17,29 @@ class DomainError(SchottkyGaugeError):
 class ValidationError(SchottkyGaugeError):
     """Base class for Gram-matrix validation failures.
 
-    ``name`` is the stable identifier surfaced by the CLI on exit code 3.
+    The class name is the stable identifier surfaced by the CLI on exit
+    code 3.
     """
-
-    name = "ValidationError"
 
 
 class MalformedGram(ValidationError):
-    name = "MalformedGram"
+    pass
 
 
 class NotSymmetric(ValidationError):
-    name = "NotSymmetric"
+    pass
 
 
 class NotPositiveDefinite(ValidationError):
-    name = "NotPositiveDefinite"
+    pass
 
 
 class OddDimension(ValidationError):
-    name = "OddDimension"
+    pass
 
 
 class DeterminantNotOne(ValidationError):
-    name = "DeterminantNotOne"
+    pass
 
 
 class NumericalBreakdown(SchottkyGaugeError):

@@ -78,7 +78,6 @@ class ShortVector:
 
 @dataclass(frozen=True)
 class SuccessiveMinima:
-    k: int
     values: tuple[float, ...]
     witnesses: tuple[ShortVector, ...]
 
@@ -364,7 +363,7 @@ def successive_minima(gram: GramMatrix, k: int) -> SuccessiveMinima:
                 witnesses.append(sv)
                 if len(witnesses) == k:
                     # the scan is in norm order, so nothing shorter was missed
-                    return SuccessiveMinima(k, tuple(w.norm_sq for w in witnesses),
+                    return SuccessiveMinima(tuple(w.norm_sq for w in witnesses),
                                             tuple(witnesses))
         if radius >= cap:
             raise NumericalBreakdown(f"no {k} independent vectors below {cap}")

@@ -65,6 +65,8 @@ MUTANTS = [
      "interval"),
     ("atanh-domain-admits-one", "interval", "self.hi < 1.0):", "self.hi <= 1.0):",
      "interval"),
+    ("overflow-message-reworded", "interval", 'overflow on {cell!r}"',
+     'overflow at {cell!r}"', "reach"),
     # -- collar: one formula per lemma
     ("dcap-single-arcsin", "collar", "return IPI - (1.0 / w.cosh()).asin() * 2.0",
      "return IPI - (1.0 / w.cosh()).asin()", "collar"),
@@ -101,7 +103,7 @@ MUTANTS = [
     ("tail-accepts-zero-floor", "certify", "if lb > 0.0 or", "if lb >= 0.0 or",
      "certify"),
     ("cf-i-tail-not-strict", "certify", "strict=True)", "strict=False)",
-     "certify float_golden"),
+     "certify reach"),
     ("violation-without-point-proof", "certify",
      "if point is not None and point.hi < 0.0:", "if point is not None:", "certify"),
     ("cell-budget-off-by-one", "certify", "if cells > budget:", "if cells >= budget:",
@@ -201,11 +203,13 @@ MUTANTS = [
     # -- cli: the one output path
     ("main-drops-handler-code", "cli", "        return code\n", "        return EXIT_OK\n",
      "cli"),
+    ("float-range-message-reworded", "cli", 'f"value out of floating-point range: {exc}"',
+     'f"value out of range: {exc}"', "reach"),
     ("csv-twelve-digits", "cli", 'digits = 17 if fmt == "csv" else 12',
-     'digits = 12 if fmt == "csv" else 12', "float_golden"),
+     'digits = 12 if fmt == "csv" else 12', "reach"),
     ("table-one-space-between-columns", "cli", '"  ".join(v.ljust(w)',
-     '" ".join(v.ljust(w)', "float_golden"),
-    ("table-trailing-space-kept", "cli", ".rstrip() + ", " + ", "float_golden"),
+     '" ".join(v.ljust(w)', "reach"),
+    ("table-trailing-space-kept", "cli", ".rstrip() + ", " + ", "reach"),
     ("degenerate-line-unterminated", "cli", '_emit("degenerate\\n")',
      '_emit("degenerate")', "cli"),
 ]

@@ -17,8 +17,6 @@
   for the rank of witness rows and the determinant of a basis change.
 - ``check_minkowski``, Minkowski's second theorem on computed minima: no
   command prints it, so it lives here, on ``bounds``' product ceiling.
-- ``CERTIFY_ALL``, the frozen default certify report, with its field
-  names ``CERTIFY_KEYS``.
 """
 
 import itertools
@@ -235,67 +233,9 @@ def check_minkowski(gram, minima) -> dict:
     """Second-theorem compliance of a PPAV's dim minima: the left-to-right
     sum of log m_k^2 against ``bounds.minkowski_product_log_bound``, with
     1e-12 of slack, so minima exactly at the ceiling pass."""
-    assert gram.mode is lattice.Mode.PPAV and minima.k == gram.dim
+    assert gram.mode is lattice.Mode.PPAV and len(minima.values) == gram.dim
     total = fold(add, map(math.log, minima.values), 0.0)
     ceiling = bounds.minkowski_product_log_bound(gram.dim // 2)
     return {"sum_log_minima_sq": total, "log_bound": ceiling,
             "slack": ceiling - total, "passed": total <= ceiling + 1e-12}
 
-
-# The default certify report (g_max 1e6), row for row as
-# ``certify --families all`` prints it. test_float_golden.py compares every
-# field exactly; test_certify.py's test_default_report_frozen holds the
-# statuses and counts and min_slack_lo to 1e-12 relative. A speedup must
-# leave all of it unchanged. A soundness change (wider enclosures in the
-# interval layer, or a box widened to cover its stated endpoints) may move
-# these figures; it re-freezes them here and records the old and new
-# values in CHANGES.md.
-CERTIFY_KEYS = (
-    "family", "status", "min_slack_lo", "min_slack_hi", "witness",
-    "cells_processed", "max_depth", "tail_status", "tail_note",
-    "vacuous_cells", "g_max", "note",
-)
-
-CERTIFY_ALL = [
-    ("CF-A", "Certified", 0.00016126374367431135, 1.6594792220014374,
-     {"g": 134.51154586901777, "gamma": 0.9203884727313851}, 13965, 14,
-     "Proven",
-     "slack floor 0.563163 beyond g_max: log-majorization of "
-     "arccosh, g-free floor", 0, 1000000.0, ""),
-    ("CF-B", "Certified", 1.2619250327438143, 17.787721660631842,
-     {"g": 733.6982606712725, "gamma": 1.1780972450961729}, 65, 8, "Proven",
-     "slack floor 3.89772 beyond g_max: log-majorization of "
-     "arccosh, g-free floor", 0, 1000000.0, ""),
-    ("CF-C", "Certified", 0.004228468457058709, 0.06969841203736539,
-     {"alpha1": 1.134765625}, 15, 7, "Proven",
-     "slack floor 1.92718 beyond g_max: width floor for alpha1 >= "
-     "10.0 (covers every genus cap)", 0, 1000000.0, ""),
-    ("CF-D", "Certified", 0.39614213042225893, 1.9460857476240199,
-     {"g": 2.227570395565804}, 13, 6, "Proven",
-     "slack floor 24.4794 beyond g_max: log-coefficient "
-     "comparison, increasing in g", 0, 1000000.0, ""),
-    ("CF-E", "Certified", 0.04575316208483659, 0.7180151419936297,
-     {"g": 2.107957758926668, "gamma2": 7.037265076609534}, 99, 14, "Proven",
-     "slack floor 7.41344 beyond g_max: two-regime split at "
-     "gamma2 = 10, increasing in g", 7, 1000000.0, ""),
-    ("CF-F", "Certified", 0.0023534994471079425, 0.8297787935919817,
-     {"g": 228.1198022454164, "gamma": 13.355825070810221}, 350, 15,
-     "Proven",
-     "slack floor 0.0807552 beyond g_max: capacity ceiling 3 "
-     "gamma/(2 pi) above K, g-free", 38, 1000000.0, ""),
-    ("CF-G", "Certified", 0.0007456296975852926, 0.0007456296975865141,
-     {}, 1, 0, "N/A",
-     "", 0, 1000000.0, ""),
-    ("CF-H", "Certified", 0.009025234112393197, 0.49869362156288827,
-     {"gamma2": 2.5523437499999995}, 13, 6, "Proven",
-     "slack floor 13.7461 beyond g_max: width floor for gamma2 >= "
-     "60 (covers every genus cap)", 0, 1000000.0, ""),
-    ("CF-I", "Certified", 4.5677823514722596e-06, 2.0496056345593994,
-     {"g": 500001.0}, 1, 0, "Proven",
-     "slack floor 0 beyond g_max: theta(g) > pi/12 strictly for "
-     "every finite g", 0, 1000000.0, ""),
-    ("CF-J", "Certified", 0.0013066739078548826, 0.010572490680081816,
-     {"alpha1": 1.50830078125}, 19, 9, "Proven",
-     "slack floor 2.12474 beyond g_max: width floor for alpha1 >= "
-     "10.0", 0, 1000000.0, ""),
-]

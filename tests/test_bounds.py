@@ -319,7 +319,7 @@ class TestExclusion:
         # minima are stubbed and just the classification logic is checked.
         gram = lattice.validate(np.eye(24), lattice.Mode.PPAV)
         fake = lattice.SuccessiveMinima(
-            k=2, values=(2.6, 2.6),
+            values=(2.6, 2.6),
             witnesses=(lattice.ShortVector((1,) + (0,) * 23, 2.6),
                        lattice.ShortVector((0, 1) + (0,) * 22, 2.6)))
         monkeypatch.setattr(lattice, "successive_minima", lambda g, k: fake)

@@ -34,20 +34,6 @@ def reports():
 
 
 class TestFamilies:
-    def test_default_report_frozen(self, reports):
-        # statuses and counts exactly, min_slack_lo to 1e-12 relative
-        exact = ("status", "tail_status", "cells_processed", "vacuous_cells",
-                 "max_depth")
-        frozen = [dict(zip(oracles.CERTIFY_KEYS, row))
-                  for row in oracles.CERTIFY_ALL]
-        assert list(reports) == [row["family"] for row in frozen]
-        for row in frozen:
-            rep = reports[row["family"]].as_dict()
-            assert [rep[k] for k in exact] == [row[k] for k in exact], row
-            assert rep["min_slack_lo"] == pytest.approx(
-                row["min_slack_lo"], rel=1e-12, abs=0), row["family"]
-        assert sum(r.cells_processed for r in reports.values()) == 14541
-
     def test_boxes_cover_the_stated_endpoints(self):
         # every box starts at a float at or below its stated real lower
         # bound and ends at or above its stated real upper bound

@@ -393,7 +393,7 @@ class TestMinkowski:
         g = lattice.validate(np.eye(4), lattice.Mode.PPAV)
         c = bounds.minkowski_product_log_bound(2)
         values = (1.0, 1.0, 1.0, math.exp(c))
-        m = lattice.SuccessiveMinima(4, values, tuple(
+        m = lattice.SuccessiveMinima(values, tuple(
             lattice.ShortVector(tuple(int(i == j) for j in range(4)), v)
             for i, v in enumerate(values)))
         rep = check_minkowski(g, m)

@@ -1,14 +1,16 @@
-"""Every function in ``src/`` is entered by a command.
+"""Every recorded command prints its recorded bytes, and every function in
+``src/`` is entered by one.
 
 One fresh interpreter installs ``sys.setprofile`` before it imports the
-package, so functions called at import time count, and then runs, through
-``cli.main``, the commands of CI's runtime and digest steps
-(``.github/workflows/tests.yml``), ``corollary --file`` included. Each
-``def`` in ``src/schottky_gauge/*.py``, nested ones included, must have
-been entered, or be on ``ALLOWED`` with a one-line reason. A code object
-is matched to its ``def`` by file and ``co_firstlineno``, which is the
-line of the first decorator of a decorated function and the ``def`` line
-otherwise (``co_qualname`` needs Python 3.11).
+package, so functions called at import time count, and then replays,
+through ``cli.main``, every record of ``tests/data/transcript.json`` (see
+``tests/transcript.py``). ``test_record`` compares each record's exit code,
+stdout and stderr with the replay's, byte for byte. Each ``def`` in
+``src/schottky_gauge/*.py``, nested ones included, must have been entered,
+or be on ``ALLOWED`` with a one-line reason. A code object is matched to
+its ``def`` by file and ``co_firstlineno``, which is the line of the first
+decorator of a decorated function and the ``def`` line otherwise
+(``co_qualname`` needs Python 3.11).
 
 Code that no command reaches is deleted, or moved to ``tests/`` when only
 tests use it; so ``ALLOWED`` names what must stay although no command
@@ -22,44 +24,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import pytest
+
+from transcript import ROOT, diff, load
+
 SRC = ROOT / "src"
 PACKAGE = SRC / "schottky_gauge"
+
+RECORDS = load()
 
 # "module.qualified.name": "why no command enters it"
 ALLOWED = {}
 
-E8 = "tests/data/e8_skew48_seed39.json"
-DET1 = {"dim": 4, "entries": [2, 1, 0, 0, 1, 1, 0, 0, 0, 0, 2, 1, 0, 0, 1, 1],
-        "mode": "ppav"}
-
-# (exit code, argv): CI's runtime step, then its digest step
-COMMANDS = [
-    (0, ["minima", E8, "--k", "8", "--format", "json"]),
-    (0, ["exclude", "{det1}", "--format", "csv"]),
-    (0, ["certify", "--families", "CF-F'", "--gmax", "1000"]),
-    (0, ["certify", "--families", "CF-F-prime", "--gmax", "1000"]),
-    (5, ["certify", "--families", "CF-A", "--gmax", "1e300", "--budget", "20000"]),
-    (3, ["certify", "--gmax", "1.7e308"]),
-    (2, ["certify", "--tol", "1e-4"]),
-    (5, ["certify", "--families", "CF-I", "--gmax", "1e15"]),
-    (3, ["collar", "--gamma", "1500"]),
-    (0, ["ypiece", "--gamma", "0.5", "--w", "0.01", "--config", "1"]),
-    (0, ["corollary", "--t", "1500", "--piece", "2,1"]),
-    (3, ["corollary", "--t", "1e308", "--piece", "2,1"]),
-    (0, ["corollary", "--file", "tests/data/decomposition.json"]),
-    *[(0, ["certify", "--families", "all", "--format", f])
-      for f in ("json", "csv", "table")],
-    *[(0, ["bounds", "--g", str(g)]) for g in range(2, 11)],
-    *[(0, [cmd, file]) for file in ("{det1}", E8) for cmd in ("minima", "exclude")],
-    (0, ["ypiece", "--gamma", "2", "--w", "1", "--config", "1"]),
-    (0, ["ypiece", "--gamma", "4", "--w", "1", "--config", "2"]),
-    (0, ["collar", "--gamma", "2.1", "--g", "2"]),
-    (0, ["corollary", "--t", "1", "--piece", "2,1"]),
-]
-
-# reads a JSON list of argvs; prints their exit codes and the (file, first
-# line) of every code object entered from the package import on
+# reads a JSON list of argvs; prints the exit code, stdout and stderr of
+# each, and the (file, first line) of every code object entered from the
+# package import on
 RUNNER = """
 import contextlib, io, json, sys
 entered = set()
@@ -68,17 +47,39 @@ def profile(frame, event, arg):
         entered.add(frame.f_code)
 sys.setprofile(profile)
 from schottky_gauge import cli
-codes = []
+outputs = []
 for argv in json.loads(sys.argv[1]):
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            codes.append(cli.main(argv))
+            code = cli.main(argv)
         except SystemExit as exc:
-            codes.append(exc.code)
+            code = exc.code
+    outputs.append((code, out.getvalue(), err.getvalue()))
 sys.setprofile(None)
-print(json.dumps([codes, [(c.co_filename, c.co_firstlineno) for c in entered]]))
+print(json.dumps([outputs, [(c.co_filename, c.co_firstlineno) for c in entered]]))
 """
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """The replay's (exit, stdout, stderr) per record, and the (file, first
+    line) of every code object it entered."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, json.dumps([r["argv"] for r in RECORDS])],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    outputs, entered = json.loads(proc.stdout)
+    return outputs, {(str(Path(f).resolve()), line) for f, line in entered}
+
+
+@pytest.mark.parametrize("index", range(len(RECORDS)),
+                         ids=[" ".join(r["argv"]) for r in RECORDS])
+def test_record(replayed, index):
+    outputs, _ = replayed
+    found = diff(RECORDS[index], *outputs[index])
+    assert not found, f"{RECORDS[index]['why']}\n{found}"
 
 
 def _defs():
@@ -103,18 +104,8 @@ def _defs():
     return out
 
 
-def test_every_function_is_entered_by_a_command(tmp_path):
-    det1 = tmp_path / "det1.json"
-    det1.write_text(json.dumps(DET1))
-    argvs = [[str(det1) if a == "{det1}" else a for a in argv] for _, argv in COMMANDS]
-    proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(argvs)], cwd=ROOT,
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert proc.returncode == 0, proc.stderr
-    codes, entered = json.loads(proc.stdout)
-    assert codes == [code for code, _ in COMMANDS]
-    entered = {(str(Path(f).resolve()), line) for f, line in entered}
+def test_every_function_is_entered_by_a_command(replayed):
+    _, entered = replayed
     missed = [name for name, path, lines in _defs()
               if not any((path, line) in entered for line in lines)]
     assert sorted(missed) == sorted(ALLOWED)

@@ -5,7 +5,6 @@ Each command runs in a fresh interpreter where ``import numpy`` fails
 prints.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -15,7 +14,9 @@ import pytest
 
 from schottky_gauge import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DET1 = str(ROOT / "tests" / "data" / "det1.json")
 
 BLOCKED = ("import sys; sys.modules['numpy'] = None; "
            "from schottky_gauge import cli; sys.exit(cli.main(sys.argv[1:]))")
@@ -26,24 +27,14 @@ def _python(*args):
                           timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
-@pytest.fixture
-def det_one_file(tmp_path):
-    # two 2x2 blocks [[2, 1], [1, 1]], each of determinant 1
-    p = tmp_path / "det1.json"
-    p.write_text(json.dumps({"dim": 4, "entries": [2, 1, 0, 0, 1, 1, 0, 0,
-                                                   0, 0, 2, 1, 0, 0, 1, 1],
-                             "mode": "ppav"}))
-    return str(p)
-
-
 @pytest.mark.parametrize("argv", [
     ["minima", "{file}"],
     ["minima", "{file}", "--format", "json"],
     ["exclude", "{file}", "--format", "json"],
     ["certify", "--families", "CF-G"],
 ], ids=" ".join)
-def test_commands_run_without_numpy(capsys, det_one_file, argv):
-    argv = [a.replace("{file}", det_one_file) for a in argv]
+def test_commands_run_without_numpy(capsys, argv):
+    argv = [a.replace("{file}", DET1) for a in argv]
     proc = _python("-c", BLOCKED, *argv)
     assert proc.returncode == 0, proc.stderr
     assert cli.main(argv) == 0
