@@ -1,6 +1,7 @@
 """Certification engine: family verdicts, tails, and engine behavior."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import transcript
 from oracles import encloses, mp
 from schottky_gauge import bounds, certify, collar
 from schottky_gauge.certify import (
@@ -34,6 +36,23 @@ def reports():
 
 
 class TestFamilies:
+    def test_default_report_frozen(self, reports):
+        # the library's reports against the recorded `certify --families
+        # all --format json` rows: statuses and counts exactly,
+        # min_slack_lo to 1e-12 relative
+        exact = ("status", "tail_status", "cells_processed", "vacuous_cells",
+                 "max_depth")
+        argv = ["certify", "--families", "all", "--format", "json"]
+        record, = (r for r in transcript.load() if r["argv"] == argv)
+        frozen = json.loads(record["stdout"])
+        assert list(reports) == [row["family"] for row in frozen]
+        for row in frozen:
+            rep = reports[row["family"]].as_dict()
+            assert [rep[k] for k in exact] == [row[k] for k in exact], row
+            assert rep["min_slack_lo"] == pytest.approx(
+                row["min_slack_lo"], rel=1e-12, abs=0), row["family"]
+        assert sum(r.cells_processed for r in reports.values()) == 14541
+
     def test_boxes_cover_the_stated_endpoints(self):
         # every box starts at a float at or below its stated real lower
         # bound and ends at or above its stated real upper bound
