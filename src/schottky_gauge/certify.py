@@ -31,7 +31,7 @@ from .interval import (
     _INF, _NEG_INF, IPI, IW, IWP, IndeterminateCell, Interval, _next)
 
 DEFAULT_G_MAX = 1e6
-DEFAULT_BUDGET = 10**7
+CELL_BUDGET = 10**7  # cells one certify() call may sweep, shared by its tasks
 
 
 # Interval constants, each enclosed once at import.
@@ -142,36 +142,25 @@ def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
 _VIOLATED = "violation proven by point enclosure"
 
 
-def check_g_max(family: CertFamily, g_max: float) -> tuple[list, TailProof | None]:
-    """The initial box of each task of ``family`` at ``g_max`` (see ``_box``)
-    and its tail proof (None without a tail).  A ``g_max`` at which a box
-    ceiling or the tail floor has no finite enclosure raises
-    ``IndeterminateCell`` here, before any cell is swept."""
-    return ([_box(task, g_max) for task in family.tasks],
-            None if family.tail is None else family.tail(g_max))
+def certify(family: CertFamily, *, g_max: float = DEFAULT_G_MAX) -> CertReport:
+    """Certify one family over its full domain.
 
-
-def certify(
-    family: CertFamily,
-    budget: int = DEFAULT_BUDGET,
-    g_max: float = DEFAULT_G_MAX,
-) -> CertReport:
-    """Certify one family over its full domain up to ``g_max``.
-
-    Sweeps the family's tasks in turn, with one cell ``budget`` for all of
-    them, and subdivides until every cell's slack interval is strictly
-    positive (Certified), a cell's midpoint has a strictly negative point
-    enclosure (Violated), or the sweep stops (Undecided): at the width
-    floor, a cell with no float split point strictly inside any axis, or
-    when the cell ``budget`` is spent, which bounds every unresolved
-    sweep.  Raises ``IndeterminateCell``, before any cell is swept, when a
-    box ceiling or the tail floor has no finite enclosure at ``g_max``.
+    Sweeps the family's tasks on the genus range [2, g_max] in turn, with
+    ``CELL_BUDGET`` cells for all of them, and closes the genus range from
+    ``g_max`` on with the family's tail proof.  Each task subdivides until
+    every cell's slack interval is strictly positive (Certified), a cell's
+    midpoint has a strictly negative point enclosure (Violated), or the
+    sweep stops (Undecided): at the width floor, a cell with no float split
+    point strictly inside any axis, or when the cell budget is spent,
+    which bounds every unresolved sweep.  Raises ``IndeterminateCell``,
+    before any cell is swept, when a box ceiling or the tail floor has no
+    finite enclosure at ``g_max``.
     """
-    if budget <= 0:
-        raise DomainError("budget must be positive")
     if not (g_max >= 2 and math.isfinite(g_max)):
         raise DomainError("g_max must be a finite genus cutoff >= 2")
-    boxes, proof = check_g_max(family, g_max)
+    boxes = [_box(task, g_max) for task in family.tasks]
+    proof = None if family.tail is None else family.tail(g_max)
+    budget = CELL_BUDGET
     cells = vacuous = max_depth = 0
     best: Interval | None = None  # the least slack of a closed cell
     at = None                     # (axis names, cell) of its witness
@@ -587,7 +576,7 @@ __all__ = [
     "CF_F_PRIME",
     "CertFamily",
     "CertReport",
-    "DEFAULT_BUDGET",
+    "CELL_BUDGET",
     "DEFAULT_G_MAX",
     "Dim",
     "FAMILIES",
@@ -595,6 +584,5 @@ __all__ = [
     "TailProof",
     "Task",
     "certify",
-    "check_g_max",
     "lookup",
 ]

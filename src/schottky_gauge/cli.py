@@ -129,12 +129,7 @@ def cmd_certify(args, parser):
             fams = tuple(certify.lookup(f) for f in args.families)
         except DomainError as exc:
             parser.error(str(exc))
-    # a g_max that a box ceiling or tail floor cannot take fails at once,
-    # not after the families before it have swept
-    for f in fams:
-        certify.check_g_max(f, args.gmax)
-    reports = [certify.certify(f, budget=args.budget, g_max=args.gmax)
-               for f in fams]
+    reports = [certify.certify(f) for f in fams]
     rows = [r.as_dict() for r in reports]
     if any(r.status == "Violated" for r in reports):
         return rows, EXIT_VIOLATED
@@ -206,8 +201,6 @@ def _checked(convert, ok, expected: str):
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf,
                            "a positive finite number")
-_genus_cutoff = _checked(float, lambda v: 2 <= v < math.inf,
-                         "a finite genus cutoff >= 2")
 _genus = _checked(int, lambda v: v >= 2, "an integer genus >= 2")
 
 
@@ -228,10 +221,8 @@ COMMANDS = {
                {"file": {}, "--k": dict(type=_positive_int)}),
     "exclude": (cmd_exclude, "Jacobian exclusion test on a PPAV file",
                 {"file": {}}),
-    "certify": (cmd_certify, "run the inequality certification suite", {
-        "--families": dict(nargs="+", default=["all"]),
-        "--gmax": dict(type=_genus_cutoff, default=certify.DEFAULT_G_MAX),
-        "--budget": dict(type=_positive_int, default=certify.DEFAULT_BUDGET)}),
+    "certify": (cmd_certify, "run the inequality certification suite",
+                {"--families": dict(nargs="+", default=["all"])}),
     "ypiece": (cmd_ypiece, "Y-piece boundary lengths", {
         "--gamma": dict(type=_positive_float, required=True),
         "--w": dict(type=_positive_float, required=True),

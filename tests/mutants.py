@@ -63,8 +63,6 @@ MUTANTS = [
     ("asin-domain-excludes-one", "interval",
      "if self.lo < -1.0 or self.hi > 1.0:", "if self.lo < -1.0 or self.hi >= 1.0:",
      "interval"),
-    ("atanh-domain-admits-one", "interval", "self.hi < 1.0):", "self.hi <= 1.0):",
-     "interval"),
     ("overflow-message-reworded", "interval", 'overflow on {cell!r}"',
      'overflow at {cell!r}"', "reach"),
     # -- collar: one formula per lemma
@@ -106,16 +104,12 @@ MUTANTS = [
      "certify reach"),
     ("violation-without-point-proof", "certify",
      "if point is not None and point.hi < 0.0:", "if point is not None:", "certify"),
-    ("cell-budget-off-by-one", "certify", "if cells > budget:", "if cells >= budget:",
-     "certify"),
+    ("cell-budget-off-by-one", "certify", "budget = CELL_BUDGET",
+     "budget = CELL_BUDGET - 1", "certify"),
     ("width-floor-relative-tolerance", "certify", "if m is None:",
      "if m is None or widest < 1e-4:", "certify"),
     ("genus-split-at-midpoint", "certify",
      "split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid", "split = c.mid",
-     "certify"),
-    ("budget-zero-accepted", "certify", "if budget <= 0:", "if budget < 0:",
-     "certify"),
-    ("budget-one-rejected", "certify", "if budget <= 0:", "if budget <= 1:",
      "certify"),
     ("ratio-3-over-3.1-as-point", "certify", "_C3_31 = Interval.ratio(3.0, 3.1)",
      "_C3_31 = Interval.point(3.0 / 3.1)", "certify"),
@@ -158,6 +152,7 @@ MUTANTS = [
     ("radius-slack", "lattice", "_RADIUS_SLACK = 1e-9", "_RADIUS_SLACK = 0.0",
      "lattice extremal_lattices"),
     ("lll-delta", "lattice", "_LLL_DELTA = 0.99", "_LLL_DELTA = 0.75", "lattice"),
+    ("lll-swap-count-from-one", "lattice", "swaps = 0", "swaps = 1", "lattice"),
     ("lll-size-reduction-truncates", "lattice", "q = round(ck[j] / cols[j][j])",
      "q = int(ck[j] / cols[j][j])", "lattice"),
     ("half-tree-start", "lattice", "lo = int(i == 0) if zero", "lo = int(i <= 1) if zero",
@@ -187,8 +182,6 @@ MUTANTS = [
      'r.status == "Undecided" and f.exempt', "cli"),
     ("zero-budget-flag", "cli", "_positive_int = _checked(int, lambda v: v > 0,",
      "_positive_int = _checked(int, lambda v: v >= 0,", "cli"),
-    ("gmax-floor-flag", "cli", "lambda v: 2 <= v < math.inf", "lambda v: 1 <= v < math.inf",
-     "cli"),
     ("exclude-reads-file-mode", "cli",
      "gram = lattice.load_gram(args.file, mode=lattice.Mode.PPAV)",
      "gram = lattice.load_gram(args.file)", "cli"),

@@ -79,22 +79,39 @@ class TestFamilies:
         # slack lower bound must hover just below zero, never far below
         assert -0.01 < rep.min_slack_lo <= 0.0
 
-    @pytest.mark.parametrize("family, g_max, task", [
-        ("CF-F'", 2.0000000000000004, "long-core"),
-        ("CF-F'", 1000.0, "long-core"),
-        ("CF-F'", 1e300, "long-core"),
-        ("CF-I", 1e15, "main"),
-        ("CF-I", 1e100, "main"),
+    @pytest.mark.parametrize("family, g_max, task, cells", [
+        ("CF-F'", 2.0000000000000004, "long-core", 108),
+        ("CF-F'", 1000.0, "long-core", 144),
+        ("CF-F'", 1e300, "long-core", 161),
+        ("CF-I", 1e15, "main", 93),
+        ("CF-I", 1e100, "main", 88),
     ], ids=["CF-F'-2.0000000000000004", "CF-F'-1000", "CF-F'-1e300",
             "CF-I-1e15", "CF-I-1e100"])
-    def test_cf_f_prime_stops_at_width_floor(self, family, g_max, task):
-        # CF-F''s corner equality, and CF-I's slack, which tends to 0 with
-        # the genus, are met at the float width floor in a few hundred
-        # cells at most, whatever g_max, long before the default budget
+    def test_cf_f_prime_stops_at_width_floor(self, family, g_max, task, cells):
+        # CF-F''s corner equality, and CF-I's slack, which falls like 1/g
+        # below the ulp-level width of its enclosure from g near 3e14 on
+        # although its strict tail holds, are met at the float width floor
+        # in a few hundred cells at most, long before the cell budget
         rep = run_one(lookup(family), g_max=g_max)
         assert rep.status == "Undecided"
         assert rep.note == f"cell width floor reached in task {task}"
-        assert rep.cells_processed < 200
+        assert rep.cells_processed == cells
+
+    def test_g_max_one_ulp_above_two_splits_the_other_axis(self):
+        # the genus axis [2, 2 + ulp] cannot be split, so the sweep splits
+        # the other axis: no family spends its budget or stops at the
+        # width floor; CF-E closes every box cell and is left Undecided by
+        # its tail floor, which is negative from g = 2
+        reports = {f.id: run_one(f, g_max=math.nextafter(2.0, 3.0))
+                   for f in FAMILIES}
+        assert max(r.cells_processed for r in reports.values()) < 100
+        assert all("width floor" not in r.note for r in reports.values())
+        cfe = reports["CF-E"]
+        assert cfe.cells_processed > 1
+        assert (cfe.tail_status, cfe.note) == (
+            "Checked-to-bound", "tail floor not positive")
+        assert [f for f, r in reports.items() if r.status != "Certified"] == [
+            "CF-E"]
 
     def test_cfa_finite_at_huge_genus(self):
         # the half-angle form arccosh(2a^2 - 1) = 2 arccosh(a) never
@@ -227,7 +244,7 @@ class TestEngine:
         (1.0, math.nextafter(1.0, 2.0)), (math.nextafter(1.0, 0.0), 1.0),
     ], ids=["mid-on-lo", "mid-on-hi"])
     @pytest.mark.parametrize("genus", [False, True], ids=["linear", "log"])
-    def test_unsplittable_axis_is_width_floor(self, axis, genus):
+    def test_unsplittable_axis_is_width_floor(self, monkeypatch, axis, genus):
         # an axis one ulp wide has no split point strictly inside: a half
         # equal to the cell would be pushed again until the budget ran out;
         # the log cases add the genus axis, one ulp wide at g_max one ulp
@@ -237,7 +254,8 @@ class TestEngine:
             id="T-ULP",
             tasks=(Task("ulp", dims, lambda *cell: Interval(-1.0, 1.0)),),
         )
-        rep = run_one(fam, budget=10**5, g_max=math.nextafter(2.0, 3.0))
+        monkeypatch.setattr(certify, "CELL_BUDGET", 10**5)
+        rep = run_one(fam, g_max=math.nextafter(2.0, 3.0))
         assert rep.note == "cell width floor reached in task ulp"
         assert rep.cells_processed <= 2
 
@@ -272,12 +290,13 @@ class TestEngine:
         assert rep.witness == {}
         assert rep.cells_processed == 1
 
-    def test_budget_exhaustion_is_undecided(self):
-        rep = run_one(lookup("CF-A"), budget=5)
+    def test_budget_exhaustion_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(certify, "CELL_BUDGET", 5)
+        rep = run_one(lookup("CF-A"))
         assert rep.status == "Undecided"
         assert "budget" in rep.note
 
-    def test_budget_shared_by_tasks(self):
+    def test_budget_shared_by_tasks(self, monkeypatch):
         # the first task certifies in 7 cells (widths 1, 1/2, 1/4); the
         # second never does, so it gets only what the first left over
         fam = CertFamily(
@@ -290,14 +309,16 @@ class TestEngine:
                      lambda y: Interval(-1.0, 1.0)),
             ),
         )
-        rep = run_one(fam, budget=10)
+        monkeypatch.setattr(certify, "CELL_BUDGET", 10)
+        rep = run_one(fam)
         assert rep.status == "Undecided"
         assert rep.cells_processed == 11
         assert rep.note == "cell budget exhausted in task second"
 
-    def test_budget_of_one_cell(self):
-        # the smallest budget is allowed: CF-G is a point task, one cell
-        rep = run_one(lookup("CF-G"), budget=1)
+    def test_budget_of_one_cell(self, monkeypatch):
+        # a budget of one cell is one cell: CF-G is a point task
+        monkeypatch.setattr(certify, "CELL_BUDGET", 1)
+        rep = run_one(lookup("CF-G"))
         assert (rep.status, rep.cells_processed) == ("Certified", 1)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["b-last", "b-first"])
@@ -315,8 +336,6 @@ class TestEngine:
         assert rep.witness == {"y": 2.0}
 
     def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            run_one(lookup("CF-G"), budget=0)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 run_one(lookup("CF-G"), g_max=bad)
@@ -528,7 +547,7 @@ class TestAxisParts:
 
     @pytest.mark.parametrize("case", [
         "certified", "undecided", "box raises", "slack raises"])
-    def test_warm_parts_give_the_cold_report(self, case):
+    def test_warm_parts_give_the_cold_report(self, monkeypatch, case):
         # fill every part first, then leave in it whatever the call stores
         certify._cfa_genus(2.0, 3.0)
         certify._cfa_gamma(0.25, 0.5)
@@ -536,7 +555,9 @@ class TestAxisParts:
         if case == "certified":
             assert run_one(cfa, g_max=100.0).status == "Certified"
         elif case == "undecided":
-            assert run_one(cfa, budget=50).status == "Undecided"
+            with monkeypatch.context() as patch:
+                patch.setattr(certify, "CELL_BUDGET", 50)
+                assert run_one(cfa).status == "Undecided"
         elif case == "box raises":
             with pytest.raises(IndeterminateCell):
                 run_one(lookup("CF-E"), g_max=1.7e308)
@@ -567,7 +588,7 @@ class TestAxisParts:
         assert counts[0] == counts[1]
         assert 0 < counts[0] < rep.cells_processed / 10
 
-    def test_parts_never_exceed_their_size(self):
+    def test_parts_never_exceed_their_size(self, monkeypatch):
         # at g_max 1e300 the sweep meets more distinct genus intervals than
         # a part holds, so its LRU runs full and evicts
         sizes = []
@@ -582,7 +603,8 @@ class TestAxisParts:
 
         fam = dataclasses.replace(
             cfa, tasks=(dataclasses.replace(task, slack_iv=spy),))
-        rep = run_one(fam, g_max=1e300, budget=20000)
+        monkeypatch.setattr(certify, "CELL_BUDGET", 20000)
+        rep = run_one(fam, g_max=1e300)
         assert rep.status == "Undecided"
         assert max(sizes) == certify._AXIS_PART_SIZE
         assert max(self._sizes()) == certify._AXIS_PART_SIZE

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -150,18 +149,18 @@ class TestCertify:
         assert exc.value.code == 2
 
     def test_exempt_family_does_not_fail_exit_code(self, capsys):
-        code, rows, _ = run_json(
-            capsys, "certify", "--families", "CF-F'", "--gmax", "1000")
+        code, rows, _ = run_json(capsys, "certify", "--families", "CF-F'")
         assert code == 0
         assert rows[0]["status"] == "Undecided"
 
-    @pytest.mark.parametrize("argv, code", [
-        (["--families", "CF-F'", "CF-A", "--budget", "3"], 5),
-        (["--families", "CF-F'", "CF-G", "--gmax", "1000"], 0),
+    @pytest.mark.parametrize("budget, other, code", [
+        (3, "CF-A", 5), (certify.CELL_BUDGET, "CF-G", 0),
     ], ids=["budget-3", "gmax-1000"])
-    def test_exit_code_reads_exempt_of_families_run(self, capsys, argv, code):
+    def test_exit_code_reads_exempt_of_families_run(
+            self, capsys, monkeypatch, budget, other, code):
         # an Undecided exempt family never fails the run; any other does
-        got, rows, _ = run_json(capsys, "certify", *argv)
+        monkeypatch.setattr(certify, "CELL_BUDGET", budget)
+        got, rows, _ = run_json(capsys, "certify", "--families", "CF-F'", other)
         assert got == code
         assert rows[0]["status"] == "Undecided"
 
@@ -176,18 +175,12 @@ class TestCertify:
         assert [r["status"] for r in rows] == ["Violated"]
         assert rows[0]["min_slack_hi"] < 0.0
 
-    def test_default_gmax_prints_as_given(self, capsys):
-        # the default g_max is the float that --gmax 1000000 parses to, so
-        # both runs print the same bytes
-        default = run(capsys, "certify", "--format", "json")
-        given = run(capsys, "certify", "--gmax", "1000000", "--format", "json")
-        assert default == given
-
-    def test_budget_flag(self, capsys):
-        assert cli.build_parser().parse_args(["certify"]).budget == \
-            certify.DEFAULT_BUDGET
-        code, rows, _ = run_json(
-            capsys, "certify", "--families", "CF-A", "--budget", "3")
+    def test_budget_flag(self, capsys, monkeypatch):
+        # the cell budget is the constant certify.CELL_BUDGET, read once
+        # per family; a run that spends it is Undecided (exit 5)
+        assert certify.CELL_BUDGET == 10**7
+        monkeypatch.setattr(certify, "CELL_BUDGET", 3)
+        code, rows, _ = run_json(capsys, "certify", "--families", "CF-A")
         assert code == 5
         assert rows[0]["status"] == "Undecided"
         assert rows[0]["note"] == "cell budget exhausted in task main"
@@ -198,44 +191,10 @@ class TestCertify:
         ("--gmax", "1"),
     ], ids=" ".join)
     def test_bad_setting_is_usage_error(self, capsys, setting):
+        # certify takes no tuning flag: each of these is a usage error
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--families", "CF-G", *setting])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("gmax, code", [("1e300", 5), ("1.7e308", 3)])
-    def test_huge_gmax_has_no_traceback(self, capsys, gmax, code):
-        # wide genus cells spend the budget (exit 5); a box ceiling or tail
-        # floor with no finite enclosure at g_max is a bad value (exit 3)
-        got, _, err = run(capsys, "certify", "--gmax", gmax,
-                          "--budget", "20000")
-        assert got == code
-        assert "Traceback" not in err
-
-
-    def test_huge_gmax_fails_before_any_sweep(self, capsys):
-        # at the default budget CF-A would spend 10^7 cells before CF-D's
-        # tail and CF-E's box ceiling meet 8g - 7 = inf; every ceiling and
-        # tail is evaluated at g_max before the first family sweeps
-        start = time.perf_counter()
-        got, out, err = run(capsys, "certify", "--gmax", "1.7e308")
-        assert time.perf_counter() - start < 2.0
-        assert (got, out) == (3, "")
-        assert err == "no finite enclosure: [1.7976931348623157e+308, inf]\n"
-
-    def test_gmax_one_ulp_above_two_splits_the_other_axis(self, capsys):
-        # the genus axis [2, 2 + ulp] cannot be split, so the sweep splits
-        # the other axis: no family spends its budget or stops at the
-        # width floor; CF-E closes every box cell and is left Undecided by
-        # its tail floor, which is negative from g = 2
-        code, rows, _ = run_json(capsys, "certify", "--gmax", "2.0000000000000004")
-        assert code == 5
-        assert max(r["cells_processed"] for r in rows) < 100
-        assert all("width floor" not in r["note"] for r in rows)
-        cfe = next(r for r in rows if r["family"] == "CF-E")
-        assert cfe["cells_processed"] > 1
-        assert cfe["tail_status"] == "Checked-to-bound"
-        assert cfe["note"] == "tail floor not positive"
-        assert [r["family"] for r in rows if r["status"] != "Certified"] == ["CF-E"]
 
 
 class TestYPiece:

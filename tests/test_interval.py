@@ -134,12 +134,6 @@ def test_asin_domain():
     assert encloses(Interval(0.0, 1.0).asin(), math.asin(0.5))
 
 
-def test_atanh_domain_excludes_one():
-    # libm's atanh(1.0) raises ValueError: the domain check must catch 1
-    with pytest.raises(IndeterminateCell):
-        Interval(0.5, 1.0).atanh()
-
-
 def test_min_max_with():
     x = Interval(1.0, 3.0)
     y = Interval(2.0, 2.5)

@@ -7,6 +7,7 @@ admits exhaustive search.
 import builtins
 import json
 import math
+import random
 import re
 import warnings
 from pathlib import Path
@@ -20,6 +21,7 @@ from oracles import (
     check_minkowski,
     random_unimodular,
     rational_pivots,
+    skew,
 )
 from schottky_gauge import bounds, lattice
 from schottky_gauge.errors import (
@@ -28,6 +30,7 @@ from schottky_gauge.errors import (
     DomainError,
     MalformedGram,
     NotPositiveDefinite,
+    NumericalBreakdown,
     NotSymmetric,
     OddDimension,
 )
@@ -124,6 +127,17 @@ class TestReduce:
         red = lattice.reduce(lattice.validate(np.diag([1.0, s])))
         assert red.basis == ((0, 1), (1, 0))
         assert red.factor == ((255 / 256, 0.0), (0.0, 1.0))
+
+    def test_swap_budget_boundary(self, monkeypatch):
+        """The 3x3 identity under 12 seeded row operations takes exactly 7
+        LLL swaps: it reduces at a budget of 7 and breaks down at 6."""
+        form = skew(np.eye(3, dtype=int).tolist(), random.Random(41))
+        g = lattice.validate(np.array(form, dtype=float), lattice.Mode.PLAIN)
+        monkeypatch.setattr(lattice, "_LLL_MAX_SWAPS", 7)
+        assert np.allclose(_reduced_gram(lattice.reduce(g)), np.eye(3))
+        monkeypatch.setattr(lattice, "_LLL_MAX_SWAPS", 6)
+        with pytest.raises(NumericalBreakdown, match="swap budget"):
+            lattice.reduce(g)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_lll_conditions_on_skewed_forms(self, d):

@@ -15,6 +15,10 @@ decorator of a decorated function and the ``def`` line otherwise
 Code that no command reaches is deleted, or moved to ``tests/`` when only
 tests use it; so ``ALLOWED`` names what must stay although no command
 enters it, and an entry that a command does enter fails the test too.
+
+The replay itself fails, and with it every test here, when numpy, a
+test-only dependency, is loaded after the last record: the package runs on
+the standard library alone.
 """
 
 import ast
@@ -38,7 +42,8 @@ ALLOWED = {}
 
 # reads a JSON list of argvs; prints the exit code, stdout and stderr of
 # each, and the (file, first line) of every code object entered from the
-# package import on
+# package import on; fails when the import or any command has loaded
+# numpy, a test-only dependency, even behind a guarded import
 RUNNER = """
 import contextlib, io, json, sys
 entered = set()
@@ -57,6 +62,7 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     outputs.append((code, out.getvalue(), err.getvalue()))
 sys.setprofile(None)
+assert "numpy" not in sys.modules, "a command loaded numpy"
 print(json.dumps([outputs, [(c.co_filename, c.co_firstlineno) for c in entered]]))
 """
 
