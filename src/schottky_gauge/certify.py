@@ -139,6 +139,20 @@ def _box(task: Task, g_max: float) -> tuple[list[Interval], list[float]] | None:
     return init, spans
 
 
+def _split_plan(c: Interval, geometric: bool, span: float):
+    """``c``'s width relative to its axis's initial span (a log width on the
+    genus axis) and its halves, upper first, at the split point: the
+    geometric mean on the genus axis when that lies strictly inside, else
+    the midpoint.  None when neither lies strictly inside."""
+    split = math.sqrt(c.lo * c.hi) if geometric else c.mid
+    if not c.lo < split < c.hi:
+        split = c.mid
+    if not c.lo < split < c.hi:
+        return None
+    w = (math.log(c.hi / c.lo) if geometric else c.hi - c.lo) / span
+    return w, (Interval(split, c.hi), Interval(c.lo, split))
+
+
 _VIOLATED = "violation proven by point enclosure"
 
 
@@ -177,19 +191,26 @@ def certify(family: CertFamily, *, g_max: float = DEFAULT_G_MAX) -> CertReport:
         coupled = [i for i, d in enumerate(dims)
                    if callable(d.hi) and i != genus] if genus >= 0 else []
 
+        @functools.cache
+        def caps(g_hi):
+            """Each coupled axis with its ceiling at genus ``g_hi``."""
+            g = Interval.point(g_hi)
+            return [(i, dims[i].hi(g).hi) for i in coupled]
+
         def clip(cell):
             """Cap each coupled axis at its ceiling for the cell's largest
             genus; None when the cell lies wholly above a ceiling."""
             cell = list(cell)
-            g = Interval.point(cell[genus].hi)
-            for i in coupled:
-                cap = dims[i].hi(g).hi
+            for i, cap in caps(cell[genus].hi):
                 if cell[i].lo > cap:
                     return None
                 if cell[i].hi > cap:
                     cell[i] = Interval(cell[i].lo, cap)
             return tuple(cell)
 
+        # Each axis interval's split plan, made once: children share their
+        # parent's halves, so the cells meeting an interval share one object.
+        plans: dict[Interval, tuple | None] = {}
         stack: list[tuple[tuple[Interval, ...], int]] = [(tuple(init), 0)]
         while stack:
             cell, depth = stack.pop()
@@ -220,24 +241,20 @@ def certify(family: CertFamily, *, g_max: float = DEFAULT_G_MAX) -> CertReport:
                 if point is not None and point.hi < 0.0:
                     stop = _VIOLATED, cell, point
                     break
-            # Split the widest axis, relative to its initial span, whose split
-            # point lies strictly inside: the geometric mean on the genus axis
-            # when that does, else the midpoint.
-            axis, widest, m = -1, -1.0, None
+            # Split the widest axis, relative to its initial span, that has a
+            # split point strictly inside; the first such axis on a tie.
+            axis, widest, halves = -1, -1.0, None
             for i, c in enumerate(cell):
-                w = (math.log(c.hi / c.lo) if geometric[i]
-                     else c.hi - c.lo) / spans[i]
-                if w > widest:
-                    split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid
-                    if not c.lo < split < c.hi:
-                        split = c.mid
-                    if c.lo < split < c.hi:
-                        axis, widest, m = i, w, split
-            if m is None:
+                try:
+                    plan = plans[c]
+                except KeyError:
+                    plan = plans[c] = _split_plan(c, geometric[i], spans[i])
+                if plan is not None and plan[0] > widest:
+                    axis, widest, halves = i, plan[0], plan[1]
+            if halves is None:
                 stop = "cell width floor reached", cell, slack
                 break
-            c = cell[axis]
-            for half in (Interval(m, c.hi), Interval(c.lo, m)):
+            for half in halves:
                 stack.append((cell[:axis] + (half,) + cell[axis + 1:], depth + 1))
         if stop is not None:
             break
@@ -280,12 +297,15 @@ def certify(family: CertFamily, *, g_max: float = DEFAULT_G_MAX) -> CertReport:
 
 # The sweep meets the same axis interval in many cells: the default sweep
 # has 13,965 cells but only 255 distinct genus intervals and 203 distinct
-# gamma intervals.  So the genus part (pi (g-1), log(8g-7)) and the gamma
-# part sinhc(gamma/2) are each computed once per distinct interval, in an
-# LRU of at most _AXIS_PART_SIZE entries keyed by the interval's ends.  A
-# part is a pure function of those ends, so an entry kept from an earlier
-# call is the value this call would compute; a call that raises stores
-# nothing.  With P = pi (g-1) >= pi, S = sinhc(gamma/2) >= 1 and
+# gamma intervals, each one object that its cells share.  So the genus
+# part (pi (g-1), log(8g-7)) and the gamma part sinhc(gamma/2) are each
+# computed once per distinct interval, in an LRU of at most
+# _AXIS_PART_SIZE entries keyed by the Interval object (Interval equality
+# is identity, and the LRU holds its keys, so no id is reused while its
+# entry lives).  A part is a pure function of the interval's ends, so an
+# entry kept from an earlier call, or made for another object with the
+# same ends, is the value this call would compute; a call that raises
+# stores nothing.  With P = pi (g-1) >= pi, S = sinhc(gamma/2) >= 1 and
 # L = log(8g-7), the slack 4 (L - arccosh(P S)) is monotone in each part,
 # so it is combined from the parts' ends with no Interval in between:
 # [4 (L.lo - acosh(up(P.hi S.hi))), 4 (L.hi - acosh(down(P.lo S.lo)))].
@@ -297,19 +317,18 @@ _AXIS_PART_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_AXIS_PART_SIZE)
-def _cfa_genus(lo: float, hi: float) -> tuple[Interval, Interval]:
-    g = Interval(lo, hi)
+def _cfa_genus(g: Interval) -> tuple[Interval, Interval]:
     return IPI * (g - 1.0), bounds.log8(g)
 
 
 @functools.lru_cache(maxsize=_AXIS_PART_SIZE)
-def _cfa_gamma(lo: float, hi: float) -> Interval:
-    return (Interval(lo, hi) * 0.5).sinhc()
+def _cfa_gamma(y: Interval) -> Interval:
+    return (y * 0.5).sinhc()
 
 
 def _cfa_slack_iv(g: Interval, y: Interval) -> Interval:
-    p, log8 = _cfa_genus(g.lo, g.hi)
-    s = _cfa_gamma(y.lo, y.hi)
+    p, log8 = _cfa_genus(g)
+    s = _cfa_gamma(y)
     lo, hi = _next(p.lo * s.lo, _NEG_INF), _next(p.hi * s.hi, _INF)
     if not lo >= 1.0:  # where .acosh() raises; an overflow raises first
         raise (DomainError if hi < _INF else IndeterminateCell)(

@@ -106,11 +106,18 @@ MUTANTS = [
      "if point is not None and point.hi < 0.0:", "if point is not None:", "certify"),
     ("cell-budget-off-by-one", "certify", "budget = CELL_BUDGET",
      "budget = CELL_BUDGET - 1", "certify"),
-    ("width-floor-relative-tolerance", "certify", "if m is None:",
-     "if m is None or widest < 1e-4:", "certify"),
+    ("width-floor-relative-tolerance", "certify", "if halves is None:",
+     "if halves is None or widest < 1e-4:", "certify"),
     ("genus-split-at-midpoint", "certify",
-     "split = math.sqrt(c.lo * c.hi) if geometric[i] else c.mid", "split = c.mid",
+     "split = math.sqrt(c.lo * c.hi) if geometric else c.mid", "split = c.mid",
      "certify"),
+    ("halves-pushed-lower-first", "certify",
+     "return w, (Interval(split, c.hi), Interval(c.lo, split))",
+     "return w, (Interval(c.lo, split), Interval(split, c.hi))", "certify"),
+    ("split-tie-takes-last-axis", "certify", "plan[0] > widest", "plan[0] >= widest",
+     "certify"),
+    ("caps-keyed-on-genus-lo", "certify", "caps(cell[genus].hi)",
+     "caps(cell[genus].lo)", "certify"),
     ("ratio-3-over-3.1-as-point", "certify", "_C3_31 = Interval.ratio(3.0, 3.1)",
      "_C3_31 = Interval.point(3.0 / 3.1)", "certify"),
     ("gamma2-box-start", "certify", "_GAMMA2_LO = Interval.ratio(21.0, 10.0).lo",

@@ -1,6 +1,8 @@
 """Certification engine: family verdicts, tails, and engine behavior."""
 
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import random
@@ -347,6 +349,51 @@ class TestEngine:
         b = run_one(lookup("CF-C"))
         assert a.as_dict() == b.as_dict()
 
+    # sha256 of every cell a family's slack_iv is called on, in visit
+    # order, one line of float.hex axis ends per call
+    _SPLIT_TREES = {
+        "CF-A":
+            "89238e81fb96230344f79718107cf96311f36b59532ec23d247b661583ba18eb",
+        "CF-B":
+            "13330c0d2ab562d46af3108aa44c9203619daf531c8529f774665140a9e3e4d3",
+        "CF-C":
+            "267c6f1cc8ed7bf4901c3f9f7534374398d93aacfd659431ec8759711c793fab",
+        "CF-D":
+            "ac13c115551499e86bc082b6bbc089eff44d074adf3600fecce2df2bfe3ab770",
+        "CF-E":
+            "1791742d39d451bbc6ae82fe389eeae08f9eb60237109bcf39463d9a1b71b072",
+        "CF-F":
+            "692fae8d24f317de48627fc6faabc1028affee445e5667d5d1d5d6df80832317",
+        "CF-G":
+            "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "CF-H":
+            "a37a08058fea67f574deb35a1cd952af617821d84a1bf69b4f946bb2c429e2de",
+        "CF-I":
+            "32e722d8c88640e8ad9e36dd37db24e78558ebcbb917c1032be0346117afdfbd",
+        "CF-J":
+            "784c0a5fb9777e4bd856bec6abafd0496a373dc5d2b06b504e5d39d3f3d465b2",
+        "CF-F-prime":
+            "f089e1781650004e4a0bf6391c1cf2a20bf79bd176bf8aa4796d995274ab240d",
+    }
+
+    def test_split_tree_pinned(self):
+        # equal counts, witness and least slack can hide another tree or
+        # another visit order; the cells themselves cannot
+        digests = {}
+        for fam in (*FAMILIES, CF_F_PRIME):
+            h = hashlib.sha256()
+
+            def spy(*cell, slack_iv):
+                h.update(" ".join(x.hex() for c in cell
+                                  for x in (c.lo, c.hi)).encode() + b"\n")
+                return slack_iv(*cell)
+
+            run_one(dataclasses.replace(fam, tasks=tuple(
+                dataclasses.replace(t, slack_iv=functools.partial(
+                    spy, slack_iv=t.slack_iv)) for t in fam.tasks)))
+            digests[fam.id] = h.hexdigest()
+        assert digests == self._SPLIT_TREES
+
 
 # Source-form slack of every task at a point, each lemma written out as
 # the paper states it, before any interval rewrite, in exact arithmetic.
@@ -522,9 +569,9 @@ def test_report_fields_are_the_output_row():
 
 class TestAxisParts:
     """Each axis part of a slack is computed once per distinct axis
-    interval, in an LRU that never grows past its size; a part is a pure
-    function of the interval's ends, so an entry kept from an earlier call
-    leaves every report as a cold call gives it."""
+    interval, in an LRU keyed by the interval object that never grows past
+    its size; a part is a pure function of the interval's ends, so an entry
+    kept from an earlier call leaves every report as a cold call gives it."""
 
     _PARTS = (certify._cfa_genus, certify._cfa_gamma)
 
@@ -549,8 +596,8 @@ class TestAxisParts:
         "certified", "undecided", "box raises", "slack raises"])
     def test_warm_parts_give_the_cold_report(self, monkeypatch, case):
         # fill every part first, then leave in it whatever the call stores
-        certify._cfa_genus(2.0, 3.0)
-        certify._cfa_gamma(0.25, 0.5)
+        certify._cfa_genus(Interval(2.0, 3.0))
+        certify._cfa_gamma(Interval(0.25, 0.5))
         cfa = lookup("CF-A")
         if case == "certified":
             assert run_one(cfa, g_max=100.0).status == "Certified"
@@ -611,19 +658,34 @@ class TestAxisParts:
 
     def test_part_that_raises_raises_again(self, monkeypatch):
         # 8g - 7 overflows on the first cell, not on the second: an
-        # exception is not stored, a value is
+        # exception is not stored, a value is; each cell is one object
+        # passed twice, so a stored exception would be found again
         calls = []
         log8 = bounds.log8
         monkeypatch.setattr(bounds, "log8",
                             lambda g: calls.append(g.hi) or log8(g))
+        huge, small, wide = (Interval(2.0, 3e307), Interval(2.0, 3.0),
+                             Interval(0.0, 2000.0))
         for _ in range(2):
             with pytest.raises(DomainError):
-                certify._cfa_genus(2.0, 3e307)
-            certify._cfa_genus(2.0, 3.0)
+                certify._cfa_genus(huge)
+            certify._cfa_genus(small)
         assert calls == [3e307, 3.0, 3e307]
         for _ in range(2):
             with pytest.raises(DomainError):
-                certify._cfa_gamma(0.0, 2000.0)
+                certify._cfa_gamma(wide)
+
+    def test_equal_ends_give_equal_parts(self):
+        # two objects with the same ends are two keys, whose parts are
+        # equal to the bit
+        def ends(part):
+            return [(x.lo, x.hi) for x in part]
+
+        a, b = Interval(2.0, 3.0), Interval(2.0, 3.0)
+        assert ends(certify._cfa_genus(a)) == ends(certify._cfa_genus(b))
+        a, b = Interval(0.25, 0.5), Interval(0.25, 0.5)
+        assert ends([certify._cfa_gamma(a)]) == ends([certify._cfa_gamma(b)])
+        assert self._sizes() == [2, 2]
 
 
 def _cfa_written_out(g, y):
